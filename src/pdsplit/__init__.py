@@ -18,7 +18,7 @@ from .operators import (GraphPoint, InexactnessBudget, MonotoneOp, affine_monoto
                         resolvent, validate_inexact_dual, validate_inexact_primal, zero)
 from .schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,
                        synchronous, validate)
-from .separator import (KTResidual, ProblemSpec, Separator, SubspaceSpec,
+from .separator import (GraphTable, KTResidual, ProblemSpec, Separator, SubspaceSpec,
                         build_projector, build_separator, detect_exact_solution,
                         kt_residual, project_halfspace)
 

@@ -1,18 +1,26 @@
 """Block vectors over products of real coordinate spaces and block-sparse couplings.
 
-Everything here is immutable after construction and safe to share between
-workers; all operations are pure and allocate fresh output arrays.
+A block vector and a primal-dual point each store their coordinates in one
+contiguous float64 array; blocks are views into it.  Values are treated as
+immutable after construction: every operation allocates a fresh output array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import DimensionError
+
+
+def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
+    """Slices that cut a flat array into consecutive blocks of the given dimensions."""
+    ends = list(itertools.accumulate(dims))
+    return tuple(map(slice, [0, *ends[:-1]], ends))
 
 
 @dataclass(frozen=True)
@@ -21,6 +29,8 @@ class SpaceSignature:
 
     primal_dims: tuple[int, ...]
     dual_dims: tuple[int, ...]
+    primal_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    dual_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "primal_dims", tuple(int(d) for d in self.primal_dims))
@@ -29,6 +39,8 @@ class SpaceSignature:
             raise DimensionError("signature needs at least one primal and one dual block")
         if any(d < 1 for d in self.primal_dims + self.dual_dims):
             raise DimensionError("every block dimension must be >= 1")
+        object.__setattr__(self, "primal_slices", _block_slices(self.primal_dims))
+        object.__setattr__(self, "dual_slices", _block_slices(self.dual_dims))
 
     @property
     def m(self) -> int:
@@ -44,58 +56,53 @@ class SpaceSignature:
 
 
 class BlockVector:
-    """Indexed family of dense real vectors, one per factor space."""
+    """Indexed family of dense real vectors, one per factor space, stored flat."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("data", "dims", "_blocks")
 
-    def __init__(self, blocks: Iterable, copy: bool = True):
-        if copy:
-            converted = []
-            for j, b in enumerate(blocks):
-                arr = np.atleast_1d(np.asarray(b, dtype=float))
-                if arr.ndim != 1:
-                    raise DimensionError(f"block {j} is not a vector (ndim={arr.ndim})")
-                converted.append(arr.copy())
-            self.blocks = tuple(converted)
-        else:
-            self.blocks = tuple(blocks)
-        if not self.blocks:
+    def __init__(self, blocks: Iterable):
+        converted = [np.array(b, dtype=float) for b in blocks]  # copies
+        if not converted:
             raise DimensionError("a block vector needs at least one block")
+        for j, arr in enumerate(converted):
+            if arr.ndim != 1:
+                if arr.ndim:
+                    raise DimensionError(f"block {j} is not a vector (ndim={arr.ndim})")
+                converted[j] = arr.reshape(1)
+        self.data = converted[0] if len(converted) == 1 else np.concatenate(converted)
+        self.dims, self._blocks = tuple(map(len, converted)), None
 
     @classmethod
-    def zeros(cls, dims: Iterable[int]) -> "BlockVector":
-        return cls([np.zeros(int(d)) for d in dims], copy=False)
+    def _wrap(cls, data: np.ndarray, dims: tuple[int, ...]) -> "BlockVector":
+        """Adopt a flat array (no copy) whose length is sum(dims)."""
+        out = cls.__new__(cls)
+        out.data, out.dims, out._blocks = data, dims, None
+        return out
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    def copy(self) -> "BlockVector":
-        return BlockVector([b.copy() for b in self.blocks], copy=False)
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        if self._blocks is None:
+            self._blocks = tuple(self.data[s] for s in _block_slices(self.dims))
+        return self._blocks
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
+        return self.data.copy()
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, dims: Iterable[int]) -> "BlockVector":
-        flat = np.asarray(flat, dtype=float)
-        dims = tuple(int(d) for d in dims)
+        flat, dims = np.array(flat, dtype=float), tuple(int(d) for d in dims)
         if flat.shape != (sum(dims),):
             raise DimensionError(f"flat vector of length {flat.shape} does not split into {dims}")
-        out, at = [], 0
-        for d in dims:
-            out.append(flat[at:at + d].copy())
-            at += d
-        return cls(out, copy=False)
+        return cls._wrap(flat, dims)
 
     def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector([a + b for a, b in zip(self.blocks, other.blocks)], copy=False)
+        return BlockVector._wrap(self.data + other.data, self.dims)
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector([a - b for a, b in zip(self.blocks, other.blocks)], copy=False)
+        return BlockVector._wrap(self.data - other.data, self.dims)
 
     def __mul__(self, alpha: float) -> "BlockVector":
-        return BlockVector([alpha * b for b in self.blocks], copy=False)
+        return BlockVector._wrap(alpha * self.data, self.dims)
 
     __rmul__ = __mul__
 
@@ -104,50 +111,58 @@ class BlockVector:
 
 
 def inner(u: BlockVector, v: BlockVector) -> float:
-    """Product-space inner product: sum of per-block Euclidean inner products."""
+    """Product-space inner product: the Euclidean inner product of the flat arrays."""
     if u.dims != v.dims:
         raise DimensionError(f"inner product between dims {u.dims} and {v.dims}")
-    total = 0.0
-    for a, b in zip(u.blocks, v.blocks):
-        total += float(np.dot(a, b))
-    return total
+    return float(np.dot(u.data, v.data))
 
 
 def norm_sq(u: BlockVector) -> float:
-    total = 0.0
-    for b in u.blocks:
-        total += float(np.dot(b, b))
-    return total
+    return float(np.dot(u.data, u.data))
 
 
 def norm(u: BlockVector) -> float:
     return math.sqrt(norm_sq(u))
 
 
-@dataclass(frozen=True)
 class PrimalDualPoint:
-    """A pair (x, v*) of primal and dual block vectors."""
+    """A pair (x, v*) in one contiguous array `data`, primal blocks first; x and v_star view it."""
 
-    x: BlockVector
-    v_star: BlockVector
+    __slots__ = ("data", "x", "v_star")
+
+    def __init__(self, x: BlockVector, v_star: BlockVector):
+        self._adopt(np.concatenate((x.data, v_star.data)), x, v_star)
+
+    @classmethod
+    def zeros(cls, signature: SpaceSignature) -> "PrimalDualPoint":
+        return cls(*(BlockVector._wrap(np.zeros(sum(dims)), dims)
+                     for dims in (signature.primal_dims, signature.dual_dims)))
+
+    def _adopt(self, data: np.ndarray, x: BlockVector, v_star: BlockVector) -> None:
+        split = x.data.shape[0]
+        self.data, self.x = data, BlockVector._wrap(data[:split], x.dims)
+        self.v_star = BlockVector._wrap(data[split:], v_star.dims)
+
+    def _like(self, data: np.ndarray) -> "PrimalDualPoint":
+        """A point with this point's block layout over a flat array (no copy)."""
+        out = PrimalDualPoint.__new__(PrimalDualPoint)
+        out._adopt(data, self.x, self.v_star)
+        return out
 
     def __add__(self, other: "PrimalDualPoint") -> "PrimalDualPoint":
-        return PrimalDualPoint(self.x + other.x, self.v_star + other.v_star)
+        return self._like(self.data + other.data)
 
     def __sub__(self, other: "PrimalDualPoint") -> "PrimalDualPoint":
-        return PrimalDualPoint(self.x - other.x, self.v_star - other.v_star)
+        return self._like(self.data - other.data)
 
     def __mul__(self, alpha: float) -> "PrimalDualPoint":
-        return PrimalDualPoint(alpha * self.x, alpha * self.v_star)
+        return self._like(alpha * self.data)
 
     __rmul__ = __mul__
 
-    def copy(self) -> "PrimalDualPoint":
-        return PrimalDualPoint(self.x.copy(), self.v_star.copy())
-
 
 def pd_inner(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
-    """Inner product on the primal-dual product space (primal blocks first)."""
+    """Inner product on the primal-dual product space, summed primal side first."""
     return inner(u.x, v.x) + inner(u.v_star, v.v_star)
 
 
@@ -164,15 +179,17 @@ class CouplingMap:
 
     Entry (k, i) holds the dense matrix mapping primal block i into dual
     block k; absent entries are zero maps.  The adjoint of entry (k, i) is
-    its transpose.  Shapes are validated here, once, so the apply paths can
-    stay lean.
+    its transpose.  Entries are stored once, stacked by block shape, and
+    `entries[(k, i)]` is a view into its stack.  With the gather and scatter
+    index arrays built here, the full forward and adjoint maps are a fixed
+    handful of numpy calls whose summation order depends only on the keys.
     """
 
-    __slots__ = ("signature", "entries", "_rows", "_cols")
+    __slots__ = ("signature", "entries", "_rows", "_cols", "_groups", "_index")
 
     def __init__(self, signature: SpaceSignature, entries: Mapping[tuple[int, int], np.ndarray]):
         self.signature = signature
-        table: dict[tuple[int, int], np.ndarray] = {}
+        arrays: dict[tuple[int, int], np.ndarray] = {}
         for key, mat in entries.items():
             k, i = int(key[0]), int(key[1])
             if not (0 <= k < signature.p and 0 <= i < signature.m):
@@ -182,58 +199,93 @@ class CouplingMap:
             if arr.shape != expected:
                 raise DimensionError(
                     f"coupling entry ({k},{i}) has shape {arr.shape}, expected {expected}")
-            table[(k, i)] = arr.copy()
-        self.entries = table
-        rows: dict[int, list] = {k: [] for k in range(signature.p)}
-        cols: dict[int, list] = {i: [] for i in range(signature.m)}
-        for (k, i) in sorted(table):
-            rows[k].append((i, table[(k, i)]))
-            cols[i].append((k, table[(k, i)]))
-        self._rows = rows
-        self._cols = cols
+            arrays[(k, i)] = arr
+        keys = sorted(arrays)
+        by_shape: dict[tuple[int, int], list] = {}
+        for key in keys:
+            by_shape.setdefault(arrays[key].shape, []).append(key)
+        self.entries: dict[tuple[int, int], np.ndarray] = {}
+        self._groups = []  # (stack, keys), one per block shape
+        for group in by_shape.values():
+            stack = np.array([arrays[key] for key in group])
+            self.entries.update(zip(group, stack))
+            self._groups.append((stack, group))
+        self._index = None  # per group, (stack, flat row index, flat column index); see _indexed
+        self._rows = {k: [] for k in range(signature.p)}  # (primal slice, entry) per dual block
+        self._cols = {i: [] for i in range(signature.m)}  # (dual slice, entry) per primal block
+        for k, i in keys:
+            self._rows[k].append((signature.primal_slices[i], self.entries[(k, i)]))
+            self._cols[i].append((signature.dual_slices[k], self.entries[(k, i)]))
+
+    def _indexed(self) -> list:
+        """The stacks with their gather/scatter index arrays, built at the first full apply."""
+        if self._index is None:
+            sig = self.signature
+            self._index = [(stack, _flat_index([sig.dual_slices[k] for k, _ in keys]),
+                            _flat_index([sig.primal_slices[i] for _, i in keys]))
+                           for stack, keys in self._groups]
+        return self._index
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """L x for a flat primal array, as a flat dual array."""
+        return _scatter([(rows, np.matmul(stack, x[cols].reshape(len(stack), -1, 1)))
+                         for stack, rows, cols in self._indexed()],
+                        self.signature.dual_slices[-1].stop)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """L* y for a flat dual array, as a flat primal array."""
+        return _scatter([(cols, np.matmul(y[rows].reshape(len(stack), 1, -1), stack))
+                         for stack, rows, cols in self._indexed()],
+                        self.signature.primal_slices[-1].stop)
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix (diagnostics and tests only)."""
         sig = self.signature
         out = np.zeros((sum(sig.dual_dims), sum(sig.primal_dims)))
-        r_off = np.concatenate([[0], np.cumsum(sig.dual_dims)])
-        c_off = np.concatenate([[0], np.cumsum(sig.primal_dims)])
         for (k, i), mat in self.entries.items():
-            out[r_off[k]:r_off[k + 1], c_off[i]:c_off[i + 1]] = mat
+            out[sig.dual_slices[k], sig.primal_slices[i]] = mat
         return out
 
 
-def _check_primal(cmap: CouplingMap, x: BlockVector) -> None:
-    if x.dims != cmap.signature.primal_dims:
-        raise DimensionError(f"primal vector dims {x.dims} != signature {cmap.signature.primal_dims}")
+def _flat_index(slices: list) -> np.ndarray:
+    """Flat coordinates covered by a list of equally long block slices, in order."""
+    width = slices[0].stop - slices[0].start
+    return np.add.outer([sl.start for sl in slices], np.arange(width)).ravel()
 
 
-def _check_dual(cmap: CouplingMap, y: BlockVector) -> None:
-    if y.dims != cmap.signature.dual_dims:
-        raise DimensionError(f"dual vector dims {y.dims} != signature {cmap.signature.dual_dims}")
+def _scatter(parts: list, size: int) -> np.ndarray:
+    """Sum (flat index, per-block product) pairs into a flat vector, in list order."""
+    if not parts:
+        return np.zeros(size)
+    if len(parts) == 1:
+        return np.bincount(parts[0][0], weights=parts[0][1].ravel(), minlength=size)
+    return np.bincount(np.concatenate([at for at, _ in parts]), minlength=size,
+                       weights=np.concatenate([prod.ravel() for _, prod in parts]))
 
 
 def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
     """Dual block k of the forward map: sum over i of entry (k,i) applied to x_i."""
     acc = np.zeros(cmap.signature.dual_dims[k])
-    for i, mat in cmap._rows[k]:
-        acc += mat @ x.blocks[i]
+    for sl, mat in cmap._rows[k]:
+        acc += mat @ x.data[sl]
     return acc
 
 
 def adjoint_block(cmap: CouplingMap, y: BlockVector, i: int) -> np.ndarray:
     """Primal block i of the adjoint map: sum over k of entry (k,i) transposed applied to y_k."""
     acc = np.zeros(cmap.signature.primal_dims[i])
-    for k, mat in cmap._cols[i]:
-        acc += mat.T @ y.blocks[k]
+    for sl, mat in cmap._cols[i]:
+        acc += mat.T @ y.data[sl]
     return acc
 
 
 def apply_forward(cmap: CouplingMap, x: BlockVector) -> BlockVector:
-    _check_primal(cmap, x)
-    return BlockVector([forward_block(cmap, x, k) for k in range(cmap.signature.p)], copy=False)
+    if x.dims != cmap.signature.primal_dims:
+        raise DimensionError(f"primal vector dims {x.dims} != signature {cmap.signature.primal_dims}")
+    return BlockVector._wrap(cmap.forward(x.data), cmap.signature.dual_dims)
 
 
 def apply_adjoint(cmap: CouplingMap, y: BlockVector) -> BlockVector:
-    _check_dual(cmap, y)
-    return BlockVector([adjoint_block(cmap, y, i) for i in range(cmap.signature.m)], copy=False)
+    if y.dims != cmap.signature.dual_dims:
+        raise DimensionError(f"dual vector dims {y.dims} != signature {cmap.signature.dual_dims}")
+    return BlockVector._wrap(cmap.adjoint(y.data), cmap.signature.primal_dims)

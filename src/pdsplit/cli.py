@@ -36,8 +36,7 @@ def _cmd_run(args) -> int:
     fileio.write_trace(result.trace, args.trace, len(problem.known_Z_points))
     summary = {"status": result.status, "iterations": result.iterations,
                "message": result.message, "metadata": result.metadata,
-               "final": {"x": [b.tolist() for b in result.final.x.blocks],
-                         "v_star": [b.tolist() for b in result.final.v_star.blocks]}}
+               "final": fileio.point_to_dict(result.final)}
     if result.trace:
         summary["final_residual_sum"] = result.trace[-1].residual_sum()
     print(json.dumps(summary, indent=1))
@@ -101,12 +100,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gen_schedule(args) -> int:
     if args.type == "periodic":
-        if args.lag_pattern == "zero":
-            lag = ("zero",)
-        elif args.lag_pattern == "constant":
-            lag = ("constant", args.lag_value)
-        else:
-            lag = ("sawtooth", args.lag_value)
+        lag = ("zero",) if args.lag_pattern == "zero" else (args.lag_pattern, args.lag_value)
         sched = periodic(args.m, args.p, args.group_size, args.horizon, lag)
     else:
         sched = random_admissible(args.m, args.p, args.M, args.D, args.horizon, args.seed)

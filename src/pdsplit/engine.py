@@ -14,20 +14,20 @@ merged in fixed block order so results never depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import (BlockVector, PrimalDualPoint, adjoint_block, forward_block,
-                         inner, pd_inner, pd_norm, pd_norm_sq)
+from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, inner, pd_inner,
+                         pd_norm, pd_norm_sq)
 from .errors import ConfigError, InconsistencyError, InvariantViolation
-from .operators import (GraphPoint, InexactnessBudget, default_membership_tol,
-                        graph_point_dual, graph_point_primal, membership_residual,
-                        validate_inexact_dual, validate_inexact_primal)
+from .operators import (GraphPoint, InexactnessBudget, graph_point_dual, graph_point_primal,
+                        membership_residual, validate_inexact_dual, validate_inexact_primal)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
-from .separator import (ProblemSpec, build_separator, detect_exact_solution,
+from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
 Rule = Union[float, Sequence[float], Callable]
@@ -95,28 +95,24 @@ class SolverConfig:
             raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.trace_stride < 1:
             raise ConfigError(f"trace_stride must be >= 1, got {self.trace_stride}")
-        lo, hi = self.relaxation_bounds()
-        lam = self.relaxation
-        if isinstance(lam, (int, float)):
-            _check_in(lam, lo, hi, "relaxation")
-        elif isinstance(lam, (list, tuple)):
-            for v in lam:
-                _check_in(v, lo, hi, "relaxation")
-        for rule, count, name in ((self.gamma, problem.m, "gamma"),
-                                  (self.mu, problem.p, "mu")):
+        prox = (self.eps_prox, 1.0 / self.eps_prox)
+        for rule, count, name, (lo, hi) in (
+                (self.relaxation, None, "relaxation", self.relaxation_bounds()),
+                (self.gamma, problem.m, "gamma", prox), (self.mu, problem.p, "mu", prox)):
             if isinstance(rule, (int, float)):
-                _check_in(rule, self.eps_prox, 1.0 / self.eps_prox, name)
-            elif isinstance(rule, (list, tuple)):
-                if len(rule) != count:
-                    raise ConfigError(f"{name} list has {len(rule)} entries for {count} blocks")
-                for v in rule:
-                    _check_in(v, self.eps_prox, 1.0 / self.eps_prox, name)
+                rule = [rule]
+            elif not isinstance(rule, (list, tuple)):
+                continue  # the default, or a callable checked where it is evaluated
+            elif count is not None and len(rule) != count:
+                raise ConfigError(f"{name} list has {len(rule)} entries for {count} blocks")
+            for v in rule:
+                _check_in(v, lo, hi, name)
         if self.perturbation is not None and self.inexact is None:
             raise ConfigError("perturbation injection requires an inexactness budget")
-        if self.start is not None:
-            if self.start.x.dims != problem.signature.primal_dims \
-                    or self.start.v_star.dims != problem.signature.dual_dims:
-                raise ConfigError("start point dims do not match the problem signature")
+        sig = problem.signature
+        if self.start is not None and (self.start.x.dims, self.start.v_star.dims) \
+                != (sig.primal_dims, sig.dual_dims):
+            raise ConfigError("start point dims do not match the problem signature")
 
 
 def _check_in(value: float, lo: float, hi: float, name: str) -> None:
@@ -132,8 +128,7 @@ def _relaxation_at(config: SolverConfig, n: int) -> float:
         return float(lam)
     if callable(lam):
         value = float(lam(n))
-        lo, hi = config.relaxation_bounds()
-        _check_in(value, lo, hi, "relaxation")
+        _check_in(value, *config.relaxation_bounds(), "relaxation")
         return value
     return float(lam[min(n, len(lam) - 1)])
 
@@ -176,8 +171,7 @@ class EngineState:
     n: int
     current: PrimalDualPoint
     anchor: PrimalDualPoint
-    a_points: list[Optional[GraphPoint]]
-    b_points: list[Optional[GraphPoint]]
+    graph: GraphTable
     buffer: LagBuffer
     trace: list[IterationRecord] = field(default_factory=list)
     last_record: Optional[IterationRecord] = None
@@ -185,13 +179,10 @@ class EngineState:
     @classmethod
     def initial(cls, problem: ProblemSpec, config: SolverConfig,
                 sched: ControlSchedule) -> "EngineState":
-        start = config.start
-        if start is None:
-            start = PrimalDualPoint(BlockVector.zeros(problem.signature.primal_dims),
-                                    BlockVector.zeros(problem.signature.dual_dims))
+        start = config.start or PrimalDualPoint.zeros(problem.signature)
         current = problem.projector.project(start)
         return cls(n=0, current=current, anchor=current,
-                   a_points=[None] * problem.m, b_points=[None] * problem.p,
+                   graph=GraphTable.zeros(problem.signature),
                    buffer=LagBuffer(sched.D, current))
 
 
@@ -214,8 +205,20 @@ class _PerturbState:
         self.accepted = 0
         self.rejected = 0
 
-    def coefficient(self) -> float:
-        return float(self.rng.uniform(-self.scale, self.scale))
+    def apply(self, exact: GraphPoint, base: np.ndarray, bound: float,
+              make: Callable, check: Callable) -> GraphPoint:
+        """Seeded error toward `base`, capped under the bound; kept if the budget accepts it."""
+        err = float(self.rng.uniform(-self.scale, self.scale)) * (base - exact.point)
+        cap = 0.95 * bound
+        err_norm = float(np.linalg.norm(err))
+        if err_norm > cap:
+            err = err * (cap / err_norm)
+        candidate = make(error=err)
+        if check(candidate).accepted:
+            self.accepted += 1
+            return candidate
+        self.rejected += 1
+        return exact
 
 
 def _fresh_primal(problem: ProblemSpec, config: SolverConfig,
@@ -223,25 +226,14 @@ def _fresh_primal(problem: ProblemSpec, config: SolverConfig,
                   past: PrimalDualPoint) -> GraphPoint:
     lstar = adjoint_block(problem.coupling, past.v_star, i)
     gamma = _stepsize_at(config.gamma, i, read_at)
-    op = problem.A_ops[i]
-    zst = problem.z_star.blocks[i]
-    x_i = past.x.blocks[i]
-    exact = graph_point_primal(op, zst, gamma, x_i, lstar, eps_prox=config.eps_prox)
+    op, zst = problem.A_ops[i], problem.z_star.blocks[i]
+    x_i = past.x.data[problem.signature.primal_slices[i]]
+    make = functools.partial(graph_point_primal, op, zst, gamma, x_i, lstar,
+                             eps_prox=config.eps_prox)
     if perturb is None:
-        return exact
-    e = perturb.coefficient() * (x_i - exact.point)
-    cap = 0.95 * config.inexact.beta
-    e_norm = float(np.linalg.norm(e))
-    if e_norm > cap:
-        e = e * (cap / e_norm)
-    candidate = graph_point_primal(op, zst, gamma, x_i, lstar, error=e,
-                                   eps_prox=config.eps_prox)
-    check = validate_inexact_primal(op, candidate, x_i, lstar, zst, gamma, config.inexact)
-    if check.accepted:
-        perturb.accepted += 1
-        return candidate
-    perturb.rejected += 1
-    return exact
+        return make()
+    return perturb.apply(make(), x_i, config.inexact.beta, make, lambda gp: validate_inexact_primal(
+        op, gp, x_i, lstar, zst, gamma, config.inexact))
 
 
 def _fresh_dual(problem: ProblemSpec, config: SolverConfig,
@@ -249,50 +241,25 @@ def _fresh_dual(problem: ProblemSpec, config: SolverConfig,
                 past: PrimalDualPoint) -> GraphPoint:
     l_k = forward_block(problem.coupling, past.x, k)
     mu = _stepsize_at(config.mu, k, read_at)
-    op = problem.B_ops[k]
-    r_k = problem.r.blocks[k]
-    v_k = past.v_star.blocks[k]
-    exact = graph_point_dual(op, r_k, mu, l_k, v_k, eps_prox=config.eps_prox)
+    op, r_k = problem.B_ops[k], problem.r.blocks[k]
+    v_k = past.v_star.data[problem.signature.dual_slices[k]]
+    make = functools.partial(graph_point_dual, op, r_k, mu, l_k, v_k, eps_prox=config.eps_prox)
     if perturb is None:
-        return exact
-    f = perturb.coefficient() * (l_k - exact.point)
-    cap = 0.95 * config.inexact.delta
-    f_norm = float(np.linalg.norm(f))
-    if f_norm > cap:
-        f = f * (cap / f_norm)
-    candidate = graph_point_dual(op, r_k, mu, l_k, v_k, error=f, eps_prox=config.eps_prox)
-    check = validate_inexact_dual(op, candidate, l_k, v_k, r_k, mu, config.inexact)
-    if check.accepted:
-        perturb.accepted += 1
-        return candidate
-    perturb.rejected += 1
-    return exact
+        return make()
+    return perturb.apply(make(), l_k, config.inexact.delta, make, lambda gp: validate_inexact_dual(
+        op, gp, l_k, v_k, r_k, mu, config.inexact))
 
 
 def iteration_record(n: int, theta: float, tau: float, violation: float,
                      problem: ProblemSpec, current: PrimalDualPoint,
-                     a_points: Sequence[GraphPoint],
-                     b_points: Sequence[GraphPoint]) -> IterationRecord:
+                     graph: GraphTable) -> IterationRecord:
     """Assemble the diagnostics row for one iteration."""
     L = problem.coupling
-    rp = 0.0
-    rdm = 0.0
-    for i in range(problem.m):
-        diff = current.x.blocks[i] - a_points[i].point
-        rp += float(np.dot(diff, diff))
-        w = a_points[i].dual + adjoint_block(L, current.v_star, i)
-        rdm += float(np.dot(w, w))
-    rc = 0.0
-    rd = 0.0
-    for k in range(problem.p):
-        diff = forward_block(L, current.x, k) - b_points[k].point
-        rc += float(np.dot(diff, diff))
-        w = b_points[k].dual - current.v_star.blocks[k]
-        rd += float(np.dot(w, w))
+    x, v = current.x.data, current.v_star.data
+    res = (x - graph.a, graph.a_dual + L.adjoint(v), L.forward(x) - graph.b, graph.b_dual - v)
     dists = tuple(pd_norm(current - z) for z in problem.known_Z_points)
     return IterationRecord(n, theta, tau, violation,
-                           math.sqrt(rp), math.sqrt(rdm), math.sqrt(rc), math.sqrt(rd),
-                           dists)
+                           *(math.sqrt(float(np.dot(w, w))) for w in res), dists)
 
 
 def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
@@ -326,15 +293,15 @@ def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
 def _check_step_invariants(problem: ProblemSpec, config: SolverConfig,
                            state: EngineState, sep, nxt: PrimalDualPoint) -> None:
     """Test-mode assertions evaluated every iteration."""
-    for side, ops, points, shift in (
-            ("primal", problem.A_ops, state.a_points, problem.z_star.blocks),
-            ("dual", problem.B_ops, state.b_points, problem.r.blocks)):
-        for idx, gp in enumerate(points):
-            if side == "primal":
-                res = membership_residual(ops[idx], gp.point, gp.dual + shift[idx])
-            else:
-                res = membership_residual(ops[idx], gp.point - shift[idx], gp.dual)
-            if res > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(gp.point))):
+    graph, sig = state.graph, problem.signature
+    for side, ops, slices, points, args, duals in (
+            ("primal", problem.A_ops, sig.primal_slices, graph.a, graph.a,
+             graph.a_dual + problem.z_star.data),
+            ("dual", problem.B_ops, sig.dual_slices, graph.b, graph.b - problem.r.data,
+             graph.b_dual)):
+        for idx, (op, sl) in enumerate(zip(ops, slices)):
+            res = membership_residual(op, args[sl], duals[sl])
+            if res > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(points[sl]))):
                 raise InvariantViolation(
                     f"{side} graph point {idx} off its graph at n={state.n}: {res:.3e}")
     for j, z in enumerate(problem.known_Z_points):
@@ -359,31 +326,28 @@ def _step(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
     """One full iteration; returns None or a terminal (status, point, message)."""
     n = state.n
     current = state.current
+    graph, sig = state.graph, problem.signature
     I_n, K_n = sched.blocks_at(n)
-    for i in I_n:
+    for i in I_n:  # fresh points overwrite their blocks; the others are recycled
         read_at = sched.lag_primal(i, n)
-        state.a_points[i] = _fresh_primal(problem, config, perturb, i, read_at,
-                                          state.buffer.get(read_at))
+        gp = _fresh_primal(problem, config, perturb, i, read_at, state.buffer.get(read_at))
+        graph.a[sig.primal_slices[i]], graph.a_dual[sig.primal_slices[i]] = gp.point, gp.dual
     for k in K_n:
         read_at = sched.lag_dual(k, n)
-        state.b_points[k] = _fresh_dual(problem, config, perturb, k, read_at,
-                                        state.buffer.get(read_at))
-    sep, raw = build_separator(state.a_points, state.b_points, problem)
-    candidate = PrimalDualPoint(
-        BlockVector([gp.point for gp in state.a_points], copy=False),
-        BlockVector([gp.dual for gp in state.b_points], copy=False))
-    exact = detect_exact_solution(raw, candidate, config.exact_tol)
+        gp = _fresh_dual(problem, config, perturb, k, read_at, state.buffer.get(read_at))
+        graph.b[sig.dual_slices[k]], graph.b_dual[sig.dual_slices[k]] = gp.point, gp.dual
+    sep, raw = build_separator(graph, problem)
+    exact = detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
     violation = halfspace_violation(current, sep)
     theta, half = project_halfspace(current, sep, _relaxation_at(config, n),
                                     config.tau_zero_tol)
     nxt = half if config.mode == "fejer" else haugazeau_update(state.anchor, current, half)
-    record = iteration_record(n, theta, sep.norm_sq, violation, problem, current,
-                              state.a_points, state.b_points)
+    record = iteration_record(n, theta, sep.norm_sq, violation, problem, current, graph)
     state.last_record = record
     if n % config.trace_stride == 0:
         state.trace.append(record)
     finite = math.isfinite(record.residual_sum()) and math.isfinite(theta) \
-        and all(math.isfinite(float(np.sum(b))) for b in (*nxt.x.blocks, *nxt.v_star.blocks))
+        and bool(np.isfinite(nxt.data).all())
     if not finite:
         return "inconsistent", current, f"non-finite values at iteration {n}"
     if exact is not None:
@@ -412,9 +376,9 @@ def step_haugazeau(state: EngineState, problem: ProblemSpec, sched: ControlSched
     return _step(state, problem, sched, config, None, False)
 
 
-def _describe_rule(rule) -> str:
+def _describe_rule(rule, default: Optional[float] = None) -> str:
     if rule is None:
-        return "default"
+        return f"{default!r} (default)"
     if isinstance(rule, (int, float)):
         return repr(float(rule))
     if callable(rule):
@@ -438,15 +402,11 @@ def run(problem: ProblemSpec, config: SolverConfig,
         raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
     perturb = _PerturbState(config.perturbation) if config.perturbation else None
     state = EngineState.initial(problem, config, sched)
-    if config.relaxation is None:
-        relaxation_desc = f"{_relaxation_at(config, 0)!r} (default)"
-    else:
-        relaxation_desc = _describe_rule(config.relaxation)
     metadata = {
         "mode": config.mode,
         "epsilon": config.epsilon,
         "eps_prox": config.eps_prox,
-        "relaxation": relaxation_desc,
+        "relaxation": _describe_rule(config.relaxation, _relaxation_at(config, 0)),
         "gamma": _describe_rule(config.gamma),
         "mu": _describe_rule(config.mu),
         "schedule_M": sched.M,

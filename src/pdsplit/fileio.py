@@ -6,7 +6,9 @@ round-trip precision so byte-identical reruns are achievable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -25,18 +27,74 @@ PathLike = Union[str, Path]
 
 def _load_json(path: PathLike) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _write_json(obj, path: PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
+
+
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    return obj
 
 
 def _need(obj: dict, key: str, where: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    if not isinstance(obj, dict) or key not in obj:
+        _object(obj, where)
         raise SchemaError(f"{where}: missing required field {key!r}")
     return obj[key]
+
+
+class _parsing:
+    """The parse boundary: a malformed value met inside becomes a SchemaError naming its field."""
+
+    def __init__(self, where: str, key=None):
+        self.where, self.key = where, key
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if exc is not None and not isinstance(exc, SchemaError) \
+                and isinstance(exc, (PdsplitError, TypeError, ValueError, OverflowError)):
+            where = self.where if self.key is None else f"{self.where}.{self.key}"
+            raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _finite(value, where: str, key=None):
+    """Return a number, or a list (of lists) of numbers, once all of it is finite.
+
+    Plain sums keep this cheap: a finite sum proves every entry finite, and
+    only a sum that overflowed needs the entrywise test.
+    """
+    kind = type(value)
+    if kind is list:
+        nested = bool(value) and type(value[0]) is list
+        if math.isfinite(sum(map(sum, value)) if nested else sum(value)) or all(
+                all(map(math.isfinite, row)) for row in (value if nested else [value])):
+            return value
+    elif kind is int or (math.isfinite(value) if kind is float else np.isfinite(value).all()):
+        return value
+    raise SchemaError(f"{where if key is None else f'{where}.{key}'}: non-finite value")
+
+
+def _number(value, where: str, key, integer: bool = False):
+    """A finite JSON number (an integer if asked); strings and booleans are rejected."""
+    if type(value) is int or (type(value) is float and not integer and math.isfinite(value)):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise SchemaError(f"{where}.{key}: expected {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}.{key}: non-finite value {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------- operators
@@ -50,7 +108,10 @@ def _op_to_dict(op: MonotoneOp) -> dict:
 
 def _op_from_dict(d: dict, where: str) -> MonotoneOp:
     kind = _need(d, "kind", where)
-    try:
+    with _parsing(where):
+        for name, value in d.items():
+            if name != "kind":
+                _finite(value, where, name)
         if kind == "zero":
             return ops.zero(_need(d, "dim", where))
         if kind == "l1_norm":
@@ -63,8 +124,6 @@ def _op_from_dict(d: dict, where: str) -> MonotoneOp:
             return ops.quadratic(_need(d, "Q", where), d.get("q"))
         if kind == "affine_monotone":
             return ops.affine_monotone(_need(d, "M", where), d.get("c"))
-    except PdsplitError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}: unknown operator kind {kind!r}")
 
 
@@ -74,24 +133,24 @@ def _blocks_to_lists(v: BlockVector) -> list:
     return [b.tolist() for b in v.blocks]
 
 
-def _point_to_dict(z: PrimalDualPoint) -> dict:
+def point_to_dict(z: PrimalDualPoint) -> dict:
     return {"x": _blocks_to_lists(z.x), "v_star": _blocks_to_lists(z.v_star)}
 
 
+def _vector(data: dict, name: str, where: str) -> BlockVector:
+    """The named field as a block vector, checked finite."""
+    with _parsing(where, name):
+        return BlockVector(_finite(_need(data, name, where), where, name))
+
+
 def _point_from_dict(d: dict, where: str) -> PrimalDualPoint:
-    try:
-        return PrimalDualPoint(BlockVector(_need(d, "x", where)),
-                               BlockVector(_need(d, "v_star", where)))
-    except PdsplitError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return PrimalDualPoint(_vector(d, "x", where), _vector(d, "v_star", where))
 
 
 def problem_to_dict(spec: ProblemSpec) -> dict:
-    sub: dict = {"variant": spec.subspace.variant}
-    if spec.subspace.C is not None:
-        sub["C"] = spec.subspace.C.tolist()
-    if spec.subspace.A1 is not None:
-        sub["A1"] = spec.subspace.A1.tolist()
+    sub = {"variant": spec.subspace.variant,
+           **{name: getattr(spec.subspace, name).tolist() for name in ("C", "A1")
+              if getattr(spec.subspace, name) is not None}}
     return {
         "signature": {"primal_dims": list(spec.signature.primal_dims),
                       "dual_dims": list(spec.signature.dual_dims)},
@@ -102,40 +161,34 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
         "z_star": _blocks_to_lists(spec.z_star),
         "r": _blocks_to_lists(spec.r),
         "subspace": sub,
-        "known_Z_points": [_point_to_dict(z) for z in spec.known_Z_points],
+        "known_Z_points": [point_to_dict(z) for z in spec.known_Z_points],
     }
 
 
 def problem_from_dict(data: dict, where: str = "problem") -> ProblemSpec:
     sig_d = _need(data, "signature", where)
-    try:
+    with _parsing(where, "signature"):
         signature = SpaceSignature(tuple(_need(sig_d, "primal_dims", f"{where}.signature")),
                                    tuple(_need(sig_d, "dual_dims", f"{where}.signature")))
-        A_ops = [_op_from_dict(d, f"{where}.A_ops[{j}]")
-                 for j, d in enumerate(_need(data, "A_ops", where))]
-        B_ops = [_op_from_dict(d, f"{where}.B_ops[{j}]")
-                 for j, d in enumerate(_need(data, "B_ops", where))]
+    with _parsing(where):
+        A_ops, B_ops = ([_op_from_dict(d, f"{where}.{side}[{j}]")
+                         for j, d in enumerate(_need(data, side, where))]
+                        for side in ("A_ops", "B_ops"))
         entries = {}
         for j, ent in enumerate(_need(data, "coupling", where)):
             loc = f"{where}.coupling[{j}]"
-            entries[(int(_need(ent, "k", loc)), int(_need(ent, "i", loc)))] = \
-                np.asarray(_need(ent, "matrix", loc), dtype=float)
-        coupling = CouplingMap(signature, entries)
-        sub_d = data.get("subspace", {"variant": "full"})
+            with _parsing(loc):
+                entries[(int(_need(ent, "k", loc)), int(_need(ent, "i", loc)))] = \
+                    _finite(_need(ent, "matrix", loc), loc, "matrix")
+        sub_d = _object(data.get("subspace", {"variant": "full"}), f"{where}.subspace")
         subspace = SubspaceSpec(_need(sub_d, "variant", f"{where}.subspace"),
-                                C=sub_d.get("C"), A1=sub_d.get("A1"))
+                                **{key: _finite(sub_d[key], f"{where}.subspace", key)
+                                   for key in ("C", "A1") if sub_d.get(key) is not None})
         fixtures = [_point_from_dict(d, f"{where}.known_Z_points[{j}]")
                     for j, d in enumerate(data.get("known_Z_points", []))]
-        return ProblemSpec(signature, A_ops, B_ops, coupling,
-                           BlockVector(_need(data, "z_star", where)),
-                           BlockVector(_need(data, "r", where)),
+        return ProblemSpec(signature, A_ops, B_ops, CouplingMap(signature, entries),
+                           _vector(data, "z_star", where), _vector(data, "r", where),
                            subspace, fixtures)
-    except SchemaError:
-        raise
-    except PdsplitError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: malformed problem file: {exc}") from exc
 
 
 def parse_problem(path: PathLike) -> ProblemSpec:
@@ -143,9 +196,7 @@ def parse_problem(path: PathLike) -> ProblemSpec:
 
 
 def write_problem(spec: ProblemSpec, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+    _write_json(problem_to_dict(spec), path)
 
 
 def parse_point(path: PathLike) -> PrimalDualPoint:
@@ -153,77 +204,64 @@ def parse_point(path: PathLike) -> PrimalDualPoint:
 
 
 def write_point(point: PrimalDualPoint, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_point_to_dict(point), fh, indent=1)
-        fh.write("\n")
+    _write_json(point_to_dict(point), path)
 
 
 # ----------------------------------------------------------------- schedule
 
 def schedule_to_dict(s: ControlSchedule) -> dict:
-    c: dict[str, dict[str, int]] = {}
-    for (i, n), val in sorted(s.c.items()):
-        c.setdefault(str(i), {})[str(n)] = int(val)
-    d: dict[str, dict[str, int]] = {}
-    for (k, n), val in sorted(s.d.items()):
-        d.setdefault(str(k), {})[str(n)] = int(val)
+    lags: dict = {"c": {}, "d": {}}
+    for name, table in (("c", s.c), ("d", s.d)):
+        for (idx, n), val in sorted(table.items()):
+            lags[name].setdefault(str(idx), {})[str(n)] = int(val)
     return {"M": s.M, "D": s.D, "horizon": s.horizon,
             "I_seq": [list(t) for t in s.I_seq],
-            "K_seq": [list(t) for t in s.K_seq],
-            "c": c, "d": d}
+            "K_seq": [list(t) for t in s.K_seq], **lags}
 
 
 def _lag_table(data: dict, where: str) -> dict[tuple[int, int], int]:
-    out = {}
-    try:
-        for idx, per_n in data.items():
-            for n, val in per_n.items():
-                out[(int(idx), int(n))] = int(val)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SchemaError(f"{where}: malformed lag table: {exc}") from exc
-    return out
+    if data == {}:
+        return {}
+    with _parsing(where):
+        return {(int(idx), int(n)): int(val) for idx, per_n in _object(data, where).items()
+                for n, val in _object(per_n, f"{where}[{idx!r}]").items()}
+
+
+_LAG_FIELDS = {"zero": None, "constant": "value", "sawtooth": "max"}
+
+
+def _int_field(obj: dict, key: str, where: str) -> int:
+    value = _need(obj, key, where)
+    if type(value) is int:
+        return value
+    with _parsing(where, key):
+        return int(value)
 
 
 def schedule_from_dict(data: dict, where: str = "schedule") -> ControlSchedule:
-    gen = data.get("type")
-    if gen is not None:
-        try:
-            if gen == "periodic":
-                pattern = data.get("lag", {"pattern": "zero"})
-                name = _need(pattern, "pattern", f"{where}.lag")
-                if name == "zero":
-                    lag = ("zero",)
-                elif name == "constant":
-                    lag = ("constant", int(_need(pattern, "value", f"{where}.lag")))
-                elif name == "sawtooth":
-                    lag = ("sawtooth", int(_need(pattern, "max", f"{where}.lag")))
-                else:
-                    raise SchemaError(f"{where}.lag: unknown pattern {name!r}")
-                return periodic(int(_need(data, "m", where)), int(_need(data, "p", where)),
-                                int(_need(data, "group_size", where)),
-                                int(_need(data, "horizon", where)), lag)
-            if gen == "random":
-                return random_admissible(
-                    int(_need(data, "m", where)), int(_need(data, "p", where)),
-                    int(_need(data, "M", where)), int(_need(data, "D", where)),
-                    int(_need(data, "horizon", where)), int(_need(data, "seed", where)))
-        except SchemaError:
-            raise
-        except PdsplitError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-        raise SchemaError(f"{where}: unknown generator type {gen!r}")
-    try:
+    gen = _object(data, where).get("type")
+    with _parsing(where):
+        if gen == "periodic":
+            pattern, loc = data.get("lag", {"pattern": "zero"}), f"{where}.lag"
+            name = _need(pattern, "pattern", loc)
+            if name not in _LAG_FIELDS:
+                raise SchemaError(f"{loc}: unknown pattern {name!r}")
+            lag = (name,) if _LAG_FIELDS[name] is None \
+                else (name, _int_field(pattern, _LAG_FIELDS[name], loc))
+            return periodic(*(_int_field(data, key, where)
+                              for key in ("m", "p", "group_size", "horizon")), lag)
+        if gen == "random":
+            return random_admissible(*(_int_field(data, key, where)
+                                       for key in ("m", "p", "M", "D", "horizon", "seed")))
+        if gen is not None:
+            raise SchemaError(f"{where}: unknown generator type {gen!r}")
         return ControlSchedule(
-            horizon=int(_need(data, "horizon", where)),
+            horizon=_int_field(data, "horizon", where),
             I_seq=[tuple(s) for s in _need(data, "I_seq", where)],
             K_seq=[tuple(s) for s in _need(data, "K_seq", where)],
-            c=_lag_table(data.get("c", {}), where),
-            d=_lag_table(data.get("d", {}), where),
-            M=int(_need(data, "M", where)), D=int(_need(data, "D", where)))
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+            c=_lag_table(data.get("c", {}), f"{where}.c"),
+            d=_lag_table(data.get("d", {}), f"{where}.d"),
+            M=_int_field(data, "M", where), D=_int_field(data, "D", where))
 
 
 def parse_schedule(path: PathLike) -> ControlSchedule:
@@ -231,9 +269,7 @@ def parse_schedule(path: PathLike) -> ControlSchedule:
 
 
 def write_schedule(s: ControlSchedule, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule_to_dict(s), fh, indent=1)
-        fh.write("\n")
+    _write_json(schedule_to_dict(s), path)
 
 
 # ------------------------------------------------------------------- config
@@ -241,33 +277,36 @@ def write_schedule(s: ControlSchedule, path: PathLike) -> None:
 _CONFIG_KEYS = {"mode", "epsilon", "relaxation", "gamma", "mu", "eps_prox",
                 "max_iter", "resid_tol", "tau_zero_tol", "exact_tol",
                 "trace_stride", "start", "inexact", "perturbation"}
+_CONFIG_NUMBERS = {"epsilon": False, "eps_prox": False, "resid_tol": False,  # name: integer
+                   "tau_zero_tol": False, "exact_tol": False, "max_iter": True, "trace_stride": True}
 
 
 def config_from_dict(data: dict, where: str = "config") -> SolverConfig:
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(_object(data, where)) - _CONFIG_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown config fields {sorted(unknown)}")
     kwargs: dict = {}
-    for key in ("mode", "epsilon", "relaxation", "gamma", "mu", "eps_prox",
-                "max_iter", "resid_tol", "tau_zero_tol", "exact_tol", "trace_stride"):
-        if key in data:
-            kwargs[key] = data[key]
-    if "start" in data and data["start"] is not None:
+    for key, value in data.items():
+        if key in _CONFIG_NUMBERS:
+            kwargs[key] = _number(value, where, key, _CONFIG_NUMBERS[key])
+        elif key == "mode" or (key == "relaxation" and value is None):
+            kwargs[key] = value
+        elif key in ("relaxation", "gamma", "mu"):  # a number or a non-empty list of numbers
+            kwargs[key] = [_number(v, where, f"{key}[{j}]") for j, v in enumerate(value)] \
+                if isinstance(value, list) and value else _number(value, where, key)
+    if data.get("start") is not None:
         kwargs["start"] = _point_from_dict(data["start"], f"{where}.start")
-    if "inexact" in data and data["inexact"] is not None:
-        b = data["inexact"]
+    if data.get("inexact") is not None:
         loc = f"{where}.inexact"
-        try:
+        with _parsing(loc):
             kwargs["inexact"] = InexactnessBudget(
-                float(_need(b, "beta", loc)), float(_need(b, "sigma", loc)),
-                float(_need(b, "delta", loc)), float(_need(b, "zeta", loc)))
-        except PdsplitError as exc:
-            raise SchemaError(f"{loc}: {exc}") from exc
-    if "perturbation" in data and data["perturbation"] is not None:
-        pt = data["perturbation"]
+                *(_number(_need(data["inexact"], key, loc), loc, key)
+                  for key in ("beta", "sigma", "delta", "zeta")))
+    if data.get("perturbation") is not None:
         loc = f"{where}.perturbation"
         kwargs["perturbation"] = PerturbationRule(
-            int(_need(pt, "seed", loc)), float(_need(pt, "scale", loc)))
+            _number(_need(data["perturbation"], "seed", loc), loc, "seed", integer=True),
+            _number(_need(data["perturbation"], "scale", loc), loc, "scale"))
     return SolverConfig(**kwargs)
 
 
@@ -285,13 +324,10 @@ def config_to_dict(config: SolverConfig) -> dict:
     if config.relaxation is not None:
         out["relaxation"] = config.relaxation
     if config.start is not None:
-        out["start"] = _point_to_dict(config.start)
-    if config.inexact is not None:
-        b = config.inexact
-        out["inexact"] = {"beta": b.beta, "sigma": b.sigma, "delta": b.delta, "zeta": b.zeta}
-    if config.perturbation is not None:
-        out["perturbation"] = {"seed": config.perturbation.seed,
-                               "scale": config.perturbation.scale}
+        out["start"] = point_to_dict(config.start)
+    for name in ("inexact", "perturbation"):
+        if getattr(config, name) is not None:
+            out[name] = dataclasses.asdict(getattr(config, name))
     return out
 
 
@@ -300,9 +336,7 @@ def parse_config(path: PathLike) -> SolverConfig:
 
 
 def write_config(config: SolverConfig, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=1)
-        fh.write("\n")
+    _write_json(config_to_dict(config), path)
 
 
 # -------------------------------------------------------------------- trace

@@ -2,14 +2,12 @@
 
 The registry is closed on purpose: six kinds, each with a closed-form or
 direct-solve resolvent, so every downstream guarantee can be tested
-exhaustively.  To extend, add a kind constructor, a branch in
-:func:`resolvent`, and (if it is a subdifferential) a branch in
-:func:`function_value`.
+exhaustively.  To extend, add a kind constructor and a branch in
+:func:`resolvent`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,10 +24,6 @@ OPERATOR_KINDS = (
     "normal_cone_box",
 )
 
-# Kinds that are subdifferentials of an explicit convex function, so their
-# resolvent is a proximity operator and can be cross-checked by minimization.
-PROX_REPRESENTABLE = ("zero", "l1_norm", "box_indicator", "quadratic")
-
 PSD_EIGENVALUE_FLOOR = -1e-10
 DEFAULT_EPS_PROX = 1e-2
 
@@ -41,10 +35,6 @@ class MonotoneOp:
     kind: str
     dim: int
     params: dict
-
-    @property
-    def prox_representable(self) -> bool:
-        return self.kind in PROX_REPRESENTABLE
 
     def __repr__(self) -> str:
         return f"MonotoneOp(kind={self.kind!r}, dim={self.dim})"
@@ -152,26 +142,6 @@ def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
         return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:  # cannot happen for monotone inputs
         raise NumericalError(f"resolvent solve failed for kind {kind!r}: {exc}") from exc
-
-
-def function_value(op: MonotoneOp, x: np.ndarray) -> float:
-    """Value of the convex function whose subdifferential the operator is.
-
-    Only defined for prox-representable kinds; the box indicator returns
-    +inf outside its box.
-    """
-    x = np.asarray(x, dtype=float)
-    if op.kind == "zero":
-        return 0.0
-    if op.kind == "l1_norm":
-        return op.params["weight"] * float(np.abs(x).sum())
-    if op.kind == "box_indicator":
-        if np.all(x >= op.params["lo"] - 1e-12) and np.all(x <= op.params["hi"] + 1e-12):
-            return 0.0
-        return math.inf
-    if op.kind == "quadratic":
-        return 0.5 * float(x @ op.params["Q"] @ x) + float(op.params["q"] @ x)
-    raise ConfigError(f"kind {op.kind!r} is not prox-representable")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Independent verification machinery: brute-force minimizers, closed-form
 projections, and a buffer-free reference iteration.
 
-These live in the shipped library so the CLI verification subcommands can use
-them, but nothing here is ever called from the solve path.
+No other module of the package imports this one: neither the solve path nor
+the CLI uses it.  The tests use it as an independent reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .engine import (IterationRecord, SolverConfig, _relaxation_at, _stepsize_at
                      iteration_record)
 from .errors import ConfigError, InconsistencyError
 from .operators import graph_point_dual, graph_point_primal
-from .separator import (ProblemSpec, build_separator, halfspace_violation,
+from .separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
                         project_halfspace)
 
 
@@ -126,34 +126,23 @@ def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
     primitives as the engine.  Used to certify that the asynchronous
     machinery introduces no arithmetic drift in the synchronous regime.
     """
-    from .blockspace import BlockVector  # local import keeps module surface small
-
-    start = config.start
-    if start is None:
-        start = PrimalDualPoint(BlockVector.zeros(problem.signature.primal_dims),
-                                BlockVector.zeros(problem.signature.dual_dims))
-    current = problem.projector.project(start)
+    current = problem.projector.project(config.start or PrimalDualPoint.zeros(problem.signature))
     records: list[IterationRecord] = []
     for n in range(n_iters):
-        a_points = []
-        for i in range(problem.m):
-            lstar = adjoint_block(problem.coupling, current.v_star, i)
-            gamma = _stepsize_at(config.gamma, i, n)
-            a_points.append(graph_point_primal(
-                problem.A_ops[i], problem.z_star.blocks[i], gamma,
-                current.x.blocks[i], lstar, eps_prox=config.eps_prox))
-        b_points = []
-        for k in range(problem.p):
-            l_k = forward_block(problem.coupling, current.x, k)
-            mu = _stepsize_at(config.mu, k, n)
-            b_points.append(graph_point_dual(
-                problem.B_ops[k], problem.r.blocks[k], mu,
-                l_k, current.v_star.blocks[k], eps_prox=config.eps_prox))
-        sep, _ = build_separator(a_points, b_points, problem)
+        a_points = [graph_point_primal(
+            problem.A_ops[i], problem.z_star.blocks[i], _stepsize_at(config.gamma, i, n),
+            current.x.blocks[i], adjoint_block(problem.coupling, current.v_star, i),
+            eps_prox=config.eps_prox) for i in range(problem.m)]
+        b_points = [graph_point_dual(
+            problem.B_ops[k], problem.r.blocks[k], _stepsize_at(config.mu, k, n),
+            forward_block(problem.coupling, current.x, k), current.v_star.blocks[k],
+            eps_prox=config.eps_prox) for k in range(problem.p)]
+        graph = GraphTable.from_points(a_points, b_points)
+        sep, _ = build_separator(graph, problem)
         violation = halfspace_violation(current, sep)
         theta, nxt = project_halfspace(current, sep, _relaxation_at(config, n),
                                        config.tau_zero_tol)
         records.append(iteration_record(n, theta, sep.norm_sq, violation, problem,
-                                        current, a_points, b_points))
+                                        current, graph))
         current = nxt
     return records, current

@@ -87,8 +87,10 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
         return CertResult(False, f"horizon must be >= 1, got {s.horizon}")
     if len(s.I_seq) != s.horizon or len(s.K_seq) != s.horizon:
         return CertResult(False, "activation sequences do not match the horizon")
-    full_I = tuple(range(m))
-    full_K = tuple(range(p))
+    # Window coverage in one pass: a block idle for M or more iterations in a
+    # row leaves the window where its idle run starts uncovered.
+    last = ([-1] * m, [-1] * p)  # per side, the iteration each block was last active
+    starts = []                  # (start of an uncovered window, side)
     for n, (I_n, K_n) in enumerate(zip(s.I_seq, s.K_seq)):
         if not I_n or not K_n:
             return CertResult(False, "empty block set", n)
@@ -96,18 +98,18 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
             return CertResult(False, f"primal index out of range in {I_n}", n)
         if any(k < 0 or k >= p for k in K_n):
             return CertResult(False, f"dual index out of range in {K_n}", n)
-    if s.I_seq[0] != full_I or s.K_seq[0] != full_K:
+        for side, active in enumerate((I_n, K_n)):
+            for idx in active:
+                if n - last[side][idx] > s.M:
+                    starts.append((last[side][idx] + 1, side))
+                last[side][idx] = n
+    if s.I_seq[0] != tuple(range(m)) or s.K_seq[0] != tuple(range(p)):
         return CertResult(False, "iteration 0 must activate every block", 0)
-    for n in range(s.horizon - s.M + 1):
-        got_I: set[int] = set()
-        got_K: set[int] = set()
-        for j in range(n, n + s.M):
-            got_I.update(s.I_seq[j])
-            got_K.update(s.K_seq[j])
-        if len(got_I) != m:
-            return CertResult(False, f"window of {s.M} misses primal blocks", n)
-        if len(got_K) != p:
-            return CertResult(False, f"window of {s.M} misses dual blocks", n)
+    starts += [(seen + 1, side) for side in (0, 1) for seen in last[side]
+               if s.horizon - seen > s.M]
+    if starts:
+        at, side = min(starts)  # on a tie the primal side is reported first
+        return CertResult(False, f"window of {s.M} misses {('primal', 'dual')[side]} blocks", at)
     for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
         for (idx, n), val in table.items():
             if not (0 <= idx < count) or not (0 <= n < s.horizon):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
-                         adjoint_block, forward_block, inner, norm, norm_sq, pd_norm)
+                         adjoint_block, forward_block, inner, norm, pd_norm, pd_norm_sq)
 from .errors import ConfigError, DimensionError
 from .operators import GraphPoint, MonotoneOp, resolvent
 
@@ -55,6 +55,7 @@ class SubspaceSpec:
             object.__setattr__(self, "A1", np.atleast_2d(np.asarray(self.A1, dtype=float)))
 
 
+@dataclass(eq=False)
 class SubspaceProjector:
     """Orthogonal projection onto the configured subspace.
 
@@ -62,37 +63,26 @@ class SubspaceProjector:
     read-only afterwards; projection itself is pure.
     """
 
-    def __init__(self, signature: SpaceSignature, variant: str,
-                 rowspace: Optional[np.ndarray] = None):
-        self.signature = signature
-        self.variant = variant
-        self.rowspace = rowspace  # orthonormal rows spanning the constraint row space
+    signature: SpaceSignature
+    variant: str
+    rowspace: Optional[np.ndarray] = None  # orthonormal rows spanning the constraint row space
 
     def project(self, point: PrimalDualPoint) -> PrimalDualPoint:
         if self.variant == "full":
             return point
         if self.variant == "zero_sum_dual":
-            blocks = point.v_star.blocks
-            mean = blocks[0].copy()
-            for b in blocks[1:]:
-                mean += b
-            mean /= len(blocks)
-            centered = BlockVector([b - mean for b in blocks], copy=False)
-            return PrimalDualPoint(point.x, centered)
+            dual = point.v_star.data.reshape(self.signature.p, -1)
+            centered = dual - dual.mean(axis=0)
+            return point._like(np.concatenate((point.x.data, centered.ravel())))
         # nullspace / linear_primal: subtract the row-space component
-        flat = np.concatenate([point.x.to_flat(), point.v_star.to_flat()])
-        if self.rowspace is not None and self.rowspace.shape[0] > 0:
-            flat = flat - self.rowspace.T @ (self.rowspace @ flat)
-        n_primal = sum(self.signature.primal_dims)
-        x = BlockVector.from_flat(flat[:n_primal], self.signature.primal_dims)
-        v = BlockVector.from_flat(flat[n_primal:], self.signature.dual_dims)
-        return PrimalDualPoint(x, v)
+        rows = self.rowspace
+        if rows is None or rows.shape[0] == 0:
+            return point
+        return point._like(point.data - rows.T @ (rows @ point.data))
 
     def residual(self, point: PrimalDualPoint) -> float:
         """Distance between a point and its projection (0 when on the subspace)."""
-        if self.variant == "full":
-            return 0.0
-        return pd_norm(self.project(point) - point)
+        return 0.0 if self.variant == "full" else pd_norm(self.project(point) - point)
 
 
 def _rowspace_basis(C: np.ndarray) -> np.ndarray:
@@ -131,14 +121,7 @@ def build_projector(spec: SubspaceSpec, signature: SpaceSignature,
     A1 = spec.A1
     if A1.shape != (n1, n1):
         raise DimensionError(f"A1 has shape {A1.shape}, expected ({n1}, {n1})")
-    blocks = [A1]
-    for k in range(signature.p):
-        mat = coupling.entries.get((k, 0))
-        if mat is None:
-            blocks.append(np.zeros((n1, signature.dual_dims[k])))
-        else:
-            blocks.append(mat.T)
-    C = np.hstack(blocks)
+    C = np.hstack([A1, coupling.to_dense().T])
     return SubspaceProjector(signature, "linear_primal", _rowspace_basis(C))
 
 
@@ -176,18 +159,13 @@ class ProblemSpec:
         self.A_ops = tuple(self.A_ops)
         self.B_ops = tuple(self.B_ops)
         self.known_Z_points = tuple(self.known_Z_points)
-        if len(self.A_ops) != sig.m:
-            raise DimensionError(f"{len(self.A_ops)} primal operators for {sig.m} blocks")
-        if len(self.B_ops) != sig.p:
-            raise DimensionError(f"{len(self.B_ops)} dual operators for {sig.p} blocks")
-        for i, op in enumerate(self.A_ops):
-            if op.dim != sig.primal_dims[i]:
-                raise DimensionError(
-                    f"primal operator {i} has dim {op.dim}, block needs {sig.primal_dims[i]}")
-        for k, op in enumerate(self.B_ops):
-            if op.dim != sig.dual_dims[k]:
-                raise DimensionError(
-                    f"dual operator {k} has dim {op.dim}, block needs {sig.dual_dims[k]}")
+        for side, ops, dims in (("primal", self.A_ops, sig.primal_dims),
+                                ("dual", self.B_ops, sig.dual_dims)):
+            if len(ops) != len(dims):
+                raise DimensionError(f"{len(ops)} {side} operators for {len(dims)} blocks")
+            for j, (op, dim) in enumerate(zip(ops, dims)):
+                if op.dim != dim:
+                    raise DimensionError(f"{side} operator {j} has dim {op.dim}, block needs {dim}")
         if self.coupling.signature != sig:
             raise DimensionError("coupling map signature differs from the problem signature")
         if self.z_star.dims != sig.primal_dims:
@@ -204,7 +182,7 @@ class ProblemSpec:
                     f"known_Z_points[{j}] fails the solution conditions: "
                     f"max residual {res.max:.3e} ({res.describe_worst()})")
             sub = self.projector.residual(z)
-            if sub > FIXTURE_SUBSPACE_TOL * (1.0 + pd_norm(z)):
+            if sub > 0.0 and sub > FIXTURE_SUBSPACE_TOL * (1.0 + pd_norm(z)):
                 raise ConfigError(
                     f"known_Z_points[{j}] lies off the subspace (residual {sub:.3e})")
 
@@ -230,6 +208,41 @@ class ProblemSpec:
         return self.signature.p
 
 
+@dataclass(eq=False)
+class GraphTable:
+    """One graph point per operator, held in four flat arrays.
+
+    a/a_dual hold the primal operators' points and duals block after block,
+    b/b_dual those of the dual operators.  The engine overwrites the blocks
+    of activated operators and keeps the others, which is how graph points
+    are recycled between iterations.
+    """
+
+    signature: SpaceSignature
+    a: np.ndarray
+    a_dual: np.ndarray
+    b: np.ndarray
+    b_dual: np.ndarray
+
+    @classmethod
+    def zeros(cls, signature: SpaceSignature) -> "GraphTable":
+        n_a, n_b = sum(signature.primal_dims), sum(signature.dual_dims)
+        return cls(signature, np.zeros(n_a), np.zeros(n_a), np.zeros(n_b), np.zeros(n_b))
+
+    @classmethod
+    def from_points(cls, a_points: Sequence[GraphPoint],
+                    b_points: Sequence[GraphPoint]) -> "GraphTable":
+        sig = SpaceSignature([gp.point.shape[0] for gp in a_points],
+                             [gp.point.shape[0] for gp in b_points])
+        return cls(sig, *(np.concatenate([getattr(gp, name) for gp in points])
+                          for points in (a_points, b_points) for name in ("point", "dual")))
+
+    def pair(self, primal: np.ndarray, dual: np.ndarray) -> PrimalDualPoint:
+        """A primal-dual point (a copy) from flat arrays; pair(a, b_dual) is the candidate."""
+        return PrimalDualPoint(BlockVector._wrap(primal, self.signature.primal_dims),
+                               BlockVector._wrap(dual, self.signature.dual_dims))
+
+
 @dataclass(frozen=True)
 class Separator:
     """Affine half-space {u : <u, normal> <= level} containing the solution set.
@@ -244,29 +257,17 @@ class Separator:
     norm_sq: float     # tau: ||normal_primal||^2 + ||normal_dual||^2
 
 
-def build_separator(a_points: Sequence[GraphPoint], b_points: Sequence[GraphPoint],
-                    problem: ProblemSpec) -> tuple[Separator, PrimalDualPoint]:
+def build_separator(graph: GraphTable, problem: ProblemSpec) -> tuple[Separator, PrimalDualPoint]:
     """Assemble the separating half-space from one graph point per operator.
 
     Returns the separator together with the raw (unprojected) normal, which
     the exact-solution test inspects.
     """
     L = problem.coupling
-    b_dual = BlockVector([gp.dual for gp in b_points], copy=False)
-    a_point = BlockVector([gp.point for gp in a_points], copy=False)
-    raw_primal = BlockVector(
-        [a_points[i].dual + adjoint_block(L, b_dual, i) for i in range(problem.m)], copy=False)
-    raw_dual = BlockVector(
-        [b_points[k].point - forward_block(L, a_point, k) for k in range(problem.p)], copy=False)
-    raw = PrimalDualPoint(raw_primal, raw_dual)
-    level = 0.0
-    for gp in a_points:
-        level += float(np.dot(gp.point, gp.dual))
-    for gp in b_points:
-        level += float(np.dot(gp.point, gp.dual))
+    raw = graph.pair(graph.a_dual + L.adjoint(graph.b_dual), graph.b - L.forward(graph.a))
+    level = float(np.dot(graph.a, graph.a_dual)) + float(np.dot(graph.b, graph.b_dual))
     projected = problem.projector.project(raw)
-    tau = norm_sq(projected.x) + norm_sq(projected.v_star)
-    return Separator(projected.x, projected.v_star, level, tau), raw
+    return Separator(projected.x, projected.v_star, level, pd_norm_sq(projected)), raw
 
 
 def detect_exact_solution(s_star_raw: PrimalDualPoint, candidate: PrimalDualPoint,
@@ -305,9 +306,8 @@ def project_halfspace(current: PrimalDualPoint, sep: Separator, lam: float,
     if violation <= 0.0:
         return 0.0, current
     theta = lam * violation / sep.norm_sq
-    nxt = PrimalDualPoint(current.x - theta * sep.normal_primal,
-                          current.v_star - theta * sep.normal_dual)
-    return theta, nxt
+    normal = np.concatenate((sep.normal_primal.data, sep.normal_dual.data))
+    return theta, current._like(current.data - theta * normal)
 
 
 @dataclass(frozen=True)
@@ -322,14 +322,13 @@ class KTResidual:
         return max(self.primal + self.dual)
 
     def describe_worst(self) -> str:
-        worst = self.max
-        for i, v in enumerate(self.primal):
-            if v == worst:
-                return f"primal condition {i}"
-        for k, v in enumerate(self.dual):
-            if v == worst:
-                return f"dual condition {k}"
-        return "none"
+        j = (self.primal + self.dual).index(self.max)
+        m = len(self.primal)
+        return f"primal condition {j}" if j < m else f"dual condition {j - m}"
+
+
+def _norm(d: np.ndarray) -> float:
+    return math.sqrt(float(d @ d))  # what np.linalg.norm computes, without its overhead
 
 
 def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
@@ -340,17 +339,13 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     pair (coupled primal image - r_k, v*_k) must lie in the graph of the
     k-th operator.  Each membership is measured by the resolvent test.
     """
-    L = problem.coupling
-    primal = []
-    for i in range(problem.m):
-        w = problem.z_star.blocks[i] - adjoint_block(L, point.v_star, i)
-        x_i = point.x.blocks[i]
-        primal.append(float(np.linalg.norm(
-            x_i - resolvent(problem.A_ops[i], 1.0, x_i + w))))
-    dual = []
-    for k in range(problem.p):
-        u = forward_block(L, point.x, k) - problem.r.blocks[k]
-        v_k = point.v_star.blocks[k]
-        dual.append(float(np.linalg.norm(
-            u - resolvent(problem.B_ops[k], 1.0, u + v_k))))
+    L, sig = problem.coupling, problem.signature
+    x, v = point.x.data, point.v_star.data
+    primal, dual = [], []
+    for i, (op, sl) in enumerate(zip(problem.A_ops, sig.primal_slices)):
+        w = problem.z_star.data[sl] - adjoint_block(L, point.v_star, i)
+        primal.append(_norm(x[sl] - resolvent(op, 1.0, x[sl] + w)))
+    for k, (op, sl) in enumerate(zip(problem.B_ops, sig.dual_slices)):
+        u = forward_block(L, point.x, k) - problem.r.data[sl]
+        dual.append(_norm(u - resolvent(op, 1.0, u + v[sl])))
     return KTResidual(tuple(primal), tuple(dual))

@@ -1,11 +1,38 @@
 """Shared fixtures: the desk-scale benchmark problems and a seeded problem generator."""
 
+import math
+
 import numpy as np
 import pytest
 
 import pdsplit as ps
 from pdsplit.blockspace import adjoint_block, forward_block
 from pdsplit.operators import resolvent
+
+
+# Kinds that are subdifferentials of an explicit convex function, so their
+# resolvent is a proximity operator and can be cross-checked by minimization.
+PROX_REPRESENTABLE = ("zero", "l1_norm", "box_indicator", "quadratic")
+
+
+def function_value(op, x):
+    """Value of the convex function whose subdifferential the operator is.
+
+    Only defined for prox-representable kinds; the box indicator returns
+    +inf outside its box.
+    """
+    x = np.asarray(x, dtype=float)
+    if op.kind == "zero":
+        return 0.0
+    if op.kind == "l1_norm":
+        return op.params["weight"] * float(np.abs(x).sum())
+    if op.kind == "box_indicator":
+        if np.all(x >= op.params["lo"] - 1e-12) and np.all(x <= op.params["hi"] + 1e-12):
+            return 0.0
+        return math.inf
+    if op.kind == "quadratic":
+        return 0.5 * float(x @ op.params["Q"] @ x) + float(op.params["q"] @ x)
+    raise ValueError(f"kind {op.kind!r} is not prox-representable")
 
 
 def make_scalar_problem(A_op, B_op, z_fixtures=()):

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 import pdsplit as ps
@@ -150,3 +152,73 @@ def test_run_trace_reproducible_bytes(workdir, tmp_path):
     main(args + ["--trace", str(tmp_path / "t1.csv")])
     main(args + ["--trace", str(tmp_path / "t2.csv")])
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def _run_with(workdir, tmp_path, problem=None, config=None):
+    """Run the CLI on the workdir files, with edited copies of the problem or config data."""
+    paths = {}
+    for name, edit in (("problem", problem), ("config", config)):
+        paths[name] = workdir / f"{name}.json"
+        if edit is not None:
+            data = json.loads(paths[name].read_text())
+            edit(data)
+            paths[name] = tmp_path / f"edited_{name}.json"
+            paths[name].write_text(json.dumps(data))
+    return main(["run", "--problem", str(paths["problem"]), "--config", str(paths["config"]),
+                 "--trace", str(tmp_path / "out.csv")])
+
+
+def _set(path, value):
+    def edit(data):
+        *outer, last = path
+        for key in outer:
+            data = data[key]
+        data[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("path, value", [
+    (("max_iter",), "10"),                              # was an uncaught TypeError
+    (("relaxation",), "fast"),                          # was an uncaught ValueError
+    (("perturbation",), {"seed": "x", "scale": 0.1}),   # was an uncaught ValueError
+    (("gamma",), [1.0, "x"]),
+    (("start", "x"), [["a"]]),
+    (("inexact",), {"beta": "1", "sigma": 0.1, "delta": 1.0, "zeta": 0.1}),
+])
+def test_run_malformed_config_is_a_schema_error(workdir, tmp_path, capsys, path, value):
+    assert _run_with(workdir, tmp_path, config=_set(path, value)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ".".join(path) in err  # the message names the field
+
+
+@pytest.mark.parametrize("path", [
+    ("B_ops", 0, "M"),          # an operator parameter (was: runs, exit 4)
+    ("A_ops", 0, "weight"),
+    ("coupling", 0, "matrix"),
+    ("z_star",),
+    ("r",),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_rejects_non_finite_problem_data(workdir, tmp_path, capsys, path, bad):
+    def edit(data):
+        *outer, last = path
+        for key in outer:
+            data = data[key]
+        data[last] = (np.asarray(data[last], dtype=float) * 0 + bad).tolist()
+    assert _run_with(workdir, tmp_path, problem=edit) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path, bad", [
+    (("start", "x"), [[math.nan]]),
+    (("start", "v_star"), [[math.inf]]),
+    (("epsilon",), math.nan),
+    (("resid_tol",), math.inf),
+    (("relaxation",), [1.0, -math.inf]),
+])
+def test_run_rejects_non_finite_config_data(workdir, tmp_path, capsys, path, bad):
+    assert _run_with(workdir, tmp_path, config=_set(path, bad)) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and ".".join(path) in err

@@ -269,3 +269,54 @@ def test_start_projected_onto_subspace():
                           start=point([[1.0, 1.0]], [[1.0, 1.0]]))
     res = ps.run(prob, cfg, check_invariants=True)
     assert res.status == "max_iter"  # no invariant violation: iterate on subspace
+
+
+def _ring_problem(m):
+    """m = p blocks of dimension 2; dual block k couples primal blocks k and k+1."""
+    sig = ps.SpaceSignature((2,) * m, (2,) * m)
+    entries = {(k, k): np.eye(2) for k in range(m)}
+    entries.update({(k, (k + 1) % m): 0.5 * np.eye(2) for k in range(m) if m > 1})
+    return ps.ProblemSpec(sig, [ps.l1_norm(2)] * m, [ps.quadratic(np.eye(2), [1.0, -1.0])] * m,
+                          ps.CouplingMap(sig, entries), ps.BlockVector([np.zeros(2)] * m),
+                          ps.BlockVector([np.zeros(2)] * m))
+
+
+def _coupling_calls_per_iteration(monkeypatch, m, iters):
+    """(per-block applies, full applies, activated blocks) for each iteration."""
+    import pdsplit.blockspace
+    import pdsplit.engine
+    calls = {"block": 0, "full": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for module in (pdsplit.blockspace, pdsplit.engine):
+        for name in ("forward_block", "adjoint_block"):
+            monkeypatch.setattr(module, name, counted("block", getattr(module, name)))
+    for name in ("forward", "adjoint"):
+        monkeypatch.setattr(ps.CouplingMap, name, counted("full", getattr(ps.CouplingMap, name)))
+    problem = _ring_problem(m)
+    sched = ps.periodic(m, m, group_size=1, horizon=4 * m)
+    cfg = fejer_config(start=None, max_iter=iters)
+    state = EngineState.initial(problem, cfg, sched)
+    rows = []
+    for n in range(iters):
+        before = dict(calls)
+        assert step_fejer(state, problem, sched, cfg) is None
+        I_n, K_n = sched.blocks_at(n)
+        rows.append((calls["block"] - before["block"], calls["full"] - before["full"],
+                     len(I_n) + len(K_n)))
+    return rows
+
+
+def test_iteration_cost_follows_the_activated_blocks(monkeypatch):
+    rows = _coupling_calls_per_iteration(monkeypatch, 12, 30)
+    assert rows[0] == (24, 4, 24)  # iteration 0 activates every block
+    assert all(block == active == 2 for block, _, active in rows[1:])
+    full = {f for _, f, _ in rows}
+    assert len(full) == 1
+    # the number of full applies per iteration does not depend on m
+    small = _coupling_calls_per_iteration(monkeypatch, 3, 10)
+    assert {f for _, f, _ in small} == full

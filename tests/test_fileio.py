@@ -153,3 +153,31 @@ def test_trace_17_digit_round_trip(tmp_path):
     fileio.write_trace([rec], path)
     _, rows = fileio.read_trace(path)
     assert rows[0][1] == value and rows[0][2] == value * 7
+
+
+@pytest.mark.parametrize("path", [("B_ops", 0, "Q"), ("B_ops", 0, "q"),
+                                  ("known_Z_points", 0, "x")])
+def test_problem_rejects_non_finite(tmp_path, path):
+    data = fileio.problem_to_dict(make_lasso_problem())
+    *outer, last = path
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = (np.asarray(target[last], dtype=float) * np.nan).tolist()
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=r"\." + r"\.".join(str(k) for k in path[2:])
+                       + ".*non-finite"):
+        fileio.parse_problem(tmp_path / "bad.json")
+
+
+def test_parse_errors_name_the_field():
+    with pytest.raises(SchemaError, match=r"problem\.coupling\[0\]"):
+        fileio.problem_from_dict({**fileio.problem_to_dict(make_lasso_problem()),
+                                  "coupling": [{"k": "zero", "i": 0, "matrix": [[1.0]]}]})
+    with pytest.raises(SchemaError, match=r"schedule\.horizon"):
+        fileio.schedule_from_dict({"M": 1, "D": 0, "horizon": "many",
+                                   "I_seq": [[0]], "K_seq": [[0]]})
+    with pytest.raises(SchemaError, match=r"config\.trace_stride"):
+        fileio.config_from_dict({"trace_stride": 1.5})
+    with pytest.raises(SchemaError, match=r"config\.gamma"):
+        fileio.config_from_dict({"gamma": []})

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 import pdsplit as ps
 from pdsplit.errors import ConfigError
 from pdsplit.operators import (GraphPoint, InexactnessBudget, check_graph_membership,
-                               function_value, graph_point_dual, graph_point_primal,
+                               graph_point_dual, graph_point_primal,
                                membership_residual, resolvent, validate_inexact_dual,
                                validate_inexact_primal)
 from pdsplit.oracle import grid_minimize
+
+from conftest import PROX_REPRESENTABLE, function_value
 
 
 def _registry_sample(rng, dim):
@@ -169,7 +171,7 @@ def test_subgradient_inequality(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 3))
     for op in _registry_sample(rng, dim):
-        if not op.prox_representable:
+        if op.kind not in PROX_REPRESENTABLE:
             continue
         u = rng.normal(size=dim) * 2
         a = resolvent(op, 1.0, u)

@@ -153,3 +153,92 @@ def test_lag_buffer_push_order():
     buf = LagBuffer(2, point([[0.0]], [[0.0]]))
     with pytest.raises(ps.ConfigError):
         buf.push(5, point([[1.0]], [[0.0]]))
+
+
+def _validate_by_windows(s, m, p):
+    """The window-by-window certification check, kept as the reference for `validate`."""
+    from pdsplit.schedule import CertResult
+    if s.M < 1:
+        return CertResult(False, f"M must be >= 1, got {s.M}")
+    if s.D < 0:
+        return CertResult(False, f"D must be >= 0, got {s.D}")
+    if s.horizon < 1:
+        return CertResult(False, f"horizon must be >= 1, got {s.horizon}")
+    if len(s.I_seq) != s.horizon or len(s.K_seq) != s.horizon:
+        return CertResult(False, "activation sequences do not match the horizon")
+    for n, (I_n, K_n) in enumerate(zip(s.I_seq, s.K_seq)):
+        if not I_n or not K_n:
+            return CertResult(False, "empty block set", n)
+        if any(i < 0 or i >= m for i in I_n):
+            return CertResult(False, f"primal index out of range in {I_n}", n)
+        if any(k < 0 or k >= p for k in K_n):
+            return CertResult(False, f"dual index out of range in {K_n}", n)
+    if s.I_seq[0] != tuple(range(m)) or s.K_seq[0] != tuple(range(p)):
+        return CertResult(False, "iteration 0 must activate every block", 0)
+    for n in range(s.horizon - s.M + 1):
+        got_I: set[int] = set()
+        got_K: set[int] = set()
+        for j in range(n, n + s.M):
+            got_I.update(s.I_seq[j])
+            got_K.update(s.K_seq[j])
+        if len(got_I) != m:
+            return CertResult(False, f"window of {s.M} misses primal blocks", n)
+        if len(got_K) != p:
+            return CertResult(False, f"window of {s.M} misses dual blocks", n)
+    for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
+        for (idx, n), val in table.items():
+            if not (0 <= idx < count) or not (0 <= n < s.horizon):
+                return CertResult(False, f"{side} lag entry ({idx},{n}) out of range", n)
+            if val > n:
+                return CertResult(False, "lag points into the future", n)
+            if val < max(0, n - s.D):
+                return CertResult(False, "lag exceeds D", n)
+    return CertResult(True)
+
+
+def _generated_schedules(seed):
+    rng = np.random.default_rng(seed)
+    m, p = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    horizon = int(rng.integers(1, 40))
+    yield random_admissible(m, p, M=int(rng.integers(1, 6)), D=int(rng.integers(0, 4)),
+                            horizon=horizon, seed=seed), m, p
+    yield periodic(m, p, group_size=int(rng.integers(1, 4)), horizon=horizon,
+                   lag_pattern=("sawtooth", int(rng.integers(0, 3)))), m, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_validate_matches_window_check_on_generated_schedules(seed):
+    for s, m, p in _generated_schedules(seed):
+        assert validate(s, m, p) == _validate_by_windows(s, m, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_validate_matches_window_check_on_broken_schedules(seed):
+    rng = np.random.default_rng(seed)
+    for s, m, p in _generated_schedules(seed):
+        # drop blocks from a few iterations after 0, and sometimes tighten M
+        for seq in (s.I_seq, s.K_seq):
+            for n in rng.integers(1, s.horizon, size=min(3, s.horizon - 1)):
+                if len(seq[n]) > 1:
+                    seq[n] = tuple(np.delete(seq[n], rng.integers(len(seq[n]))).tolist())
+        if rng.random() < 0.5:
+            s.M = max(1, s.M - int(rng.integers(0, 3)))
+        assert validate(s, m, p) == _validate_by_windows(s, m, p)
+
+
+def test_validate_reports_the_first_window_and_primal_first():
+    # primal block 1 idle over n = 1..4, dual block 1 idle over n = 2..5 (M = 3)
+    I_seq = [(0, 1), (0,), (0,), (0,), (0,), (0, 1), (0, 1)]
+    K_seq = [(0, 1), (0, 1), (0,), (0,), (0,), (0,), (0, 1)]
+    s = ControlSchedule(7, I_seq, K_seq, M=3, D=0)
+    cert = validate(s, 2, 2)
+    assert cert == _validate_by_windows(s, 2, 2)
+    assert (cert.reason, cert.at) == ("window of 3 misses primal blocks", 1)
+    s.K_seq[1] = (0,)  # now both sides first miss at n = 1: primal is reported
+    assert validate(s, 2, 2) == _validate_by_windows(s, 2, 2)
+    s.I_seq[1] = (0, 1)  # only the dual side misses from n = 1
+    cert = validate(s, 2, 2)
+    assert cert == _validate_by_windows(s, 2, 2)
+    assert (cert.reason, cert.at) == ("window of 3 misses dual blocks", 1)

@@ -5,8 +5,9 @@ import pdsplit as ps
 from pdsplit.blockspace import inner, pd_norm
 from pdsplit.errors import ConfigError
 from pdsplit.operators import GraphPoint, resolvent
-from pdsplit.separator import (build_projector, build_separator, detect_exact_solution,
-                               halfspace_violation, kt_residual, project_halfspace)
+from pdsplit.separator import (GraphTable, build_projector, build_separator,
+                               detect_exact_solution, halfspace_violation, kt_residual,
+                               project_halfspace)
 
 from conftest import make_lasso_problem, make_linear_primal_problem, make_scalar_problem, point
 
@@ -112,7 +113,7 @@ def test_build_separator_hand_example():
     prob = scalar_problem()
     a = [GraphPoint(np.zeros(1), np.zeros(1))]
     b = [GraphPoint(np.array([1.0]), np.array([1.0]))]
-    sep, raw = build_separator(a, b, prob)
+    sep, raw = build_separator(GraphTable.from_points(a, b), prob)
     assert raw.x.blocks[0][0] == 1.0 and raw.v_star.blocks[0][0] == 1.0
     assert sep.level == 1.0 and sep.norm_sq == 2.0
 
@@ -120,7 +121,7 @@ def test_build_separator_hand_example():
 def test_build_separator_zero_points():
     prob = scalar_problem()
     gp = [GraphPoint(np.zeros(1), np.zeros(1))]
-    sep, raw = build_separator(gp, gp, prob)
+    sep, raw = build_separator(GraphTable.from_points(gp, gp), prob)
     assert sep.level == 0.0 and sep.norm_sq == 0.0
     assert pd_norm(raw) == 0.0
 
@@ -136,7 +137,7 @@ def test_separator_never_cuts_fixture():
         a = [GraphPoint(a_pt, np.array([ua]) - a_pt)]
         b_pt = resolvent(prob.B_ops[0], 1.0, np.array([ub]))
         b = [GraphPoint(b_pt, np.array([ub]) - b_pt)]
-        sep, _ = build_separator(a, b, prob)
+        sep, _ = build_separator(GraphTable.from_points(a, b), prob)
         gap = inner(z.x, sep.normal_primal) + inner(sep.normal_dual, z.v_star) - sep.level
         assert gap <= 1e-10
 
@@ -149,8 +150,8 @@ def test_separator_normal_lies_on_subspace():
         ub = rng.normal(size=2) * 3
         a_pt = resolvent(prob.A_ops[0], 1.0, ua)
         b_pt = resolvent(prob.B_ops[0], 1.0, ub)
-        sep, _ = build_separator([GraphPoint(a_pt, ua - a_pt)],
-                                 [GraphPoint(b_pt, ub - b_pt)], prob)
+        sep, _ = build_separator(GraphTable.from_points([GraphPoint(a_pt, ua - a_pt)],
+                                                        [GraphPoint(b_pt, ub - b_pt)]), prob)
         normal = point([sep.normal_primal.blocks[0]], [sep.normal_dual.blocks[0]])
         assert prob.projector.residual(normal) <= 1e-10
         assert abs(sep.norm_sq - pd_norm(normal) ** 2) <= 1e-12 * (1 + sep.norm_sq)
