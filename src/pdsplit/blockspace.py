@@ -33,8 +33,8 @@ class SpaceSignature:
     dual_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "primal_dims", tuple(int(d) for d in self.primal_dims))
-        object.__setattr__(self, "dual_dims", tuple(int(d) for d in self.dual_dims))
+        object.__setattr__(self, "primal_dims", tuple(map(int, self.primal_dims)))
+        object.__setattr__(self, "dual_dims", tuple(map(int, self.dual_dims)))
         if not self.primal_dims or not self.dual_dims:
             raise DimensionError("signature needs at least one primal and one dual block")
         if any(d < 1 for d in self.primal_dims + self.dual_dims):

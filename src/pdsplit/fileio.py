@@ -110,7 +110,7 @@ def _op_from_dict(d: dict, where: str) -> MonotoneOp:
     kind = _need(d, "kind", where)
     with _parsing(where):
         for name, value in d.items():
-            if name != "kind":
+            if name not in ("kind", "dim"):
                 _finite(value, where, name)
         if kind == "zero":
             return ops.zero(_need(d, "dim", where))
