@@ -8,14 +8,14 @@ driven by deterministic, certifiable schedules, so every run is replayable.
 
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
                          apply_adjoint, apply_forward, inner, norm, pd_norm)
-from .engine import (EngineState, IterationRecord, PerturbationRule, RunResult,
-                     SolverConfig, haugazeau_update, run, step_fejer, step_haugazeau)
+from .engine import (EngineState, IterationRecord, PerturbationRule, Rules, RunResult,
+                     SolverConfig, advance, haugazeau_update, run)
 from .errors import (ConfigError, DimensionError, InconsistencyError,
                      InvariantViolation, NumericalError, PdsplitError, SchemaError)
 from .operators import (GraphPoint, InexactnessBudget, MonotoneOp, affine_monotone,
-                        box_indicator, check_graph_membership, graph_point_dual,
-                        graph_point_primal, l1_norm, normal_cone_box, quadratic,
-                        resolvent, validate_inexact_dual, validate_inexact_primal, zero)
+                        box_indicator, graph_point_dual, graph_point_primal, l1_norm,
+                        normal_cone_box, quadratic, resolvent, validate_inexact_dual,
+                        validate_inexact_primal, zero)
 from .schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,
                        synchronous, validate)
 from .separator import (GraphTable, KTResidual, ProblemSpec, Separator, SubspaceSpec,

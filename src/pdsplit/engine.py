@@ -10,19 +10,21 @@ intersection of two half-spaces.
 
 Graph-point evaluations within one step are pure and independent; they are
 merged in fixed block order so results never depend on evaluation order.
+`advance` runs one iteration of either engine, and `run` is a loop over it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, inner, pd_inner,
-                         pd_norm, pd_norm_sq)
+from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm,
+                         pd_norm_sq)
 from .errors import ConfigError, InconsistencyError, InvariantViolation
 from .operators import (GraphPoint, InexactnessBudget, graph_point_dual, graph_point_primal,
                         membership_residual, validate_inexact_dual, validate_inexact_primal)
@@ -30,7 +32,7 @@ from .schedule import ControlSchedule, LagBuffer, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
-Rule = Union[float, Sequence[float], Callable]
+Rule = Union[float, Sequence[float]]
 
 MEMBERSHIP_TOL = 1e-9
 FEJER_TOL = 1e-10
@@ -57,11 +59,12 @@ class PerturbationRule:
 class SolverConfig:
     """Engine parameters.
 
-    relaxation, gamma and mu accept a constant, a per-block list, or a
-    callable; gamma/mu callables receive (block index, read iteration).
-    epsilon bounds the relaxation factor (mode-dependent upper end), while
-    eps_prox independently bounds the proximal parameters; both values are
-    echoed into the run metadata.
+    relaxation is a number or a non-empty per-iteration list whose last
+    entry repeats; gamma and mu are a number or a per-block list.  epsilon
+    bounds the relaxation factor to [epsilon, 2 - epsilon] (fejer) or
+    [epsilon, 1] (haugazeau), and eps_prox bounds gamma and mu to
+    [eps_prox, 1/eps_prox]; both values are echoed into the run metadata.
+    validate() is the one place these rules are checked.
     """
 
     mode: str = "fejer"  # "fejer" | "haugazeau"
@@ -79,66 +82,74 @@ class SolverConfig:
     inexact: Optional[InexactnessBudget] = None
     perturbation: Optional[PerturbationRule] = None
 
-    def relaxation_bounds(self) -> tuple[float, float]:
-        if self.mode == "fejer":
-            return self.epsilon, 2.0 - self.epsilon
-        return self.epsilon, 1.0
-
-    def validate(self, problem: ProblemSpec) -> None:
+    def validate(self, problem: ProblemSpec) -> Rules:
+        """Check every field once; return the step rules as tuples of floats."""
         if self.mode not in ("fejer", "haugazeau"):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.eps_prox < 1.0:
-            raise ConfigError(f"eps_prox must lie in (0, 1), got {self.eps_prox}")
-        if self.max_iter < 0:
-            raise ConfigError(f"max_iter must be >= 0, got {self.max_iter}")
-        if self.trace_stride < 1:
-            raise ConfigError(f"trace_stride must be >= 1, got {self.trace_stride}")
+        for name in ("epsilon", "eps_prox"):
+            if not 0.0 < _number(name, getattr(self, name)) < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
+        perturb = self.perturbation or PerturbationRule(seed=0, scale=0.0)
+        for name, value in (("resid_tol", self.resid_tol), ("tau_zero_tol", self.tau_zero_tol),
+                            ("exact_tol", self.exact_tol), ("perturbation.scale", perturb.scale)):
+            if not math.isfinite(_number(name, value)):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for name, value, low in (("max_iter", self.max_iter, 0),
+                                 ("trace_stride", self.trace_stride, 1),
+                                 ("perturbation.seed", perturb.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        eps, fejer = self.epsilon, self.mode == "fejer"
         prox = (self.eps_prox, 1.0 / self.eps_prox)
-        for rule, count, name, (lo, hi) in (
-                (self.relaxation, None, "relaxation", self.relaxation_bounds()),
-                (self.gamma, problem.m, "gamma", prox), (self.mu, problem.p, "mu", prox)):
-            if isinstance(rule, (int, float)):
-                rule = [rule]
-            elif not isinstance(rule, (list, tuple)):
-                continue  # the default, or a callable checked where it is evaluated
-            elif count is not None and len(rule) != count:
-                raise ConfigError(f"{name} list has {len(rule)} entries for {count} blocks")
-            for v in rule:
-                _check_in(v, lo, hi, name)
+        relaxation = (1.9 if fejer else 1.0) if self.relaxation is None else self.relaxation
+        rules = Rules(_rule("relaxation", relaxation, None, eps, 2.0 - eps if fejer else 1.0),
+                      _rule("gamma", self.gamma, problem.m, *prox),
+                      _rule("mu", self.mu, problem.p, *prox))
         if self.perturbation is not None and self.inexact is None:
             raise ConfigError("perturbation injection requires an inexactness budget")
         sig = problem.signature
         if self.start is not None and (self.start.x.dims, self.start.v_star.dims) \
                 != (sig.primal_dims, sig.dual_dims):
             raise ConfigError("start point dims do not match the problem signature")
+        return rules
 
 
-def _check_in(value: float, lo: float, hi: float, name: str) -> None:
-    if not lo <= value <= hi:
-        raise ConfigError(f"{name}={value} outside [{lo}, {hi}]")
+@dataclass(frozen=True)
+class Rules:
+    """The step rules of a validated config, as floats.
+
+    relaxation has one entry per iteration (the last one repeats), gamma one
+    per primal block and mu one per dual block.
+    """
+
+    relaxation: tuple[float, ...]
+    gamma: tuple[float, ...]
+    mu: tuple[float, ...]
+
+    def lam(self, n: int) -> float:
+        """The relaxation factor of iteration n."""
+        return self.relaxation[min(n, len(self.relaxation) - 1)]
 
 
-def _relaxation_at(config: SolverConfig, n: int) -> float:
-    lam = config.relaxation
-    if lam is None:
-        return 1.9 if config.mode == "fejer" else 1.0
-    if isinstance(lam, (int, float)):
-        return float(lam)
-    if callable(lam):
-        value = float(lam(n))
-        _check_in(value, *config.relaxation_bounds(), "relaxation")
-        return value
-    return float(lam[min(n, len(lam) - 1)])
+def _number(name: str, value, kind: str = "a number") -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return float(value)
 
 
-def _stepsize_at(rule: Rule, idx: int, n: int) -> float:
-    if isinstance(rule, (int, float)):
-        return float(rule)
-    if callable(rule):
-        return float(rule(idx, n))
-    return float(rule[idx])
+def _rule(name: str, rule, count: Optional[int], lo: float, hi: float) -> tuple[float, ...]:
+    """A number or a non-empty list/tuple of numbers, as `count` floats (any count if None)."""
+    if isinstance(rule, (list, tuple)):
+        if not rule or count not in (None, len(rule)):
+            raise ConfigError(f"{name} list has {len(rule)} entries, "
+                              f"expected {count or 'at least 1'}")
+        values = tuple(_number(f"{name}[{j}]", v) for j, v in enumerate(rule))
+    else:
+        values = (_number(name, rule, "a number or a non-empty list of numbers"),) * (count or 1)
+    for v in values:
+        if not lo <= v <= hi:
+            raise ConfigError(f"{name}={v} outside [{lo}, {hi}]")
+    return values
 
 
 @dataclass(frozen=True)
@@ -173,17 +184,22 @@ class EngineState:
     anchor: PrimalDualPoint
     graph: GraphTable
     buffer: LagBuffer
+    rules: Rules
+    perturb: Optional[_PerturbState] = None
     trace: list[IterationRecord] = field(default_factory=list)
     last_record: Optional[IterationRecord] = None
 
     @classmethod
     def initial(cls, problem: ProblemSpec, config: SolverConfig,
                 sched: ControlSchedule) -> "EngineState":
+        """The state before iteration 0, once the config has been validated."""
+        rules = config.validate(problem)
         start = config.start or PrimalDualPoint.zeros(problem.signature)
         current = problem.projector.project(start)
         return cls(n=0, current=current, anchor=current,
                    graph=GraphTable.zeros(problem.signature),
-                   buffer=LagBuffer(sched.D, current))
+                   buffer=LagBuffer(sched.D, current), rules=rules,
+                   perturb=_PerturbState(config.perturbation) if config.perturbation else None)
 
 
 @dataclass
@@ -222,14 +238,12 @@ class _PerturbState:
 
 
 def _fresh_primal(problem: ProblemSpec, config: SolverConfig,
-                  perturb: Optional[_PerturbState], i: int, read_at: int,
+                  perturb: Optional[_PerturbState], i: int, gamma: float,
                   past: PrimalDualPoint) -> GraphPoint:
     lstar = adjoint_block(problem.coupling, past.v_star, i)
-    gamma = _stepsize_at(config.gamma, i, read_at)
     op, zst = problem.A_ops[i], problem.z_star.blocks[i]
     x_i = past.x.data[problem.signature.primal_slices[i]]
-    make = functools.partial(graph_point_primal, op, zst, gamma, x_i, lstar,
-                             eps_prox=config.eps_prox)
+    make = functools.partial(graph_point_primal, op, zst, gamma, x_i, lstar)
     if perturb is None:
         return make()
     return perturb.apply(make(), x_i, config.inexact.beta, make, lambda gp: validate_inexact_primal(
@@ -237,13 +251,12 @@ def _fresh_primal(problem: ProblemSpec, config: SolverConfig,
 
 
 def _fresh_dual(problem: ProblemSpec, config: SolverConfig,
-                perturb: Optional[_PerturbState], k: int, read_at: int,
+                perturb: Optional[_PerturbState], k: int, mu: float,
                 past: PrimalDualPoint) -> GraphPoint:
     l_k = forward_block(problem.coupling, past.x, k)
-    mu = _stepsize_at(config.mu, k, read_at)
     op, r_k = problem.B_ops[k], problem.r.blocks[k]
     v_k = past.v_star.data[problem.signature.dual_slices[k]]
-    make = functools.partial(graph_point_dual, op, r_k, mu, l_k, v_k, eps_prox=config.eps_prox)
+    make = functools.partial(graph_point_dual, op, r_k, mu, l_k, v_k)
     if perturb is None:
         return make()
     return perturb.apply(make(), l_k, config.inexact.delta, make, lambda gp: validate_inexact_dual(
@@ -305,7 +318,7 @@ def _check_step_invariants(problem: ProblemSpec, config: SolverConfig,
                 raise InvariantViolation(
                     f"{side} graph point {idx} off its graph at n={state.n}: {res:.3e}")
     for j, z in enumerate(problem.known_Z_points):
-        gap = inner(z.x, sep.normal_primal) + inner(sep.normal_dual, z.v_star) - sep.level
+        gap = pd_inner(z, sep.normal) - sep.level
         if gap > HALFSPACE_TOL:
             raise InvariantViolation(
                 f"half-space at n={state.n} cuts off fixture solution {j} by {gap:.3e}")
@@ -320,28 +333,35 @@ def _check_step_invariants(problem: ProblemSpec, config: SolverConfig,
         raise InvariantViolation(f"iterate left the subspace at n={state.n}")
 
 
-def _step(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
-          config: SolverConfig, perturb: Optional[_PerturbState],
-          check_invariants: bool):
-    """One full iteration; returns None or a terminal (status, point, message)."""
+def advance(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
+            config: SolverConfig, check_invariants: bool = False):
+    """One iteration of the engine config.mode names, from a state made by EngineState.initial.
+
+    Returns None, or the run's terminal (status, point, message): "solved"
+    once the residuals pass the stopping test (they certify the iterate the
+    step started from), "exact_point" or "inconsistent".
+    """
     n = state.n
     current = state.current
-    graph, sig = state.graph, problem.signature
+    graph, sig, rules = state.graph, problem.signature, state.rules
     I_n, K_n = sched.blocks_at(n)
     for i in I_n:  # fresh points overwrite their blocks; the others are recycled
-        read_at = sched.lag_primal(i, n)
-        gp = _fresh_primal(problem, config, perturb, i, read_at, state.buffer.get(read_at))
+        past = state.buffer.get(sched.lag_primal(i, n))
+        gp = _fresh_primal(problem, config, state.perturb, i, rules.gamma[i], past)
         graph.a[sig.primal_slices[i]], graph.a_dual[sig.primal_slices[i]] = gp.point, gp.dual
     for k in K_n:
-        read_at = sched.lag_dual(k, n)
-        gp = _fresh_dual(problem, config, perturb, k, read_at, state.buffer.get(read_at))
+        past = state.buffer.get(sched.lag_dual(k, n))
+        gp = _fresh_dual(problem, config, state.perturb, k, rules.mu[k], past)
         graph.b[sig.dual_slices[k]], graph.b_dual[sig.dual_slices[k]] = gp.point, gp.dual
     sep, raw = build_separator(graph, problem)
     exact = detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
     violation = halfspace_violation(current, sep)
-    theta, half = project_halfspace(current, sep, _relaxation_at(config, n),
-                                    config.tau_zero_tol)
-    nxt = half if config.mode == "fejer" else haugazeau_update(state.anchor, current, half)
+    theta, nxt = project_halfspace(current, sep, rules.lam(n), config.tau_zero_tol)
+    if config.mode == "haugazeau":
+        try:
+            nxt = haugazeau_update(state.anchor, current, nxt)
+        except InconsistencyError as exc:
+            return "inconsistent", current, str(exc)
     record = iteration_record(n, theta, sep.norm_sq, violation, problem, current, graph)
     state.last_record = record
     if n % config.trace_stride == 0:
@@ -351,39 +371,22 @@ def _step(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
     if not finite:
         return "inconsistent", current, f"non-finite values at iteration {n}"
     if exact is not None:
+        state.n = n + 1
         return "exact_point", exact, f"separator normal vanished at iteration {n}"
     if check_invariants:
         _check_step_invariants(problem, config, state, sep, nxt)
     state.current = nxt
     state.buffer.push(n + 1, nxt)
     state.n = n + 1
+    if record.residual_sum() <= config.resid_tol * (1.0 + pd_norm(current)):
+        return "solved", current, ""
     return None
 
 
-def step_fejer(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
-               config: SolverConfig):
-    """Advance the relaxed-projection engine by one iteration."""
-    if config.mode != "fejer":
-        raise ConfigError("step_fejer requires mode='fejer'")
-    return _step(state, problem, sched, config, None, False)
-
-
-def step_haugazeau(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
-                   config: SolverConfig):
-    """Advance the best-approximation engine by one iteration."""
-    if config.mode != "haugazeau":
-        raise ConfigError("step_haugazeau requires mode='haugazeau'")
-    return _step(state, problem, sched, config, None, False)
-
-
-def _describe_rule(rule, default: Optional[float] = None) -> str:
+def _describe_rule(rule, per: str = "per-block", default: Optional[float] = None) -> str:
     if rule is None:
         return f"{default!r} (default)"
-    if isinstance(rule, (int, float)):
-        return repr(float(rule))
-    if callable(rule):
-        return "callable"
-    return "per-block" if rule else "empty"
+    return per if isinstance(rule, (list, tuple)) else repr(float(rule))
 
 
 def run(problem: ProblemSpec, config: SolverConfig,
@@ -394,46 +397,31 @@ def run(problem: ProblemSpec, config: SolverConfig,
     Stops when the sum of the four residuals drops below
     resid_tol * (1 + norm of the iterate they were measured at).
     """
-    config.validate(problem)
     if sched is None:
         sched = synchronous(problem.m, problem.p)
+    state = EngineState.initial(problem, config, sched)
     cert = validate(sched, problem.m, problem.p)
     if not cert.certified:
         raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
-    perturb = _PerturbState(config.perturbation) if config.perturbation else None
-    state = EngineState.initial(problem, config, sched)
     metadata = {
         "mode": config.mode,
         "epsilon": config.epsilon,
         "eps_prox": config.eps_prox,
-        "relaxation": _describe_rule(config.relaxation, _relaxation_at(config, 0)),
+        "relaxation": _describe_rule(config.relaxation, "per-iteration", state.rules.lam(0)),
         "gamma": _describe_rule(config.gamma),
         "mu": _describe_rule(config.mu),
         "schedule_M": sched.M,
         "schedule_D": sched.D,
     }
-
-    def result(status: str, final: PrimalDualPoint, message: str = "") -> RunResult:
-        if perturb is not None:
-            metadata["perturb_accepted"] = perturb.accepted
-            metadata["perturb_rejected"] = perturb.rejected
-        return RunResult(status, final, state.trace, state.n, message, metadata)
-
     for _ in range(config.max_iter):
-        pre_point = state.current
-        pre_norm = pd_norm(pre_point)
-        try:
-            terminal = _step(state, problem, sched, config, perturb, check_invariants)
-        except InconsistencyError as exc:
-            return result("inconsistent", state.current, str(exc))
+        terminal = advance(state, problem, sched, config, check_invariants)
         if terminal is not None:
-            status, final, message = terminal
-            if status == "exact_point":
-                state.n += 1
-            return result(status, final, message)
-        rec = state.last_record
-        if rec.residual_sum() <= config.resid_tol * (1.0 + pre_norm):
-            # the residuals certify the point the step started from
-            return result("solved", pre_point)
-    return result("max_iter", state.current,
-                  f"residual target not reached in {config.max_iter} iterations")
+            break
+    else:
+        terminal = ("max_iter", state.current,
+                    f"residual target not reached in {config.max_iter} iterations")
+    if state.perturb is not None:
+        metadata["perturb_accepted"] = state.perturb.accepted
+        metadata["perturb_rejected"] = state.perturb.rejected
+    status, final, message = terminal
+    return RunResult(status, final, state.trace, state.n, message, metadata)

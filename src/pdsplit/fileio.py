@@ -311,11 +311,6 @@ def config_from_dict(data: dict, where: str = "config") -> SolverConfig:
 
 
 def config_to_dict(config: SolverConfig) -> dict:
-    for name, rule in (("relaxation", config.relaxation), ("gamma", config.gamma),
-                       ("mu", config.mu)):
-        if callable(rule):
-            raise SchemaError(f"cannot serialize a callable {name} rule; "
-                              "use a constant or a list")
     out: dict = {"mode": config.mode, "epsilon": config.epsilon,
                  "gamma": config.gamma, "mu": config.mu,
                  "eps_prox": config.eps_prox, "max_iter": config.max_iter,

@@ -25,7 +25,6 @@ OPERATOR_KINDS = (
 )
 
 PSD_EIGENVALUE_FLOOR = -1e-10
-DEFAULT_EPS_PROX = 1e-2
 
 
 @dataclass(frozen=True)
@@ -160,24 +159,13 @@ def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> 
     return float(np.linalg.norm(point - resolvent(op, 1.0, point + dual)))
 
 
-def check_graph_membership(op: MonotoneOp, gp: GraphPoint, tol: float) -> bool:
-    return membership_residual(op, gp.point, gp.dual) <= tol
-
-
 def default_membership_tol(point: np.ndarray) -> float:
     return 1e-9 * (1.0 + float(np.linalg.norm(point)))
 
 
-def _check_prox_param(value: float, eps_prox: float, name: str) -> None:
-    if not (eps_prox <= value <= 1.0 / eps_prox):
-        raise ConfigError(
-            f"{name}={value} outside the admissible range [{eps_prox}, {1.0 / eps_prox}]")
-
-
 def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
                        x_lag: np.ndarray, lstar: np.ndarray,
-                       error: Optional[np.ndarray] = None,
-                       eps_prox: float = DEFAULT_EPS_PROX) -> GraphPoint:
+                       error: Optional[np.ndarray] = None) -> GraphPoint:
     """Fresh graph point for one primal operator from (possibly lagged) reads.
 
     Exact mode (error=None) returns (a, a*) with
@@ -187,7 +175,6 @@ def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
     A nonzero error perturbs the resolvent input and enters a* the same way,
     preserving graph membership while shifting the reconstruction identity.
     """
-    _check_prox_param(gamma, eps_prox, "gamma")
     u = x_lag + gamma * (z_star - lstar)
     if error is None:
         a = resolvent(op, gamma, u)
@@ -200,8 +187,7 @@ def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
 
 def graph_point_dual(op: MonotoneOp, r: np.ndarray, mu: float,
                      l_k: np.ndarray, v_lag: np.ndarray,
-                     error: Optional[np.ndarray] = None,
-                     eps_prox: float = DEFAULT_EPS_PROX) -> GraphPoint:
+                     error: Optional[np.ndarray] = None) -> GraphPoint:
     """Fresh graph point for one dual operator from (possibly lagged) reads.
 
     Exact mode returns (b, b*) with
@@ -209,7 +195,6 @@ def graph_point_dual(op: MonotoneOp, r: np.ndarray, mu: float,
         b* = v_lag + (l_k - b)/mu,
     so that b + mu*(b* - v_lag) = l_k and b* in Op(b - r).
     """
-    _check_prox_param(mu, eps_prox, "mu")
     u = l_k + mu * v_lag - r
     if error is None:
         b = r + resolvent(op, mu, u)

@@ -244,10 +244,6 @@ class LagBuffer:
         self._latest = -1
         self.push(0, first)
 
-    @property
-    def latest(self) -> int:
-        return self._latest
-
     def push(self, index: int, point: PrimalDualPoint) -> None:
         if index != self._latest + 1:
             raise ConfigError(f"buffer push out of order: {index} after {self._latest}")

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
-                         adjoint_block, forward_block, inner, norm, pd_norm, pd_norm_sq)
+                         adjoint_block, forward_block, norm, pd_inner, pd_norm, pd_norm_sq)
 from .errors import ConfigError, DimensionError
 from .operators import GraphPoint, MonotoneOp, resolvent
 
@@ -247,14 +247,13 @@ class GraphTable:
 class Separator:
     """Affine half-space {u : <u, normal> <= level} containing the solution set.
 
-    normal_primal/normal_dual form the (subspace-projected) normal vector;
-    norm_sq caches its squared norm, the denominator of the projection step.
+    normal is the subspace-projected normal vector; norm_sq caches its
+    squared norm, the denominator of the projection step.
     """
 
-    normal_primal: BlockVector
-    normal_dual: BlockVector
+    normal: PrimalDualPoint
     level: float       # eta: sum of <a_i, a*_i> + <b_k, b*_k>
-    norm_sq: float     # tau: ||normal_primal||^2 + ||normal_dual||^2
+    norm_sq: float     # tau: ||normal||^2
 
 
 def build_separator(graph: GraphTable, problem: ProblemSpec) -> tuple[Separator, PrimalDualPoint]:
@@ -267,7 +266,7 @@ def build_separator(graph: GraphTable, problem: ProblemSpec) -> tuple[Separator,
     raw = graph.pair(graph.a_dual + L.adjoint(graph.b_dual), graph.b - L.forward(graph.a))
     level = float(np.dot(graph.a, graph.a_dual)) + float(np.dot(graph.b, graph.b_dual))
     projected = problem.projector.project(raw)
-    return Separator(projected.x, projected.v_star, level, pd_norm_sq(projected)), raw
+    return Separator(projected, level, pd_norm_sq(projected)), raw
 
 
 def detect_exact_solution(s_star_raw: PrimalDualPoint, candidate: PrimalDualPoint,
@@ -284,8 +283,7 @@ def detect_exact_solution(s_star_raw: PrimalDualPoint, candidate: PrimalDualPoin
 
 def halfspace_violation(current: PrimalDualPoint, sep: Separator) -> float:
     """Nonnegative amount by which the current point violates the half-space."""
-    gap = inner(current.x, sep.normal_primal) + inner(sep.normal_dual, current.v_star) - sep.level
-    return max(0.0, gap)
+    return max(0.0, pd_inner(current, sep.normal) - sep.level)
 
 
 def project_halfspace(current: PrimalDualPoint, sep: Separator, lam: float,
@@ -296,18 +294,16 @@ def project_halfspace(current: PrimalDualPoint, sep: Separator, lam: float,
     (and the point is returned unchanged) when the point already satisfies
     the half-space or when the normal is numerically zero.  The branch on a
     nonzero normal uses a threshold scaled by (1 + level^2) because an exact
-    zero test is meaningless in floating point.
+    zero test is meaningless in floating point.  lam is the relaxation
+    factor; SolverConfig.validate bounds it, so it is not checked here.
     """
-    if not 0.0 < lam <= 2.0:
-        raise ConfigError(f"relaxation must lie in (0, 2], got {lam}")
     if sep.norm_sq <= tau_zero_tol * (1.0 + sep.level ** 2):
         return 0.0, current
     violation = halfspace_violation(current, sep)
     if violation <= 0.0:
         return 0.0, current
     theta = lam * violation / sep.norm_sq
-    normal = np.concatenate((sep.normal_primal.data, sep.normal_dual.data))
-    return theta, current._like(current.data - theta * normal)
+    return theta, current._like(current.data - theta * sep.normal.data)
 
 
 @dataclass(frozen=True)

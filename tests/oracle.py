@@ -1,25 +1,23 @@
 """Independent verification machinery: brute-force minimizers, closed-form
 projections, and a buffer-free reference iteration.
 
-No other module of the package imports this one: neither the solve path nor
-the CLI uses it.  The tests use it as an independent reference.
+The tests use it as an independent reference; the package itself does not.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .blockspace import PrimalDualPoint, adjoint_block, forward_block
-from .engine import (IterationRecord, SolverConfig, _relaxation_at, _stepsize_at,
-                     iteration_record)
-from .errors import ConfigError, InconsistencyError
-from .operators import graph_point_dual, graph_point_primal
-from .separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
-                        project_halfspace)
+from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block
+from pdsplit.engine import IterationRecord, SolverConfig, iteration_record
+from pdsplit.errors import ConfigError, InconsistencyError
+from pdsplit.operators import graph_point_dual, graph_point_primal
+from pdsplit.separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
+                               project_halfspace)
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -126,22 +124,22 @@ def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
     primitives as the engine.  Used to certify that the asynchronous
     machinery introduces no arithmetic drift in the synchronous regime.
     """
+    rules = config.validate(problem)
     current = problem.projector.project(config.start or PrimalDualPoint.zeros(problem.signature))
     records: list[IterationRecord] = []
     for n in range(n_iters):
         a_points = [graph_point_primal(
-            problem.A_ops[i], problem.z_star.blocks[i], _stepsize_at(config.gamma, i, n),
-            current.x.blocks[i], adjoint_block(problem.coupling, current.v_star, i),
-            eps_prox=config.eps_prox) for i in range(problem.m)]
+            problem.A_ops[i], problem.z_star.blocks[i], rules.gamma[i],
+            current.x.blocks[i], adjoint_block(problem.coupling, current.v_star, i))
+            for i in range(problem.m)]
         b_points = [graph_point_dual(
-            problem.B_ops[k], problem.r.blocks[k], _stepsize_at(config.mu, k, n),
-            forward_block(problem.coupling, current.x, k), current.v_star.blocks[k],
-            eps_prox=config.eps_prox) for k in range(problem.p)]
+            problem.B_ops[k], problem.r.blocks[k], rules.mu[k],
+            forward_block(problem.coupling, current.x, k), current.v_star.blocks[k])
+            for k in range(problem.p)]
         graph = GraphTable.from_points(a_points, b_points)
         sep, _ = build_separator(graph, problem)
         violation = halfspace_violation(current, sep)
-        theta, nxt = project_halfspace(current, sep, _relaxation_at(config, n),
-                                       config.tau_zero_tol)
+        theta, nxt = project_halfspace(current, sep, rules.lam(n), config.tau_zero_tol)
         records.append(iteration_record(n, theta, sep.norm_sq, violation, problem,
                                         current, graph))
         current = nxt

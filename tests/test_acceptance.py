@@ -12,16 +12,16 @@ import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.blockspace import pd_norm
 from pdsplit.cli import main
-from pdsplit.engine import EngineState, step_fejer, step_haugazeau
+from pdsplit.engine import EngineState, advance
 from pdsplit.operators import GraphPoint, InexactnessBudget, graph_point_primal
 from pdsplit.operators import validate_inexact_dual, validate_inexact_primal
-from pdsplit.oracle import (closed_form_Z_box, fejer_reference_trace, grid_minimize,
-                            project_intersection_two_halfspaces)
 from pdsplit.schedule import synchronous
 from pdsplit.separator import kt_residual
 
 from conftest import (make_lasso_problem, make_linear_primal_problem,
                       make_scalar_problem, point, random_problem)
+from oracle import (closed_form_Z_box, fejer_reference_trace, grid_minimize,
+                    project_intersection_two_halfspaces)
 
 
 def _finish(name, ok, detail=""):
@@ -85,7 +85,7 @@ def test_criterion_2_box_best_approximation():
         bounded = True
         terminal = None
         for _ in range(cfg.max_iter):
-            terminal = step_haugazeau(state, prob, sched, cfg)
+            terminal = advance(state, prob, sched, cfg)
             new_dist = pd_norm(state.current - state.anchor)
             monotone = monotone and new_dist >= dist - 1e-10
             bounded = bounded and new_dist <= best_dist + 1e-8
@@ -175,7 +175,7 @@ def test_criterion_6_linear_primal_subspace():
     worst_constraint = float(np.linalg.norm(
         Q1 @ state.current.x.blocks[0] + state.current.v_star.blocks[0]))
     for _ in range(cfg.max_iter):
-        if step_fejer(state, prob_lin, sched, cfg) is not None:
+        if advance(state, prob_lin, sched, cfg) is not None:
             break
         worst_constraint = max(worst_constraint, float(np.linalg.norm(
             Q1 @ state.current.x.blocks[0] + state.current.v_star.blocks[0])))

@@ -192,6 +192,14 @@ def test_run_malformed_config_is_a_schema_error(workdir, tmp_path, capsys, path,
     assert ".".join(path) in err  # the message names the field
 
 
+def test_run_negative_perturbation_seed_is_a_config_error(workdir, tmp_path, capsys):
+    # a JSON integer that the seeded generator rejects: was an uncaught numpy ValueError
+    edit = _set(("perturbation",), {"seed": -1, "scale": 0.1})
+    assert _run_with(workdir, tmp_path, config=edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "perturbation.seed" in err
+
+
 @pytest.mark.parametrize("path", [
     ("B_ops", 0, "M"),          # an operator parameter (was: runs, exit 4)
     ("A_ops", 0, "weight"),

@@ -5,12 +5,12 @@ import pytest
 
 import pdsplit as ps
 from pdsplit.blockspace import pd_norm
-from pdsplit.engine import EngineState, IterationRecord, haugazeau_update, step_fejer
+from pdsplit.engine import EngineState, IterationRecord, advance, haugazeau_update
 from pdsplit.errors import ConfigError, InconsistencyError
-from pdsplit.oracle import fejer_reference_trace, project_intersection_two_halfspaces
 from pdsplit.schedule import synchronous
 
 from conftest import (make_lasso_problem, make_scalar_problem, point, random_problem)
+from oracle import fejer_reference_trace, project_intersection_two_halfspaces
 
 
 def start_20():
@@ -37,21 +37,13 @@ def test_step_fejer_hand_trace(l1_identity_problem):
     assert res.final.v_star.blocks[0][0] == 0.0
 
 
-def test_step_function_requires_matching_mode(l1_identity_problem):
-    sched = synchronous(1, 1)
-    cfg = fejer_config(mode="haugazeau", relaxation=1.0)
-    state = EngineState.initial(l1_identity_problem, cfg, sched)
-    with pytest.raises(ConfigError):
-        step_fejer(state, l1_identity_problem, sched, cfg)
-
-
 def test_step_determinism(l1_identity_problem):
     sched = synchronous(1, 1)
     cfg = fejer_config()
     outs = []
     for _ in range(2):
         state = EngineState.initial(l1_identity_problem, cfg, sched)
-        step_fejer(state, l1_identity_problem, sched, cfg)
+        advance(state, l1_identity_problem, sched, cfg)
         outs.append((state.current.x.blocks[0][0], state.current.v_star.blocks[0][0],
                      state.last_record.theta))
     assert outs[0] == outs[1]
@@ -143,9 +135,8 @@ def test_haugazeau_anchor_distance_monotone(box_problem):
     sched = synchronous(1, 1)
     state = EngineState.initial(box_problem, cfg, sched)
     dist = pd_norm(state.current - state.anchor)
-    from pdsplit.engine import step_haugazeau
     for _ in range(200):
-        step_haugazeau(state, box_problem, sched, cfg)
+        advance(state, box_problem, sched, cfg)
         new_dist = pd_norm(state.current - state.anchor)
         assert new_dist >= dist - 1e-10
         dist = new_dist
@@ -253,6 +244,54 @@ def test_config_validation_bounds(l1_identity_problem):
         ps.run(l1_identity_problem, fejer_config(mode="other"))
 
 
+@pytest.mark.parametrize("fields", [
+    pytest.param(dict(relaxation=[]), id="empty-relaxation-list"),
+    pytest.param(dict(mode="haugazeau", relaxation=np.array([1.5])), id="haugazeau-ndarray-1.5"),
+    pytest.param(dict(gamma="1"), id="string-gamma"),
+    pytest.param(dict(relaxation="fast"), id="string-relaxation"),
+    pytest.param(dict(gamma=lambda i, n: 1.0), id="callable-gamma"),
+    pytest.param(dict(relaxation=np.array([1.0, 1.5])), id="multi-entry-ndarray"),
+    pytest.param(dict(mu=[True]), id="boolean-in-mu-list"),
+    pytest.param(dict(max_iter=2.5), id="fractional-max_iter"),
+    pytest.param(dict(max_iter=True), id="boolean-max_iter"),
+    pytest.param(dict(trace_stride=2.5), id="fractional-trace_stride"),
+    pytest.param(dict(trace_stride=True), id="boolean-trace_stride"),
+    pytest.param(dict(resid_tol=math.nan), id="nan-resid_tol"),
+    pytest.param(dict(tau_zero_tol=math.inf), id="inf-tau_zero_tol"),
+    pytest.param(dict(exact_tol=math.nan), id="nan-exact_tol"),
+    pytest.param(dict(inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
+                      perturbation=ps.PerturbationRule(seed=-1, scale=0.25)),
+                 id="negative-perturbation-seed"),
+    pytest.param(dict(inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
+                      perturbation=ps.PerturbationRule(seed=1, scale=math.nan)),
+                 id="nan-perturbation-scale"),
+])
+def test_bad_config_values_raise_config_error(l1_identity_problem, fields):
+    with pytest.raises(ConfigError):
+        ps.run(l1_identity_problem, fejer_config(**fields))
+
+
+@pytest.mark.parametrize("mode, relaxation", [("fejer", [1.2, 1.5, 0.9, 1.8]),
+                                              ("haugazeau", [0.5, 1.0, 0.8])])
+def test_stepwise_advance_matches_run(mode, relaxation):
+    problem = random_problem(5)
+    sched = ps.random_admissible(problem.m, problem.p, M=3, D=4, horizon=256, seed=5)
+    cfg = ps.SolverConfig(mode=mode, relaxation=relaxation, max_iter=120, resid_tol=0.0,
+                          exact_tol=-1.0, inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
+                          perturbation=ps.PerturbationRule(seed=5, scale=0.25))
+    res = ps.run(problem, cfg, sched)
+    state = EngineState.initial(problem, cfg, sched)
+    records = []
+    for _ in range(cfg.max_iter):
+        terminal = advance(state, problem, sched, cfg)
+        records.append(state.last_record)
+        assert terminal is None
+    assert records == res.trace
+    assert np.array_equal(state.current.data, res.final.data)
+    assert state.perturb.accepted == res.metadata["perturb_accepted"] > 0
+    assert state.perturb.rejected == res.metadata["perturb_rejected"]
+
+
 def test_run_rejects_uncertified_schedule(l1_identity_problem):
     bad = ps.ControlSchedule(3, [(0,), (0,), (0,)], [(0,)] * 3, c={(0, 2): 0},
                              M=1, D=1)
@@ -304,7 +343,7 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
     rows = []
     for n in range(iters):
         before = dict(calls)
-        assert step_fejer(state, problem, sched, cfg) is None
+        assert advance(state, problem, sched, cfg) is None
         I_n, K_n = sched.blocks_at(n)
         rows.append((calls["block"] - before["block"], calls["full"] - before["full"],
                      len(I_n) + len(K_n)))

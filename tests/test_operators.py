@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit.errors import ConfigError
-from pdsplit.operators import (GraphPoint, InexactnessBudget, check_graph_membership,
-                               graph_point_dual, graph_point_primal,
-                               membership_residual, resolvent, validate_inexact_dual,
-                               validate_inexact_primal)
-from pdsplit.oracle import grid_minimize
+from pdsplit.operators import (GraphPoint, InexactnessBudget, graph_point_dual,
+                               graph_point_primal, membership_residual, resolvent,
+                               validate_inexact_dual, validate_inexact_primal)
 
 from conftest import PROX_REPRESENTABLE, function_value
+from oracle import grid_minimize
 
 
 def _registry_sample(rng, dim):
@@ -124,9 +123,9 @@ def test_graph_point_dual_normal_cone():
 
 def test_membership_examples():
     l1 = ps.l1_norm(1)
-    assert check_graph_membership(l1, GraphPoint(np.zeros(1), np.zeros(1)), 1e-9)
-    assert check_graph_membership(l1, GraphPoint(np.array([1.0]), np.array([1.0])), 1e-9)
-    assert not check_graph_membership(l1, GraphPoint(np.array([0.5]), np.array([2.0])), 1e-9)
+    assert membership_residual(l1, np.zeros(1), np.zeros(1)) <= 1e-9
+    assert membership_residual(l1, np.array([1.0]), np.array([1.0])) <= 1e-9
+    assert not membership_residual(l1, np.array([0.5]), np.array([2.0])) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)

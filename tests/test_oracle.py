@@ -4,10 +4,9 @@ import pytest
 import pdsplit as ps
 from pdsplit.errors import InconsistencyError
 from pdsplit.operators import resolvent
-from pdsplit.oracle import (closed_form_Z_box, grid_minimize,
-                            project_intersection_two_halfspaces)
 
 from conftest import PROX_REPRESENTABLE, function_value, random_registry_op
+from oracle import closed_form_Z_box, grid_minimize, project_intersection_two_halfspaces
 
 
 def test_grid_minimize_1d_frozen():

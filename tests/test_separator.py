@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit.blockspace import inner, pd_norm
+from pdsplit.blockspace import inner, pd_inner, pd_norm
 from pdsplit.errors import ConfigError
 from pdsplit.operators import GraphPoint, resolvent
 from pdsplit.separator import (GraphTable, build_projector, build_separator,
@@ -138,7 +138,7 @@ def test_separator_never_cuts_fixture():
         b_pt = resolvent(prob.B_ops[0], 1.0, np.array([ub]))
         b = [GraphPoint(b_pt, np.array([ub]) - b_pt)]
         sep, _ = build_separator(GraphTable.from_points(a, b), prob)
-        gap = inner(z.x, sep.normal_primal) + inner(sep.normal_dual, z.v_star) - sep.level
+        gap = pd_inner(z, sep.normal) - sep.level
         assert gap <= 1e-10
 
 
@@ -152,9 +152,8 @@ def test_separator_normal_lies_on_subspace():
         b_pt = resolvent(prob.B_ops[0], 1.0, ub)
         sep, _ = build_separator(GraphTable.from_points([GraphPoint(a_pt, ua - a_pt)],
                                                         [GraphPoint(b_pt, ub - b_pt)]), prob)
-        normal = point([sep.normal_primal.blocks[0]], [sep.normal_dual.blocks[0]])
-        assert prob.projector.residual(normal) <= 1e-10
-        assert abs(sep.norm_sq - pd_norm(normal) ** 2) <= 1e-12 * (1 + sep.norm_sq)
+        assert prob.projector.residual(sep.normal) <= 1e-10
+        assert abs(sep.norm_sq - pd_norm(sep.normal) ** 2) <= 1e-12 * (1 + sep.norm_sq)
 
 
 def test_detect_exact_solution():
@@ -172,7 +171,7 @@ def test_detect_exact_solution():
 # --- half-space projection -------------------------------------------------
 
 def _sep(tstar, t, level, norm_sq):
-    return ps.Separator(ps.BlockVector([[tstar]]), ps.BlockVector([[t]]), level, norm_sq)
+    return ps.Separator(point([[tstar]], [[t]]), level, norm_sq)
 
 
 def test_project_halfspace_no_violation():
@@ -189,7 +188,7 @@ def test_project_halfspace_example():
     assert theta == 0.5
     assert nxt.x.blocks[0][0] == 1.5 and nxt.v_star.blocks[0][0] == -0.5
     # lam = 1 lands exactly on the boundary
-    boundary = inner(nxt.x, sep.normal_primal) + inner(sep.normal_dual, nxt.v_star)
+    boundary = pd_inner(nxt, sep.normal)
     assert abs(boundary - sep.level) <= 1e-9 * (1 + abs(sep.level))
 
 
@@ -199,7 +198,7 @@ def test_project_halfspace_overshoot():
     theta, nxt = project_halfspace(cur, sep, 2.0)
     assert theta == 1.0
     assert nxt.x.blocks[0][0] == 1.0 and nxt.v_star.blocks[0][0] == -1.0
-    inside = inner(nxt.x, sep.normal_primal) + inner(sep.normal_dual, nxt.v_star)
+    inside = pd_inner(nxt, sep.normal)
     assert inside < sep.level  # reflection lands strictly inside
 
 
