@@ -6,8 +6,7 @@ best-approximation variant.  Block activation and bounded read lags are
 driven by deterministic, certifiable schedules, so every run is replayable.
 """
 
-from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
-                         apply_adjoint, apply_forward, inner, norm, pd_norm)
+from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, pd_norm
 from .engine import (EngineState, IterationRecord, PerturbationRule, Rules, RunResult,
                      SolverConfig, advance, haugazeau_update, run)
 from .errors import (ConfigError, DimensionError, InconsistencyError,

@@ -56,9 +56,12 @@ class SpaceSignature:
 
 
 class BlockVector:
-    """Indexed family of dense real vectors, one per factor space, stored flat."""
+    """Indexed family of dense real vectors, one per factor space, stored flat.
 
-    __slots__ = ("data", "dims", "_blocks")
+    It has no algebra: compute on PrimalDualPoint or on the flat `data`.
+    """
+
+    __slots__ = ("data", "dims")
 
     def __init__(self, blocks: Iterable):
         converted = [np.array(b, dtype=float) for b in blocks]  # copies
@@ -70,59 +73,18 @@ class BlockVector:
                     raise DimensionError(f"block {j} is not a vector (ndim={arr.ndim})")
                 converted[j] = arr.reshape(1)
         self.data = converted[0] if len(converted) == 1 else np.concatenate(converted)
-        self.dims, self._blocks = tuple(map(len, converted)), None
+        self.dims = tuple(map(len, converted))
 
     @classmethod
     def _wrap(cls, data: np.ndarray, dims: tuple[int, ...]) -> "BlockVector":
         """Adopt a flat array (no copy) whose length is sum(dims)."""
         out = cls.__new__(cls)
-        out.data, out.dims, out._blocks = data, dims, None
+        out.data, out.dims = data, dims
         return out
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        if self._blocks is None:
-            self._blocks = tuple(self.data[s] for s in _block_slices(self.dims))
-        return self._blocks
-
-    def to_flat(self) -> np.ndarray:
-        return self.data.copy()
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dims: Iterable[int]) -> "BlockVector":
-        flat, dims = np.array(flat, dtype=float), tuple(int(d) for d in dims)
-        if flat.shape != (sum(dims),):
-            raise DimensionError(f"flat vector of length {flat.shape} does not split into {dims}")
-        return cls._wrap(flat, dims)
-
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector._wrap(self.data + other.data, self.dims)
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        return BlockVector._wrap(self.data - other.data, self.dims)
-
-    def __mul__(self, alpha: float) -> "BlockVector":
-        return BlockVector._wrap(alpha * self.data, self.dims)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"BlockVector(dims={self.dims})"
-
-
-def inner(u: BlockVector, v: BlockVector) -> float:
-    """Product-space inner product: the Euclidean inner product of the flat arrays."""
-    if u.dims != v.dims:
-        raise DimensionError(f"inner product between dims {u.dims} and {v.dims}")
-    return float(np.dot(u.data, v.data))
-
-
-def norm_sq(u: BlockVector) -> float:
-    return float(np.dot(u.data, u.data))
-
-
-def norm(u: BlockVector) -> float:
-    return math.sqrt(norm_sq(u))
+        return tuple(self.data[s] for s in _block_slices(self.dims))
 
 
 class PrimalDualPoint:
@@ -163,11 +125,11 @@ class PrimalDualPoint:
 
 def pd_inner(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
     """Inner product on the primal-dual product space, summed primal side first."""
-    return inner(u.x, v.x) + inner(u.v_star, v.v_star)
+    return float(np.dot(u.x.data, v.x.data)) + float(np.dot(u.v_star.data, v.v_star.data))
 
 
 def pd_norm_sq(u: PrimalDualPoint) -> float:
-    return norm_sq(u.x) + norm_sq(u.v_star)
+    return pd_inner(u, u)
 
 
 def pd_norm(u: PrimalDualPoint) -> float:
@@ -278,14 +240,3 @@ def adjoint_block(cmap: CouplingMap, y: BlockVector, i: int) -> np.ndarray:
         acc += mat.T @ y.data[sl]
     return acc
 
-
-def apply_forward(cmap: CouplingMap, x: BlockVector) -> BlockVector:
-    if x.dims != cmap.signature.primal_dims:
-        raise DimensionError(f"primal vector dims {x.dims} != signature {cmap.signature.primal_dims}")
-    return BlockVector._wrap(cmap.forward(x.data), cmap.signature.dual_dims)
-
-
-def apply_adjoint(cmap: CouplingMap, y: BlockVector) -> BlockVector:
-    if y.dims != cmap.signature.dual_dims:
-        raise DimensionError(f"dual vector dims {y.dims} != signature {cmap.signature.dual_dims}")
-    return BlockVector._wrap(cmap.adjoint(y.data), cmap.signature.primal_dims)

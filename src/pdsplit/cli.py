@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -67,6 +68,9 @@ def _cmd_check_kt(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not 0.0 <= args.tol < math.inf:
+        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
+        return EXIT_IO
     if args.tol == 0.0:
         with open(args.trace_a, "rb") as fa, open(args.trace_b, "rb") as fb:
             lines_a = fa.read().split(b"\n")
@@ -87,7 +91,7 @@ def _cmd_compare(args) -> int:
         return EXIT_INVALID
     for idx, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
         for col, (va, vb) in enumerate(zip(ra, rb)):
-            if abs(va - vb) > args.tol:
+            if not (va == vb or abs(va - vb) <= args.tol or math.isnan(va) and math.isnan(vb)):
                 print(f"diverges at row {idx}, column {header_a[col]}: "
                       f"{va:.17g} vs {vb:.17g}")
                 return EXIT_INVALID
@@ -140,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--trace-a", required=True)
     p_cmp.add_argument("--trace-b", required=True)
     p_cmp.add_argument("--tol", type=float, required=True,
-                       help="0 means byte equality")
+                       help="0 means byte equality; cells match when both are NaN")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_gen = sub.add_parser("gen-schedule", help="generate a certified schedule file")

@@ -26,15 +26,15 @@ import numpy as np
 from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm,
                          pd_norm_sq)
 from .errors import ConfigError, InconsistencyError, InvariantViolation
-from .operators import (GraphPoint, InexactnessBudget, graph_point_dual, graph_point_primal,
-                        membership_residual, validate_inexact_dual, validate_inexact_primal)
+from .operators import (MEMBERSHIP_TOL, GraphPoint, InexactnessBudget, graph_point_dual,
+                        graph_point_primal, membership_residual, validate_inexact_dual,
+                        validate_inexact_primal)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
 Rule = Union[float, Sequence[float]]
 
-MEMBERSHIP_TOL = 1e-9
 FEJER_TOL = 1e-10
 ANCHOR_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
@@ -241,8 +241,8 @@ def _fresh_primal(problem: ProblemSpec, config: SolverConfig,
                   perturb: Optional[_PerturbState], i: int, gamma: float,
                   past: PrimalDualPoint) -> GraphPoint:
     lstar = adjoint_block(problem.coupling, past.v_star, i)
-    op, zst = problem.A_ops[i], problem.z_star.blocks[i]
-    x_i = past.x.data[problem.signature.primal_slices[i]]
+    sl = problem.signature.primal_slices[i]
+    op, zst, x_i = problem.A_ops[i], problem.z_star.data[sl], past.x.data[sl]
     make = functools.partial(graph_point_primal, op, zst, gamma, x_i, lstar)
     if perturb is None:
         return make()
@@ -254,8 +254,8 @@ def _fresh_dual(problem: ProblemSpec, config: SolverConfig,
                 perturb: Optional[_PerturbState], k: int, mu: float,
                 past: PrimalDualPoint) -> GraphPoint:
     l_k = forward_block(problem.coupling, past.x, k)
-    op, r_k = problem.B_ops[k], problem.r.blocks[k]
-    v_k = past.v_star.data[problem.signature.dual_slices[k]]
+    sl = problem.signature.dual_slices[k]
+    op, r_k, v_k = problem.B_ops[k], problem.r.data[sl], past.v_star.data[sl]
     make = functools.partial(graph_point_dual, op, r_k, mu, l_k, v_k)
     if perturb is None:
         return make()
@@ -276,8 +276,7 @@ def iteration_record(n: int, theta: float, tau: float, violation: float,
 
 
 def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
-                     candidate: PrimalDualPoint,
-                     rho_tol: float = RHO_TOL) -> PrimalDualPoint:
+                     candidate: PrimalDualPoint) -> PrimalDualPoint:
     """Project the anchor onto the intersection of the two bracketing half-spaces.
 
     The three-case closed form branches on chi = <anchor-current,
@@ -293,8 +292,8 @@ def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
     mu = pd_norm_sq(diff_ay)
     nu = pd_norm_sq(diff_yz)
     rho = max(mu * nu - chi * chi, 0.0)
-    if rho <= rho_tol * mu * nu:
-        if chi >= -rho_tol * (mu + nu):
+    if rho <= RHO_TOL * mu * nu:
+        if chi >= -RHO_TOL * (mu + nu):
             return candidate
         raise InconsistencyError(
             f"empty outer approximation (chi={chi:.3e}, mu={mu:.3e}, nu={nu:.3e})")

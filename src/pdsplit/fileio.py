@@ -97,6 +97,15 @@ def _number(value, where: str, key, integer: bool = False):
     return value
 
 
+def _int_field(obj: dict, key: str, where: str) -> int:
+    return _number(_need(obj, key, where), where, key, integer=True)
+
+
+def _ints(values, where: str, key: str) -> tuple[int, ...]:
+    """A list of JSON integers as a tuple; entry j that is not one is named key[j]."""
+    return tuple(_number(v, where, f"{key}[{j}]", integer=True) for j, v in enumerate(values))
+
+
 # ---------------------------------------------------------------- operators
 
 def _op_to_dict(op: MonotoneOp) -> dict:
@@ -113,9 +122,9 @@ def _op_from_dict(d: dict, where: str) -> MonotoneOp:
             if name not in ("kind", "dim"):
                 _finite(value, where, name)
         if kind == "zero":
-            return ops.zero(_need(d, "dim", where))
+            return ops.zero(_int_field(d, "dim", where))
         if kind == "l1_norm":
-            return ops.l1_norm(_need(d, "dim", where), d.get("weight", 1.0))
+            return ops.l1_norm(_int_field(d, "dim", where), d.get("weight", 1.0))
         if kind == "box_indicator":
             return ops.box_indicator(_need(d, "lo", where), _need(d, "hi", where))
         if kind == "normal_cone_box":
@@ -166,10 +175,10 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
 
 
 def problem_from_dict(data: dict, where: str = "problem") -> ProblemSpec:
-    sig_d = _need(data, "signature", where)
-    with _parsing(where, "signature"):
-        signature = SpaceSignature(tuple(_need(sig_d, "primal_dims", f"{where}.signature")),
-                                   tuple(_need(sig_d, "dual_dims", f"{where}.signature")))
+    sig_d, loc = _need(data, "signature", where), f"{where}.signature"
+    with _parsing(loc):
+        signature = SpaceSignature(*(_ints(_need(sig_d, key, loc), loc, key)
+                                     for key in ("primal_dims", "dual_dims")))
     with _parsing(where):
         A_ops, B_ops = ([_op_from_dict(d, f"{where}.{side}[{j}]")
                          for j, d in enumerate(_need(data, side, where))]
@@ -178,7 +187,7 @@ def problem_from_dict(data: dict, where: str = "problem") -> ProblemSpec:
         for j, ent in enumerate(_need(data, "coupling", where)):
             loc = f"{where}.coupling[{j}]"
             with _parsing(loc):
-                entries[(int(_need(ent, "k", loc)), int(_need(ent, "i", loc)))] = \
+                entries[(_int_field(ent, "k", loc), _int_field(ent, "i", loc))] = \
                     _finite(_need(ent, "matrix", loc), loc, "matrix")
         sub_d = _object(data.get("subspace", {"variant": "full"}), f"{where}.subspace")
         subspace = SubspaceSpec(_need(sub_d, "variant", f"{where}.subspace"),
@@ -219,23 +228,16 @@ def schedule_to_dict(s: ControlSchedule) -> dict:
             "K_seq": [list(t) for t in s.K_seq], **lags}
 
 
-def _lag_table(data: dict, where: str) -> dict[tuple[int, int], int]:
-    if data == {}:
-        return {}
-    with _parsing(where):
-        return {(int(idx), int(n)): int(val) for idx, per_n in _object(data, where).items()
-                for n, val in _object(per_n, f"{where}[{idx!r}]").items()}
+def _lag_table(data: dict, key: str, where: str) -> dict[tuple[int, int], int]:
+    """Lag table `key` of a schedule, {block: {iteration: read iteration}} with string keys."""
+    loc = f"{where}.{key}"
+    with _parsing(loc):
+        return {(int(idx), int(n)): _number(val, where, f"{key}[{idx}][{n}]", integer=True)
+                for idx, per_n in _object(data.get(key, {}), loc).items()
+                for n, val in _object(per_n, f"{loc}[{idx!r}]").items()}
 
 
 _LAG_FIELDS = {"zero": None, "constant": "value", "sawtooth": "max"}
-
-
-def _int_field(obj: dict, key: str, where: str) -> int:
-    value = _need(obj, key, where)
-    if type(value) is int:
-        return value
-    with _parsing(where, key):
-        return int(value)
 
 
 def schedule_from_dict(data: dict, where: str = "schedule") -> ControlSchedule:
@@ -257,10 +259,9 @@ def schedule_from_dict(data: dict, where: str = "schedule") -> ControlSchedule:
             raise SchemaError(f"{where}: unknown generator type {gen!r}")
         return ControlSchedule(
             horizon=_int_field(data, "horizon", where),
-            I_seq=[tuple(s) for s in _need(data, "I_seq", where)],
-            K_seq=[tuple(s) for s in _need(data, "K_seq", where)],
-            c=_lag_table(data.get("c", {}), f"{where}.c"),
-            d=_lag_table(data.get("d", {}), f"{where}.d"),
+            **{key: [_ints(s, where, f"{key}[{n}]") for n, s in enumerate(_need(data, key, where))]
+               for key in ("I_seq", "K_seq")},
+            c=_lag_table(data, "c", where), d=_lag_table(data, "d", where),
             M=_int_field(data, "M", where), D=_int_field(data, "D", where))
 
 

@@ -15,16 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError
 
-OPERATOR_KINDS = (
-    "zero",
-    "l1_norm",
-    "box_indicator",
-    "quadratic",
-    "affine_monotone",
-    "normal_cone_box",
-)
-
 PSD_EIGENVALUE_FLOOR = -1e-10
+MEMBERSHIP_TOL = 1e-9  # a graph point is accepted within this times (1 + its norm)
 
 
 @dataclass(frozen=True)
@@ -159,10 +151,6 @@ def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> 
     return float(np.linalg.norm(point - resolvent(op, 1.0, point + dual)))
 
 
-def default_membership_tol(point: np.ndarray) -> float:
-    return 1e-9 * (1.0 + float(np.linalg.norm(point)))
-
-
 def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
                        x_lag: np.ndarray, lstar: np.ndarray,
                        error: Optional[np.ndarray] = None) -> GraphPoint:
@@ -238,8 +226,7 @@ class InexactCheck:
 
 def validate_inexact_primal(op: MonotoneOp, candidate: GraphPoint,
                             x_lag: np.ndarray, lstar: np.ndarray, z_star: np.ndarray,
-                            gamma: float, budget: InexactnessBudget,
-                            membership_tol: Optional[float] = None) -> InexactCheck:
+                            gamma: float, budget: InexactnessBudget) -> InexactCheck:
     """Check an approximate primal graph point against the error budget.
 
     The implied error is e = a + gamma*(a* + lstar) - x_lag.  Conditions are
@@ -250,8 +237,7 @@ def validate_inexact_primal(op: MonotoneOp, candidate: GraphPoint,
       sigma-primal <x - a, e>  >= -sigma * ||x - a||^2
     """
     a, a_dual = candidate.point, candidate.dual
-    tol = default_membership_tol(a) if membership_tol is None else membership_tol
-    if membership_residual(op, a, a_dual + z_star) > tol:
+    if membership_residual(op, a, a_dual + z_star) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(a)):
         return InexactCheck(False, "membership")
     e = a + gamma * (a_dual + lstar) - x_lag
     if float(np.linalg.norm(e)) > budget.beta:
@@ -267,8 +253,7 @@ def validate_inexact_primal(op: MonotoneOp, candidate: GraphPoint,
 
 def validate_inexact_dual(op: MonotoneOp, candidate: GraphPoint,
                           l_k: np.ndarray, v_lag: np.ndarray, r: np.ndarray,
-                          mu: float, budget: InexactnessBudget,
-                          membership_tol: Optional[float] = None) -> InexactCheck:
+                          mu: float, budget: InexactnessBudget) -> InexactCheck:
     """Dual-side counterpart of :func:`validate_inexact_primal`.
 
     The implied error is f = b + mu*b* - l - mu*v_lag; conditions in order:
@@ -278,8 +263,7 @@ def validate_inexact_dual(op: MonotoneOp, candidate: GraphPoint,
       zeta-dual    <f, b* - v*> <= zeta * mu * ||b* - v*||^2
     """
     b, b_dual = candidate.point, candidate.dual
-    tol = default_membership_tol(b) if membership_tol is None else membership_tol
-    if membership_residual(op, b - r, b_dual) > tol:
+    if membership_residual(op, b - r, b_dual) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(b)):
         return InexactCheck(False, "membership")
     f = b + mu * b_dual - l_k - mu * v_lag
     if float(np.linalg.norm(f)) > budget.delta:

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
-                         adjoint_block, forward_block, norm, pd_inner, pd_norm, pd_norm_sq)
+                         adjoint_block, forward_block, pd_inner, pd_norm, pd_norm_sq)
 from .errors import ConfigError, DimensionError
-from .operators import GraphPoint, MonotoneOp, resolvent
+from .operators import MonotoneOp, resolvent
 
 SUBSPACE_VARIANTS = ("full", "nullspace", "linear_primal", "zero_sum_dual")
 
@@ -189,7 +189,7 @@ class ProblemSpec:
     def _validate_linear_primal(self) -> None:
         if self.signature.m != 1:
             raise ConfigError("linear_primal subspace requires m = 1")
-        if norm(self.z_star) != 0.0:
+        if self.z_star.data.any():
             raise ConfigError("linear_primal subspace requires z_star = 0")
         mat = _linear_matrix(self.A_ops[0])
         if mat is None:
@@ -228,14 +228,6 @@ class GraphTable:
     def zeros(cls, signature: SpaceSignature) -> "GraphTable":
         n_a, n_b = sum(signature.primal_dims), sum(signature.dual_dims)
         return cls(signature, np.zeros(n_a), np.zeros(n_a), np.zeros(n_b), np.zeros(n_b))
-
-    @classmethod
-    def from_points(cls, a_points: Sequence[GraphPoint],
-                    b_points: Sequence[GraphPoint]) -> "GraphTable":
-        sig = SpaceSignature([gp.point.shape[0] for gp in a_points],
-                             [gp.point.shape[0] for gp in b_points])
-        return cls(sig, *(np.concatenate([getattr(gp, name) for gp in points])
-                          for points in (a_points, b_points) for name in ("point", "dual")))
 
     def pair(self, primal: np.ndarray, dual: np.ndarray) -> PrimalDualPoint:
         """A primal-dual point (a copy) from flat arrays; pair(a, b_dual) is the candidate."""

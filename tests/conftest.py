@@ -99,6 +99,14 @@ def point(x, v):
     return ps.PrimalDualPoint(ps.BlockVector(x), ps.BlockVector(v))
 
 
+def graph_table(a_points, b_points):
+    """A GraphTable holding the given graph points, one per operator, in block order."""
+    sig = ps.SpaceSignature([gp.point.shape[0] for gp in a_points],
+                            [gp.point.shape[0] for gp in b_points])
+    return ps.GraphTable(sig, *(np.concatenate([getattr(gp, name) for gp in points])
+                                for points in (a_points, b_points) for name in ("point", "dual")))
+
+
 def random_registry_op(rng, dim, allow_normal_cone):
     kinds = ["zero", "l1_norm", "box_indicator", "quadratic", "affine_monotone"]
     if allow_normal_cone:

@@ -16,8 +16,9 @@ from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block
 from pdsplit.engine import IterationRecord, SolverConfig, iteration_record
 from pdsplit.errors import ConfigError, InconsistencyError
 from pdsplit.operators import graph_point_dual, graph_point_primal
-from pdsplit.separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
-                               project_halfspace)
+from pdsplit.separator import ProblemSpec, build_separator, halfspace_violation, project_halfspace
+
+from conftest import graph_table
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -136,7 +137,7 @@ def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
             problem.B_ops[k], problem.r.blocks[k], rules.mu[k],
             forward_block(problem.coupling, current.x, k), current.v_star.blocks[k])
             for k in range(problem.p)]
-        graph = GraphTable.from_points(a_points, b_points)
+        graph = graph_table(a_points, b_points)
         sep, _ = build_separator(graph, problem)
         violation = halfspace_violation(current, sep)
         theta, nxt = project_halfspace(current, sep, rules.lam(n), config.tau_zero_tol)

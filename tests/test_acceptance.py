@@ -151,7 +151,7 @@ def test_criterion_5_anchored_update_vs_projection_oracle():
         x0, y, z = rng.normal(size=(3, d))
         as_pt = lambda v: point([v[:split]], [v[split:]])
         q = ps.haugazeau_update(as_pt(x0), as_pt(y), as_pt(z))
-        got = np.concatenate([q.x.to_flat(), q.v_star.to_flat()])
+        got = q.data
         ref = project_intersection_two_halfspaces(
             x0, (x0 - y, float(np.dot(y, x0 - y))), (y - z, float(np.dot(z, y - z))))
         worst = max(worst, float(np.linalg.norm(got - ref)))

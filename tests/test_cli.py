@@ -129,6 +129,37 @@ def test_compare_numeric_reports_column(workdir, capsys):
     assert "tau" in capsys.readouterr().out
 
 
+def test_compare_nan_cells_and_bad_tolerances(workdir, capsys):
+    from pdsplit.engine import IterationRecord
+    for name, theta in (("nan", math.nan), ("nan2", math.nan), ("five", 5.0)):
+        fileio.write_trace([IterationRecord(0, theta, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())],
+                           workdir / f"{name}.csv")
+
+    def compare(a, b, tol):
+        return main(["compare", "--trace-a", str(workdir / f"{a}.csv"),
+                     "--trace-b", str(workdir / f"{b}.csv"), "--tol", tol])
+
+    assert compare("nan", "five", "1e-9") == 3  # was "equal within 1e-09"
+    assert "theta" in capsys.readouterr().out
+    assert compare("nan", "nan2", "1e-9") == 0
+    for tol in ("nan", "-1", "inf"):
+        assert compare("nan", "nan2", tol) == 1  # nan used to pass any pair, -1 none
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol") and "Traceback" not in err
+
+
+def test_run_fractional_schedule_field_exits_one(workdir, tmp_path, capsys):
+    data = fileio.schedule_to_dict(ps.synchronous(1, 1))
+    data["horizon"] = 2.7  # was truncated to 2
+    (tmp_path / "sched.json").write_text(json.dumps(data))
+    code = main(["run", "--problem", str(workdir / "problem.json"),
+                 "--config", str(workdir / "config.json"),
+                 "--schedule", str(tmp_path / "sched.json"), "--trace", str(tmp_path / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert "horizon: expected an integer" in err
+
+
 def test_gen_schedule_then_validate(workdir, capsys):
     out = workdir / "gen.json"
     code = main(["gen-schedule", "--type", "random", "--m", "3", "--p", "2",

@@ -117,7 +117,7 @@ def test_haugazeau_matches_projection_oracle():
         x0, y, z = rng.normal(size=(3, d))
         as_pt = lambda v: point([v[:split]], [v[split:]])
         q = haugazeau_update(as_pt(x0), as_pt(y), as_pt(z))
-        got = np.concatenate([q.x.to_flat(), q.v_star.to_flat()])
+        got = q.data
         n1, o1 = x0 - y, float(np.dot(y, x0 - y))
         n2, o2 = y - z, float(np.dot(z, y - z))
         ref = project_intersection_two_halfspaces(x0, (n1, o1), (n2, o2))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from pdsplit import fileio
 from pdsplit.engine import IterationRecord
 from pdsplit.errors import SchemaError
 
-from conftest import make_lasso_problem, make_linear_primal_problem, random_problem
+from conftest import (make_lasso_problem, make_linear_primal_problem, make_scalar_problem,
+                      random_problem)
 
 
 def assert_problems_equal(a, b):
@@ -181,3 +183,54 @@ def test_parse_errors_name_the_field():
         fileio.config_from_dict({"trace_stride": 1.5})
     with pytest.raises(SchemaError, match=r"config\.gamma"):
         fileio.config_from_dict({"gamma": []})
+
+
+_INTEGER_BASES = {
+    "periodic": lambda: {"type": "periodic", "m": 2, "p": 2, "group_size": 1, "horizon": 8,
+                         "lag": {"pattern": "constant", "value": 1}},
+    "sawtooth": lambda: {"type": "periodic", "m": 2, "p": 2, "group_size": 1, "horizon": 8,
+                         "lag": {"pattern": "sawtooth", "max": 1}},
+    "random": lambda: {"type": "random", "m": 2, "p": 2, "M": 2, "D": 1, "horizon": 16,
+                       "seed": 4},
+    "explicit": lambda: {"M": 1, "D": 1, "horizon": 2, "I_seq": [[0], [0]],
+                         "K_seq": [[0], [0]], "c": {"0": {"1": 0}}, "d": {"0": {"1": 0}}},
+    "lasso": lambda: fileio.problem_to_dict(make_lasso_problem()),
+    "zero_op": lambda: fileio.problem_to_dict(
+        make_scalar_problem(ps.zero(1), ps.normal_cone_box([-1.0], [1.0]))),
+}
+
+# (base data, path to an integer field, the field name the error must give)
+_INTEGER_FIELDS = [
+    *(("periodic", (key,), f"schedule.{key}") for key in ("m", "p", "group_size", "horizon")),
+    ("periodic", ("lag", "value"), "schedule.lag.value"),
+    ("sawtooth", ("lag", "max"), "schedule.lag.max"),
+    *(("random", (key,), f"schedule.{key}") for key in ("m", "p", "M", "D", "horizon", "seed")),
+    *(("explicit", (key,), f"schedule.{key}") for key in ("M", "D", "horizon")),
+    ("explicit", ("I_seq", 1, 0), "schedule.I_seq[1][0]"),
+    ("explicit", ("K_seq", 0, 0), "schedule.K_seq[0][0]"),
+    ("explicit", ("c", "0", "1"), "schedule.c[0][1]"),
+    ("explicit", ("d", "0", "1"), "schedule.d[0][1]"),
+    ("lasso", ("coupling", 0, "k"), "problem.coupling[0].k"),
+    ("lasso", ("coupling", 0, "i"), "problem.coupling[0].i"),
+    ("lasso", ("signature", "primal_dims", 0), "problem.signature.primal_dims[0]"),
+    ("lasso", ("signature", "dual_dims", 0), "problem.signature.dual_dims[0]"),
+    ("lasso", ("A_ops", 0, "dim"), "problem.A_ops[0].dim"),
+    ("zero_op", ("A_ops", 0, "dim"), "problem.A_ops[0].dim"),
+]
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["fraction", "boolean", "string"])
+@pytest.mark.parametrize("base, path, name", _INTEGER_FIELDS,
+                         ids=[f"{base}-{name}" for base, _, name in _INTEGER_FIELDS])
+def test_integer_fields_must_be_json_integers(base, path, name, bad):
+    # each used to be truncated or coerced: horizon 2.7 -> 2, "m": true -> 1, K_seq 0.7 -> 0
+    parse = fileio.schedule_from_dict if name.startswith("schedule") \
+        else fileio.problem_from_dict
+    data = _INTEGER_BASES[base]()
+    parse(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(SchemaError, match=re.escape(name) + ": expected an integer"):
+        parse(data)

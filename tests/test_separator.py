@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit.blockspace import inner, pd_inner, pd_norm
+from pdsplit.blockspace import pd_inner, pd_norm
 from pdsplit.errors import ConfigError
 from pdsplit.operators import GraphPoint, resolvent
-from pdsplit.separator import (GraphTable, build_projector, build_separator,
-                               detect_exact_solution, halfspace_violation, kt_residual,
-                               project_halfspace)
+from pdsplit.separator import (build_projector, build_separator, detect_exact_solution,
+                               halfspace_violation, kt_residual, project_halfspace)
 
-from conftest import make_lasso_problem, make_linear_primal_problem, make_scalar_problem, point
+from conftest import (graph_table, make_lasso_problem, make_linear_primal_problem,
+                      make_scalar_problem, point)
 
 
 def scalar_problem():
@@ -80,9 +80,7 @@ def test_projection_properties(proj, sig):
         u, v = sample(), sample()
         pu, pv = proj.project(u), proj.project(v)
         assert pd_norm(proj.project(pu) - pu) <= 1e-10
-        lhs = inner(pu.x, v.x) + inner(pu.v_star, v.v_star)
-        rhs = inner(u.x, pv.x) + inner(u.v_star, pv.v_star)
-        assert abs(lhs - rhs) <= 1e-10
+        assert abs(pd_inner(pu, v) - pd_inner(u, pv)) <= 1e-10
         assert pd_norm(pu) <= pd_norm(u) + 1e-10
 
 
@@ -113,7 +111,7 @@ def test_build_separator_hand_example():
     prob = scalar_problem()
     a = [GraphPoint(np.zeros(1), np.zeros(1))]
     b = [GraphPoint(np.array([1.0]), np.array([1.0]))]
-    sep, raw = build_separator(GraphTable.from_points(a, b), prob)
+    sep, raw = build_separator(graph_table(a, b), prob)
     assert raw.x.blocks[0][0] == 1.0 and raw.v_star.blocks[0][0] == 1.0
     assert sep.level == 1.0 and sep.norm_sq == 2.0
 
@@ -121,7 +119,7 @@ def test_build_separator_hand_example():
 def test_build_separator_zero_points():
     prob = scalar_problem()
     gp = [GraphPoint(np.zeros(1), np.zeros(1))]
-    sep, raw = build_separator(GraphTable.from_points(gp, gp), prob)
+    sep, raw = build_separator(graph_table(gp, gp), prob)
     assert sep.level == 0.0 and sep.norm_sq == 0.0
     assert pd_norm(raw) == 0.0
 
@@ -137,7 +135,7 @@ def test_separator_never_cuts_fixture():
         a = [GraphPoint(a_pt, np.array([ua]) - a_pt)]
         b_pt = resolvent(prob.B_ops[0], 1.0, np.array([ub]))
         b = [GraphPoint(b_pt, np.array([ub]) - b_pt)]
-        sep, _ = build_separator(GraphTable.from_points(a, b), prob)
+        sep, _ = build_separator(graph_table(a, b), prob)
         gap = pd_inner(z, sep.normal) - sep.level
         assert gap <= 1e-10
 
@@ -150,8 +148,8 @@ def test_separator_normal_lies_on_subspace():
         ub = rng.normal(size=2) * 3
         a_pt = resolvent(prob.A_ops[0], 1.0, ua)
         b_pt = resolvent(prob.B_ops[0], 1.0, ub)
-        sep, _ = build_separator(GraphTable.from_points([GraphPoint(a_pt, ua - a_pt)],
-                                                        [GraphPoint(b_pt, ub - b_pt)]), prob)
+        sep, _ = build_separator(graph_table([GraphPoint(a_pt, ua - a_pt)],
+                                             [GraphPoint(b_pt, ub - b_pt)]), prob)
         assert prob.projector.residual(sep.normal) <= 1e-10
         assert abs(sep.norm_sq - pd_norm(sep.normal) ** 2) <= 1e-12 * (1 + sep.norm_sq)
 
