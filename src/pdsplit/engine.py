@@ -26,9 +26,9 @@ import numpy as np
 from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm,
                          pd_norm_sq)
 from .errors import ConfigError, InconsistencyError, InvariantViolation
-from .operators import (MEMBERSHIP_TOL, GraphPoint, InexactnessBudget, graph_point_dual,
-                        graph_point_primal, membership_residual, validate_inexact_dual,
-                        validate_inexact_primal)
+from .operators import (MEMBERSHIP_TOL, GraphPoint, InexactnessBudget, finite_number,
+                        graph_point_dual, graph_point_primal, membership_residual,
+                        validate_inexact_dual, validate_inexact_primal)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
@@ -87,13 +87,12 @@ class SolverConfig:
         if self.mode not in ("fejer", "haugazeau"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         for name in ("epsilon", "eps_prox"):
-            if not 0.0 < _number(name, getattr(self, name)) < 1.0:
+            if not 0.0 < finite_number(name, getattr(self, name)) < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         perturb = self.perturbation or PerturbationRule(seed=0, scale=0.0)
         for name, value in (("resid_tol", self.resid_tol), ("tau_zero_tol", self.tau_zero_tol),
                             ("exact_tol", self.exact_tol), ("perturbation.scale", perturb.scale)):
-            if not math.isfinite(_number(name, value)):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            finite_number(name, value)
         for name, value, low in (("max_iter", self.max_iter, 0),
                                  ("trace_stride", self.trace_stride, 1),
                                  ("perturbation.seed", perturb.seed, 0)):
@@ -131,21 +130,16 @@ class Rules:
         return self.relaxation[min(n, len(self.relaxation) - 1)]
 
 
-def _number(name: str, value, kind: str = "a number") -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return float(value)
-
-
 def _rule(name: str, rule, count: Optional[int], lo: float, hi: float) -> tuple[float, ...]:
     """A number or a non-empty list/tuple of numbers, as `count` floats (any count if None)."""
     if isinstance(rule, (list, tuple)):
         if not rule or count not in (None, len(rule)):
             raise ConfigError(f"{name} list has {len(rule)} entries, "
                               f"expected {count or 'at least 1'}")
-        values = tuple(_number(f"{name}[{j}]", v) for j, v in enumerate(rule))
+        values = tuple(finite_number(f"{name}[{j}]", v) for j, v in enumerate(rule))
     else:
-        values = (_number(name, rule, "a number or a non-empty list of numbers"),) * (count or 1)
+        values = (finite_number(name, rule, "a number or a non-empty list of numbers"),) \
+            * (count or 1)
     for v in values:
         if not lo <= v <= hi:
             raise ConfigError(f"{name}={v} outside [{lo}, {hi}]")
@@ -192,8 +186,11 @@ class EngineState:
     @classmethod
     def initial(cls, problem: ProblemSpec, config: SolverConfig,
                 sched: ControlSchedule) -> "EngineState":
-        """The state before iteration 0, once the config has been validated."""
+        """The state before iteration 0, once the config is validated and the schedule certified."""
         rules = config.validate(problem)
+        cert = validate(sched, problem.m, problem.p)
+        if not cert.certified:
+            raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
         start = config.start or PrimalDualPoint.zeros(problem.signature)
         current = problem.projector.project(start)
         return cls(n=0, current=current, anchor=current,
@@ -399,9 +396,6 @@ def run(problem: ProblemSpec, config: SolverConfig,
     if sched is None:
         sched = synchronous(problem.m, problem.p)
     state = EngineState.initial(problem, config, sched)
-    cert = validate(sched, problem.m, problem.p)
-    if not cert.certified:
-        raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
     metadata = {
         "mode": config.mode,
         "epsilon": config.epsilon,

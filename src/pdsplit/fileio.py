@@ -85,25 +85,20 @@ def _finite(value, where: str, key=None):
     raise SchemaError(f"{where if key is None else f'{where}.{key}'}: non-finite value")
 
 
-def _number(value, where: str, key, integer: bool = False):
-    """A finite JSON number (an integer if asked); strings and booleans are rejected."""
-    if type(value) is int or (type(value) is float and not integer and math.isfinite(value)):
-        return value
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise SchemaError(f"{where}.{key}: expected {kind}, got {value!r}")
-    if not math.isfinite(value):
-        raise SchemaError(f"{where}.{key}: non-finite value {value!r}")
+def _integer(value, where: str, key):
+    """A JSON integer; fractions, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise SchemaError(f"{where}.{key}: expected an integer, got {value!r}")
     return value
 
 
 def _int_field(obj: dict, key: str, where: str) -> int:
-    return _number(_need(obj, key, where), where, key, integer=True)
+    return _integer(_need(obj, key, where), where, key)
 
 
 def _ints(values, where: str, key: str) -> tuple[int, ...]:
     """A list of JSON integers as a tuple; entry j that is not one is named key[j]."""
-    return tuple(_number(v, where, f"{key}[{j}]", integer=True) for j, v in enumerate(values))
+    return tuple(_integer(v, where, f"{key}[{j}]") for j, v in enumerate(values))
 
 
 # ---------------------------------------------------------------- operators
@@ -115,25 +110,31 @@ def _op_to_dict(op: MonotoneOp) -> dict:
     return out
 
 
+# kind: (constructor, required fields in call order, optional keyword fields)
+_OP_KINDS = {"zero": (ops.zero, ("dim",), ()),
+             "l1_norm": (ops.l1_norm, ("dim",), ("weight",)),
+             "box_indicator": (ops.box_indicator, ("lo", "hi"), ()),
+             "normal_cone_box": (ops.normal_cone_box, ("lo", "hi"), ()),
+             "quadratic": (ops.quadratic, ("Q",), ("q",)),
+             "affine_monotone": (ops.affine_monotone, ("M",), ("c",))}
+
+
 def _op_from_dict(d: dict, where: str) -> MonotoneOp:
     kind = _need(d, "kind", where)
+    if not isinstance(kind, str) or kind not in _OP_KINDS:
+        raise SchemaError(f"{where}: unknown operator kind {kind!r}")
+    make, required, optional = _OP_KINDS[kind]
+    unknown = set(d) - {"kind", "dim", *required, *optional}
+    if unknown:
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown)} for kind {kind!r}")
     with _parsing(where):
-        for name, value in d.items():
-            if name not in ("kind", "dim"):
-                _finite(value, where, name)
-        if kind == "zero":
-            return ops.zero(_int_field(d, "dim", where))
-        if kind == "l1_norm":
-            return ops.l1_norm(_int_field(d, "dim", where), d.get("weight", 1.0))
-        if kind == "box_indicator":
-            return ops.box_indicator(_need(d, "lo", where), _need(d, "hi", where))
-        if kind == "normal_cone_box":
-            return ops.normal_cone_box(_need(d, "lo", where), _need(d, "hi", where))
-        if kind == "quadratic":
-            return ops.quadratic(_need(d, "Q", where), d.get("q"))
-        if kind == "affine_monotone":
-            return ops.affine_monotone(_need(d, "M", where), d.get("c"))
-    raise SchemaError(f"{where}: unknown operator kind {kind!r}")
+        if "dim" in d:
+            _integer(d["dim"], where, "dim")
+        op = make(*(_finite(_need(d, key, where), where, key) for key in required),
+                  **{key: _finite(d[key], where, key) for key in optional if key in d})
+    if d.get("dim", op.dim) != op.dim:
+        raise SchemaError(f"{where}.dim: {d['dim']} differs from the operator's dimension {op.dim}")
+    return op
 
 
 # ------------------------------------------------------------------ problem
@@ -232,7 +233,7 @@ def _lag_table(data: dict, key: str, where: str) -> dict[tuple[int, int], int]:
     """Lag table `key` of a schedule, {block: {iteration: read iteration}} with string keys."""
     loc = f"{where}.{key}"
     with _parsing(loc):
-        return {(int(idx), int(n)): _number(val, where, f"{key}[{idx}][{n}]", integer=True)
+        return {(int(idx), int(n)): _integer(val, where, f"{key}[{idx}][{n}]")
                 for idx, per_n in _object(data.get(key, {}), loc).items()
                 for n, val in _object(per_n, f"{loc}[{idx!r}]").items()}
 
@@ -275,56 +276,32 @@ def write_schedule(s: ControlSchedule, path: PathLike) -> None:
 
 # ------------------------------------------------------------------- config
 
-_CONFIG_KEYS = {"mode", "epsilon", "relaxation", "gamma", "mu", "eps_prox",
-                "max_iter", "resid_tol", "tau_zero_tol", "exact_tol",
-                "trace_stride", "start", "inexact", "perturbation"}
-_CONFIG_NUMBERS = {"epsilon": False, "eps_prox": False, "resid_tol": False,  # name: integer
-                   "tau_zero_tol": False, "exact_tol": False, "max_iter": True, "trace_stride": True}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def config_from_dict(data: dict, where: str = "config") -> SolverConfig:
+    """The config a file describes; its values are checked by SolverConfig.validate."""
     unknown = set(_object(data, where)) - _CONFIG_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown config fields {sorted(unknown)}")
-    kwargs: dict = {}
-    for key, value in data.items():
-        if key in _CONFIG_NUMBERS:
-            kwargs[key] = _number(value, where, key, _CONFIG_NUMBERS[key])
-        elif key == "mode" or (key == "relaxation" and value is None):
-            kwargs[key] = value
-        elif key in ("relaxation", "gamma", "mu"):  # a number or a non-empty list of numbers
-            kwargs[key] = [_number(v, where, f"{key}[{j}]") for j, v in enumerate(value)] \
-                if isinstance(value, list) and value else _number(value, where, key)
+    kwargs = dict(data)
     if data.get("start") is not None:
         kwargs["start"] = _point_from_dict(data["start"], f"{where}.start")
-    if data.get("inexact") is not None:
-        loc = f"{where}.inexact"
-        with _parsing(loc):
-            kwargs["inexact"] = InexactnessBudget(
-                *(_number(_need(data["inexact"], key, loc), loc, key)
-                  for key in ("beta", "sigma", "delta", "zeta")))
-    if data.get("perturbation") is not None:
-        loc = f"{where}.perturbation"
-        kwargs["perturbation"] = PerturbationRule(
-            _number(_need(data["perturbation"], "seed", loc), loc, "seed", integer=True),
-            _number(_need(data["perturbation"], "scale", loc), loc, "scale"))
+    for key, make in (("inexact", InexactnessBudget), ("perturbation", PerturbationRule)):
+        if data.get(key) is not None:
+            loc = f"{where}.{key}"
+            with _parsing(loc):
+                kwargs[key] = make(*(_need(data[key], f.name, loc)
+                                     for f in dataclasses.fields(make)))
     return SolverConfig(**kwargs)
 
 
 def config_to_dict(config: SolverConfig) -> dict:
-    out: dict = {"mode": config.mode, "epsilon": config.epsilon,
-                 "gamma": config.gamma, "mu": config.mu,
-                 "eps_prox": config.eps_prox, "max_iter": config.max_iter,
-                 "resid_tol": config.resid_tol, "tau_zero_tol": config.tau_zero_tol,
-                 "exact_tol": config.exact_tol, "trace_stride": config.trace_stride}
-    if config.relaxation is not None:
-        out["relaxation"] = config.relaxation
+    values = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     if config.start is not None:
-        out["start"] = point_to_dict(config.start)
-    for name in ("inexact", "perturbation"):
-        if getattr(config, name) is not None:
-            out[name] = dataclasses.asdict(getattr(config, name))
-    return out
+        values["start"] = point_to_dict(config.start)
+    return {name: dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
+            for name, value in values.items() if value is not None}
 
 
 def parse_config(path: PathLike) -> SolverConfig:

@@ -2,12 +2,14 @@
 
 The registry is closed on purpose: six kinds, each with a closed-form or
 direct-solve resolvent, so every downstream guarantee can be tested
-exhaustively.  To extend, add a kind constructor and a branch in
-:func:`resolvent`.
+exhaustively.  To extend, add a kind constructor, a branch in
+:func:`resolvent` and the kind's fields in the table that fileio reads.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +31,19 @@ class MonotoneOp:
 
     def __repr__(self) -> str:
         return f"MonotoneOp(kind={self.kind!r}, dim={self.dim})"
+
+
+def finite_number(name: str, value, kind: str = "a number") -> float:
+    """value as a float; a ConfigError naming `name` unless it is a finite real, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is non-finite: an integer too large for a float") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} is non-finite: {out}")
+    return out
 
 
 def _as_bound(v, dim: int, name: str) -> np.ndarray:
@@ -148,7 +163,8 @@ def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> 
 
     dual in Op(point) iff point = resolvent(op, 1, point + dual).
     """
-    return float(np.linalg.norm(point - resolvent(op, 1.0, point + dual)))
+    d = point - resolvent(op, 1.0, point + dual)
+    return math.sqrt(float(d @ d))  # what np.linalg.norm computes, without its overhead
 
 
 def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
@@ -206,6 +222,8 @@ class InexactnessBudget:
     zeta: float
 
     def __post_init__(self) -> None:
+        for name in ("beta", "sigma", "delta", "zeta"):
+            finite_number(name, getattr(self, name))
         if not self.beta > 0:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
         if not 0 <= self.sigma < 1:

@@ -14,6 +14,7 @@ window, which preserves certification.  Block indices are 0-based.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,19 +127,30 @@ def synchronous(m: int, p: int) -> ControlSchedule:
     return ControlSchedule(1, [tuple(range(m))], [tuple(range(p))], M=1, D=0)
 
 
+def _at_least(*checks) -> None:
+    """ConfigError for the first (name, value, low) whose value is below low."""
+    for name, value, low in checks:
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+
+
 def _lag_value(pattern: tuple, n: int) -> int:
-    kind = pattern[0]
-    if kind == "zero":
+    if pattern[0] == "zero":
         return n
-    if kind == "constant":
+    if pattern[0] == "constant":
         return max(0, n - pattern[1])
-    if kind == "sawtooth":
-        return max(0, n - (n % (pattern[1] + 1)))
-    raise ConfigError(f"unknown lag pattern {pattern!r}")
+    return max(0, n - (n % (pattern[1] + 1)))  # sawtooth
 
 
-def _pattern_depth(pattern: tuple) -> int:
-    return 0 if pattern[0] == "zero" else int(pattern[1])
+def _pattern_depth(pattern) -> int:
+    """The read lag bound D of a lag pattern, once its shape and value are checked."""
+    shape = (pattern[0], len(pattern)) if isinstance(pattern, (tuple, list)) and pattern else None
+    if shape not in (("zero", 1), ("constant", 2), ("sawtooth", 2)):
+        raise ConfigError(f"unknown or malformed lag pattern {pattern!r}")
+    depth = 0 if shape[0] == "zero" else pattern[1]
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
+        raise ConfigError(f"lag pattern {pattern!r}: the lag must be an integer >= 0")
+    return int(depth)
 
 
 def periodic(m: int, p: int, group_size: int, horizon: int,
@@ -150,10 +162,8 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
     generated pattern.  lag_pattern is ("zero",), ("constant", d), or
     ("sawtooth", D).
     """
-    if group_size < 1:
-        raise ConfigError(f"group_size must be >= 1, got {group_size}")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    _at_least(("m", m, 1), ("p", p, 1), ("group_size", group_size, 1), ("horizon", horizon, 1))
+    D = _pattern_depth(lag_pattern)
 
     def sweep(count: int) -> list[tuple[int, ...]]:
         gs = min(group_size, count)
@@ -164,7 +174,6 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
         return seq
 
     M = max(-(-m // min(group_size, m)), -(-p // min(group_size, p)))
-    D = _pattern_depth(lag_pattern)
     c = {}
     d = {}
     I_seq = sweep(m)
@@ -191,12 +200,8 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     iterations, which guarantees window coverage.  Lags are uniform over the
     admissible range.  Identical seeds give identical schedules.
     """
-    if M < 1:
-        raise ConfigError(f"M must be >= 1, got {M}")
-    if D < 0:
-        raise ConfigError(f"D must be >= 0, got {D}")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    _at_least(("m", m, 1), ("p", p, 1), ("M", M, 1), ("D", D, 0), ("horizon", horizon, 1),
+              ("seed", seed, 0))
     rng = np.random.default_rng(seed)
 
     def draw(count: int) -> list[tuple[int, ...]]:

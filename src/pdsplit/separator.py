@@ -9,7 +9,6 @@ step of both engines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,7 +17,7 @@ import numpy as np
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
                          adjoint_block, forward_block, pd_inner, pd_norm, pd_norm_sq)
 from .errors import ConfigError, DimensionError
-from .operators import MonotoneOp, resolvent
+from .operators import MonotoneOp, membership_residual
 
 SUBSPACE_VARIANTS = ("full", "nullspace", "linear_primal", "zero_sum_dual")
 
@@ -315,10 +314,6 @@ class KTResidual:
         return f"primal condition {j}" if j < m else f"dual condition {j - m}"
 
 
-def _norm(d: np.ndarray) -> float:
-    return math.sqrt(float(d @ d))  # what np.linalg.norm computes, without its overhead
-
-
 def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     """Residuals of the coupled optimality conditions at a primal-dual pair.
 
@@ -329,11 +324,9 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     """
     L, sig = problem.coupling, problem.signature
     x, v = point.x.data, point.v_star.data
-    primal, dual = [], []
-    for i, (op, sl) in enumerate(zip(problem.A_ops, sig.primal_slices)):
-        w = problem.z_star.data[sl] - adjoint_block(L, point.v_star, i)
-        primal.append(_norm(x[sl] - resolvent(op, 1.0, x[sl] + w)))
-    for k, (op, sl) in enumerate(zip(problem.B_ops, sig.dual_slices)):
-        u = forward_block(L, point.x, k) - problem.r.data[sl]
-        dual.append(_norm(u - resolvent(op, 1.0, u + v[sl])))
-    return KTResidual(tuple(primal), tuple(dual))
+    primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl]
+                                       - adjoint_block(L, point.v_star, i))
+                   for i, (op, sl) in enumerate(zip(problem.A_ops, sig.primal_slices)))
+    dual = tuple(membership_residual(op, forward_block(L, point.x, k) - problem.r.data[sl], v[sl])
+                 for k, (op, sl) in enumerate(zip(problem.B_ops, sig.dual_slices)))
+    return KTResidual(primal, dual)

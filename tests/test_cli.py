@@ -175,6 +175,15 @@ def test_gen_schedule_then_validate(workdir, capsys):
     assert code == 0
     sched = fileio.parse_schedule(out)
     assert sched.M == 2 and sched.D == 2
+    for bad in (["--type", "periodic", "--m", "-1", "--p", "1"],  # was an AssertionError
+                ["--type", "periodic", "--m", "1", "--p", "1",
+                 "--lag-pattern", "constant", "--lag-value", "-1"],  # was an AssertionError
+                ["--type", "random", "--m", "0", "--p", "1"],
+                ["--type", "random", "--m", "1", "--p", "1", "--seed", "-1"]):  # a ValueError
+        capsys.readouterr()
+        assert main(["gen-schedule", *bad, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_run_trace_reproducible_bytes(workdir, tmp_path):
@@ -256,6 +265,8 @@ def test_run_rejects_non_finite_problem_data(workdir, tmp_path, capsys, path, ba
     (("epsilon",), math.nan),
     (("resid_tol",), math.inf),
     (("relaxation",), [1.0, -math.inf]),
+    pytest.param(("gamma",), 10**400, id="gamma-huge-int"),  # was an OverflowError traceback
+    pytest.param(("epsilon",), -10**400, id="epsilon-huge-int"),
 ])
 def test_run_rejects_non_finite_config_data(workdir, tmp_path, capsys, path, bad):
     assert _run_with(workdir, tmp_path, config=_set(path, bad)) == 1

@@ -299,6 +299,11 @@ def test_run_rejects_uncertified_schedule(l1_identity_problem):
     assert not cert.certified
     with pytest.raises(ConfigError):
         ps.run(l1_identity_problem, fejer_config(), bad)
+    cfg = fejer_config()
+    with pytest.raises(ConfigError):  # a stepwise loop used to end in a bare LookupError
+        state = EngineState.initial(l1_identity_problem, cfg, bad)
+        for _ in range(cfg.max_iter):
+            advance(state, l1_identity_problem, bad, cfg)
 
 
 def test_start_projected_onto_subspace():

@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.engine import IterationRecord
-from pdsplit.errors import SchemaError
+from pdsplit.errors import ConfigError, SchemaError
 
 from conftest import (make_lasso_problem, make_linear_primal_problem, make_scalar_problem,
                       random_problem)
@@ -179,10 +181,20 @@ def test_parse_errors_name_the_field():
     with pytest.raises(SchemaError, match=r"schedule\.horizon"):
         fileio.schedule_from_dict({"M": 1, "D": 0, "horizon": "many",
                                    "I_seq": [[0]], "K_seq": [[0]]})
-    with pytest.raises(SchemaError, match=r"config\.trace_stride"):
-        fileio.config_from_dict({"trace_stride": 1.5})
-    with pytest.raises(SchemaError, match=r"config\.gamma"):
-        fileio.config_from_dict({"gamma": []})
+    lasso = fileio.problem_to_dict(make_lasso_problem())
+    for side, edit, name in (("A_ops", {"wieght": 5.0}, r"A_ops\[0\]: unknown fields \['wieght'\]"),
+                             ("B_ops", {"dim": 7}, r"B_ops\[0\]\.dim: 7 differs")):
+        with pytest.raises(SchemaError, match=r"problem\." + name):  # both used to load
+            fileio.problem_from_dict({**lasso, side: [{**lasso[side][0], **edit}]})
+    periodic = {"type": "periodic", "m": 1, "p": 1, "group_size": 1, "horizon": 4}
+    for edit, name in (({"m": 0}, "m must be >= 1"),  # these two were ZeroDivisionErrors
+                       ({"lag": {"pattern": "sawtooth", "max": -1}}, "lag pattern")):
+        with pytest.raises(SchemaError, match=r"schedule: " + name):
+            fileio.schedule_from_dict({**periodic, **edit})
+    # config values are checked once, by SolverConfig.validate
+    for data, name in (({"trace_stride": 1.5}, "trace_stride"), ({"gamma": []}, "gamma")):
+        with pytest.raises(ConfigError, match=name):
+            fileio.config_from_dict(data).validate(make_lasso_problem())
 
 
 _INTEGER_BASES = {
@@ -234,3 +246,57 @@ def test_integer_fields_must_be_json_integers(base, path, name, bad):
     target[path[-1]] = bad
     with pytest.raises(SchemaError, match=re.escape(name) + ": expected an integer"):
         parse(data)
+
+
+def _fuzz_bases():
+    """Valid lasso problem, config and schedule data; the schedules are for m = p = 1."""
+    config = ps.SolverConfig(relaxation=[1.5, 1.9], gamma=[1.0], mu=[0.5], max_iter=5,
+                             start=ps.PrimalDualPoint(ps.BlockVector([[0.5, 0.0]]),
+                                                      ps.BlockVector([[0.0, 0.0]])),
+                             inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
+                             perturbation=ps.PerturbationRule(seed=9, scale=0.25))
+    return {
+        "problem": fileio.problem_to_dict(make_lasso_problem()),
+        "config": fileio.config_to_dict(config),
+        "periodic": {"type": "periodic", "m": 1, "p": 1, "group_size": 1, "horizon": 8,
+                     "lag": {"pattern": "sawtooth", "max": 2}},
+        "random": {"type": "random", "m": 1, "p": 1, "M": 2, "D": 1, "horizon": 8, "seed": 4},
+        "explicit": fileio.schedule_to_dict(ps.random_admissible(1, 1, 2, 2, 6, seed=3)),
+    }
+
+
+def _leaves(data, path=()):
+    """(path, value) of every number, string, boolean or null in nested JSON data."""
+    if isinstance(data, (dict, list)):
+        for key, value in (data.items() if isinstance(data, dict) else enumerate(data)):
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, data
+
+
+_FUZZ_LEAVES = [(base, path, type(value) is float)
+                for base, data in _fuzz_bases().items() for path, value in _leaves(data)]
+_BAD = (-1, 0, 2.5, True, "1", None, [], {})  # small, so no mutation asks for a big allocation
+_BAD_FLOATS = (float("nan"), float("inf"), float("-inf"), 10**400)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.sampled_from(_FUZZ_LEAVES).flatmap(lambda leaf: st.tuples(
+    st.just(leaf), st.sampled_from(_BAD + (_BAD_FLOATS if leaf[2] else ())))))
+def test_readers_raise_only_package_errors(mutation):
+    # one leaf of one valid input is replaced; reading the inputs and setting up a run
+    # may fail, but only with a PdsplitError (a schema or config error), never another
+    (base, path, _), bad = mutation
+    data = _fuzz_bases()
+    target = data[base]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    schedule = data[base if base in ("periodic", "random") else "explicit"]
+    try:
+        problem = fileio.problem_from_dict(data["problem"])
+        config = fileio.config_from_dict(data["config"])
+        sched = fileio.schedule_from_dict(schedule)
+        ps.EngineState.initial(problem, config, sched)
+    except ps.PdsplitError:
+        pass
