@@ -1,8 +1,8 @@
 """Command-line interface: run solves, generate and validate schedules,
 verify candidate solutions, and compare traces.
 
-Exit codes: 0 solved/valid, 1 I/O or schema error, 2 iteration budget
-exhausted, 3 validation failure, 4 inconsistency/infeasibility signal.
+Exit codes: 0 solved/valid, 1 usage, I/O or schema error, 2 iteration
+budget exhausted, 3 validation failure, 4 inconsistency/infeasibility signal.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import fileio
 from .engine import run
-from .errors import InconsistencyError, PdsplitError, SchemaError
+from .errors import ConfigError, InconsistencyError, PdsplitError
 from .schedule import periodic, random_admissible, validate
 from .separator import kt_residual
 
@@ -27,6 +27,13 @@ EXIT_INCONSISTENT = 4
 
 _STATUS_EXIT = {"solved": EXIT_OK, "exact_point": EXIT_OK,
                 "max_iter": EXIT_MAX_ITER, "inconsistent": EXIT_INCONSISTENT}
+
+
+def _tolerance(tol: float) -> float:
+    """The --tol of check-kt and compare, once it is a finite number >= 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol}")
+    return tol
 
 
 def _cmd_run(args) -> int:
@@ -56,6 +63,7 @@ def _cmd_validate_schedule(args) -> int:
 
 
 def _cmd_check_kt(args) -> int:
+    tol = _tolerance(args.tol)
     problem = fileio.parse_problem(args.problem)
     point = fileio.parse_point(args.point)
     res = kt_residual(problem, point)
@@ -63,15 +71,13 @@ def _cmd_check_kt(args) -> int:
         print(f"primal[{i}]: {v:.6e}")
     for k, v in enumerate(res.dual):
         print(f"dual[{k}]: {v:.6e}")
-    print(f"max: {res.max:.6e} (tol {args.tol:.6e})")
-    return EXIT_OK if res.max <= args.tol else EXIT_INVALID
+    print(f"max: {res.max:.6e} (tol {tol:.6e})")
+    return EXIT_OK if res.max <= tol else EXIT_INVALID
 
 
 def _cmd_compare(args) -> int:
-    if not 0.0 <= args.tol < math.inf:
-        print(f"error: --tol must be a finite number >= 0, got {args.tol}", file=sys.stderr)
-        return EXIT_IO
-    if args.tol == 0.0:
+    tol = _tolerance(args.tol)
+    if tol == 0.0:
         with open(args.trace_a, "rb") as fa, open(args.trace_b, "rb") as fb:
             lines_a = fa.read().split(b"\n")
             lines_b = fb.read().split(b"\n")
@@ -91,14 +97,14 @@ def _cmd_compare(args) -> int:
         return EXIT_INVALID
     for idx, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
         for col, (va, vb) in enumerate(zip(ra, rb)):
-            if not (va == vb or abs(va - vb) <= args.tol or math.isnan(va) and math.isnan(vb)):
+            if not (va == vb or abs(va - vb) <= tol or math.isnan(va) and math.isnan(vb)):
                 print(f"diverges at row {idx}, column {header_a[col]}: "
                       f"{va:.17g} vs {vb:.17g}")
                 return EXIT_INVALID
     if len(rows_a) != len(rows_b):
         print(f"diverges at row {min(len(rows_a), len(rows_b)) + 1}: length mismatch")
         return EXIT_INVALID
-    print(f"equal within {args.tol:g}")
+    print(f"equal within {tol:g}")
     return EXIT_OK
 
 
@@ -113,8 +119,16 @@ def _cmd_gen_schedule(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since exit code 2 means the iteration budget ran out."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdsplit",
         description="Block-iterative primal-dual splitting solver for coupled "
                     "monotone inclusions")
@@ -168,13 +182,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except PdsplitError as exc:
+    except (PdsplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -18,27 +18,22 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm,
                          pd_norm_sq)
-from .errors import ConfigError, InconsistencyError, InvariantViolation
-from .operators import (MEMBERSHIP_TOL, GraphPoint, InexactnessBudget, finite_number,
-                        graph_point_dual, graph_point_primal, membership_residual,
-                        validate_inexact_dual, validate_inexact_primal)
+from .errors import ConfigError, InconsistencyError
+from .operators import (GraphPoint, InexactnessBudget, finite_number, graph_point_dual,
+                        graph_point_primal, validate_inexact_dual, validate_inexact_primal)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
 Rule = Union[float, Sequence[float]]
 
-FEJER_TOL = 1e-10
-ANCHOR_TOL = 1e-10
-HALFSPACE_TOL = 1e-10
-SUBSPACE_ITERATE_TOL = 1e-9
 RHO_TOL = 1e-12
 
 
@@ -171,14 +166,21 @@ class IterationRecord:
 
 @dataclass
 class EngineState:
-    """Mutable per-run state: iterate, anchor, recycled graph points, buffers."""
+    """Per-run state: validated inputs, iterate, anchor, recycled graph points, buffers.
 
+    `advance` reads all its inputs here: problem, sched, a copy of config (the
+    caller's may change later) and the rules config.validate returned.
+    """
+
+    problem: ProblemSpec
+    config: SolverConfig
+    sched: ControlSchedule
+    rules: Rules
     n: int
     current: PrimalDualPoint
     anchor: PrimalDualPoint
     graph: GraphTable
     buffer: LagBuffer
-    rules: Rules
     perturb: Optional[_PerturbState] = None
     trace: list[IterationRecord] = field(default_factory=list)
     last_record: Optional[IterationRecord] = None
@@ -193,9 +195,8 @@ class EngineState:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
         start = config.start or PrimalDualPoint.zeros(problem.signature)
         current = problem.projector.project(start)
-        return cls(n=0, current=current, anchor=current,
-                   graph=GraphTable.zeros(problem.signature),
-                   buffer=LagBuffer(sched.D, current), rules=rules,
+        return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
+                   graph=GraphTable.zeros(problem.signature), buffer=LagBuffer(sched.D, current),
                    perturb=_PerturbState(config.perturbation) if config.perturbation else None)
 
 
@@ -234,30 +235,28 @@ class _PerturbState:
         return exact
 
 
-def _fresh_primal(problem: ProblemSpec, config: SolverConfig,
-                  perturb: Optional[_PerturbState], i: int, gamma: float,
-                  past: PrimalDualPoint) -> GraphPoint:
+def _fresh_primal(state: EngineState, i: int, past: PrimalDualPoint) -> GraphPoint:
+    problem, gamma, budget = state.problem, state.rules.gamma[i], state.config.inexact
     lstar = adjoint_block(problem.coupling, past.v_star, i)
     sl = problem.signature.primal_slices[i]
     op, zst, x_i = problem.A_ops[i], problem.z_star.data[sl], past.x.data[sl]
     make = functools.partial(graph_point_primal, op, zst, gamma, x_i, lstar)
-    if perturb is None:
+    if state.perturb is None:
         return make()
-    return perturb.apply(make(), x_i, config.inexact.beta, make, lambda gp: validate_inexact_primal(
-        op, gp, x_i, lstar, zst, gamma, config.inexact))
+    return state.perturb.apply(make(), x_i, budget.beta, make, lambda gp: validate_inexact_primal(
+        op, gp, x_i, lstar, zst, gamma, budget))
 
 
-def _fresh_dual(problem: ProblemSpec, config: SolverConfig,
-                perturb: Optional[_PerturbState], k: int, mu: float,
-                past: PrimalDualPoint) -> GraphPoint:
+def _fresh_dual(state: EngineState, k: int, past: PrimalDualPoint) -> GraphPoint:
+    problem, mu, budget = state.problem, state.rules.mu[k], state.config.inexact
     l_k = forward_block(problem.coupling, past.x, k)
     sl = problem.signature.dual_slices[k]
     op, r_k, v_k = problem.B_ops[k], problem.r.data[sl], past.v_star.data[sl]
     make = functools.partial(graph_point_dual, op, r_k, mu, l_k, v_k)
-    if perturb is None:
+    if state.perturb is None:
         return make()
-    return perturb.apply(make(), l_k, config.inexact.delta, make, lambda gp: validate_inexact_dual(
-        op, gp, l_k, v_k, r_k, mu, config.inexact))
+    return state.perturb.apply(make(), l_k, budget.delta, make, lambda gp: validate_inexact_dual(
+        op, gp, l_k, v_k, r_k, mu, budget))
 
 
 def iteration_record(n: int, theta: float, tau: float, violation: float,
@@ -299,60 +298,29 @@ def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
     return current + (nu / rho) * (chi * diff_ay + mu * (candidate - current))
 
 
-def _check_step_invariants(problem: ProblemSpec, config: SolverConfig,
-                           state: EngineState, sep, nxt: PrimalDualPoint) -> None:
-    """Test-mode assertions evaluated every iteration."""
-    graph, sig = state.graph, problem.signature
-    for side, ops, slices, points, args, duals in (
-            ("primal", problem.A_ops, sig.primal_slices, graph.a, graph.a,
-             graph.a_dual + problem.z_star.data),
-            ("dual", problem.B_ops, sig.dual_slices, graph.b, graph.b - problem.r.data,
-             graph.b_dual)):
-        for idx, (op, sl) in enumerate(zip(ops, slices)):
-            res = membership_residual(op, args[sl], duals[sl])
-            if res > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(points[sl]))):
-                raise InvariantViolation(
-                    f"{side} graph point {idx} off its graph at n={state.n}: {res:.3e}")
-    for j, z in enumerate(problem.known_Z_points):
-        gap = pd_inner(z, sep.normal) - sep.level
-        if gap > HALFSPACE_TOL:
-            raise InvariantViolation(
-                f"half-space at n={state.n} cuts off fixture solution {j} by {gap:.3e}")
-        if config.mode == "fejer":
-            if pd_norm(nxt - z) > pd_norm(state.current - z) + FEJER_TOL:
-                raise InvariantViolation(
-                    f"distance to fixture solution {j} increased at n={state.n}")
-    if config.mode == "haugazeau":
-        if pd_norm(nxt - state.anchor) < pd_norm(state.current - state.anchor) - ANCHOR_TOL:
-            raise InvariantViolation(f"anchor distance decreased at n={state.n}")
-    if problem.projector.residual(nxt) > SUBSPACE_ITERATE_TOL:
-        raise InvariantViolation(f"iterate left the subspace at n={state.n}")
-
-
-def advance(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
-            config: SolverConfig, check_invariants: bool = False):
-    """One iteration of the engine config.mode names, from a state made by EngineState.initial.
+def advance(state: EngineState):
+    """One iteration of the engine state.config.mode names, on a state made by EngineState.initial.
 
     Returns None, or the run's terminal (status, point, message): "solved"
     once the residuals pass the stopping test (they certify the iterate the
     step started from), "exact_point" or "inconsistent".
     """
-    n = state.n
-    current = state.current
-    graph, sig, rules = state.graph, problem.signature, state.rules
+    n, current = state.n, state.current
+    problem, sched, config = state.problem, state.sched, state.config
+    graph, sig = state.graph, problem.signature
     I_n, K_n = sched.blocks_at(n)
     for i in I_n:  # fresh points overwrite their blocks; the others are recycled
         past = state.buffer.get(sched.lag_primal(i, n))
-        gp = _fresh_primal(problem, config, state.perturb, i, rules.gamma[i], past)
+        gp = _fresh_primal(state, i, past)
         graph.a[sig.primal_slices[i]], graph.a_dual[sig.primal_slices[i]] = gp.point, gp.dual
     for k in K_n:
         past = state.buffer.get(sched.lag_dual(k, n))
-        gp = _fresh_dual(problem, config, state.perturb, k, rules.mu[k], past)
+        gp = _fresh_dual(state, k, past)
         graph.b[sig.dual_slices[k]], graph.b_dual[sig.dual_slices[k]] = gp.point, gp.dual
     sep, raw = build_separator(graph, problem)
     exact = detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
     violation = halfspace_violation(current, sep)
-    theta, nxt = project_halfspace(current, sep, rules.lam(n), config.tau_zero_tol)
+    theta, nxt = project_halfspace(current, sep, state.rules.lam(n), config.tau_zero_tol)
     if config.mode == "haugazeau":
         try:
             nxt = haugazeau_update(state.anchor, current, nxt)
@@ -369,8 +337,6 @@ def advance(state: EngineState, problem: ProblemSpec, sched: ControlSchedule,
     if exact is not None:
         state.n = n + 1
         return "exact_point", exact, f"separator normal vanished at iteration {n}"
-    if check_invariants:
-        _check_step_invariants(problem, config, state, sep, nxt)
     state.current = nxt
     state.buffer.push(n + 1, nxt)
     state.n = n + 1
@@ -386,8 +352,7 @@ def _describe_rule(rule, per: str = "per-block", default: Optional[float] = None
 
 
 def run(problem: ProblemSpec, config: SolverConfig,
-        sched: Optional[ControlSchedule] = None,
-        check_invariants: bool = False) -> RunResult:
+        sched: Optional[ControlSchedule] = None) -> RunResult:
     """Iterate until the residual test, an exact solution, or the budget.
 
     Stops when the sum of the four residuals drops below
@@ -407,7 +372,7 @@ def run(problem: ProblemSpec, config: SolverConfig,
         "schedule_D": sched.D,
     }
     for _ in range(config.max_iter):
-        terminal = advance(state, problem, sched, config, check_invariants)
+        terminal = advance(state)
         if terminal is not None:
             break
     else:

@@ -26,4 +26,4 @@ class InconsistencyError(PdsplitError):
 
 
 class InvariantViolation(PdsplitError):
-    """A runtime invariant check (enabled in test mode) failed."""
+    """A per-step invariant check failed (raised by check_step in tests/oracle.py)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Union
 
@@ -23,6 +24,7 @@ from .schedule import ControlSchedule, periodic, random_admissible
 from .separator import ProblemSpec, SubspaceSpec
 
 PathLike = Union[str, Path]
+_FLOAT_MAX = sys.float_info.max  # NaN, infinities and larger integers are non-finite
 
 
 def _load_json(path: PathLike) -> dict:
@@ -76,11 +78,15 @@ def _finite(value, where: str, key=None):
     """
     kind = type(value)
     if kind is list:
-        nested = bool(value) and type(value[0]) is list
-        if math.isfinite(sum(map(sum, value)) if nested else sum(value)) or all(
-                all(map(math.isfinite, row)) for row in (value if nested else [value])):
+        rows = value if value and type(value[0]) is list else [value]
+        try:
+            if math.isfinite(sum(map(sum, rows))):
+                return value
+        except OverflowError:  # an integer sum, or an integer added to a float, too large
+            pass
+        if all(abs(x) <= _FLOAT_MAX for row in rows for x in row):
             return value
-    elif kind is int or (math.isfinite(value) if kind is float else np.isfinite(value).all()):
+    elif abs(value) <= _FLOAT_MAX if kind in (int, float) else np.isfinite(value).all():
         return value
     raise SchemaError(f"{where if key is None else f'{where}.{key}'}: non-finite value")
 

@@ -44,14 +44,11 @@ class SubspaceSpec:
     def __post_init__(self) -> None:
         if self.variant not in SUBSPACE_VARIANTS:
             raise ConfigError(f"unknown subspace variant {self.variant!r}")
-        if self.variant == "nullspace":
-            if self.C is None:
-                raise ConfigError("nullspace subspace requires the constraint matrix C")
-            object.__setattr__(self, "C", np.atleast_2d(np.asarray(self.C, dtype=float)))
-        if self.variant == "linear_primal":
-            if self.A1 is None:
-                raise ConfigError("linear_primal subspace requires the matrix A1")
-            object.__setattr__(self, "A1", np.atleast_2d(np.asarray(self.A1, dtype=float)))
+        name = {"nullspace": "C", "linear_primal": "A1"}.get(self.variant)
+        if name is not None:  # the variant's matrix, stored as a 2-D float array
+            if getattr(self, name) is None:
+                raise ConfigError(f"{self.variant} subspace requires the matrix {name}")
+            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
 
 
 @dataclass(eq=False)
@@ -86,8 +83,6 @@ class SubspaceProjector:
 
 def _rowspace_basis(C: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the row space of C; drops dependent rows by rank."""
-    if C.size == 0:
-        return np.zeros((0, C.shape[1]))
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         return np.zeros((0, C.shape[1]))
@@ -171,9 +166,9 @@ class ProblemSpec:
             raise DimensionError(f"z_star dims {self.z_star.dims} != {sig.primal_dims}")
         if self.r.dims != sig.dual_dims:
             raise DimensionError(f"r dims {self.r.dims} != {sig.dual_dims}")
-        if self.subspace.variant == "linear_primal":
-            self._validate_linear_primal()
         self.projector = build_projector(self.subspace, sig, self.coupling)
+        if self.subspace.variant == "linear_primal":  # build_projector checked m and A1's shape
+            self._validate_linear_primal()
         for j, z in enumerate(self.known_Z_points):
             res = kt_residual(self, z)
             if res.max > FIXTURE_KT_TOL:
@@ -186,8 +181,6 @@ class ProblemSpec:
                     f"known_Z_points[{j}] lies off the subspace (residual {sub:.3e})")
 
     def _validate_linear_primal(self) -> None:
-        if self.signature.m != 1:
-            raise ConfigError("linear_primal subspace requires m = 1")
         if self.z_star.data.any():
             raise ConfigError("linear_primal subspace requires z_star = 0")
         mat = _linear_matrix(self.A_ops[0])

@@ -1,5 +1,6 @@
 """Independent verification machinery: brute-force minimizers, closed-form
-projections, and a buffer-free reference iteration.
+projections, a buffer-free reference iteration, and the per-step invariant
+checker.
 
 The tests use it as an independent reference; the package itself does not.
 """
@@ -8,17 +9,25 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block
-from pdsplit.engine import IterationRecord, SolverConfig, iteration_record
-from pdsplit.errors import ConfigError, InconsistencyError
-from pdsplit.operators import graph_point_dual, graph_point_primal
+from pdsplit import engine
+from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm
+from pdsplit.engine import EngineState, IterationRecord, RunResult, SolverConfig, iteration_record
+from pdsplit.errors import ConfigError, InconsistencyError, InvariantViolation
+from pdsplit.operators import (MEMBERSHIP_TOL, graph_point_dual, graph_point_primal,
+                               membership_residual)
+from pdsplit.schedule import ControlSchedule
 from pdsplit.separator import ProblemSpec, build_separator, halfspace_violation, project_halfspace
 
 from conftest import graph_table
+
+FEJER_TOL = 1e-10
+ANCHOR_TOL = 1e-10
+HALFSPACE_TOL = 1e-10
+SUBSPACE_ITERATE_TOL = 1e-9
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -145,3 +154,60 @@ def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
                                         current, graph))
         current = nxt
     return records, current
+
+
+def check_step(state: EngineState, before: PrimalDualPoint, n: int) -> None:
+    """Raise InvariantViolation if step n, from `before` to state.current, broke a guarantee.
+
+    The guarantees, with the tolerances above: every graph point lies on its
+    operator's graph, the step's half-space cuts off no fixture solution, the
+    iterate moves no farther from any fixture solution (fejer) or no closer
+    to the anchor (haugazeau), and it stays in the subspace.
+    """
+    problem, graph, nxt = state.problem, state.graph, state.current
+    for side, ops, slices, points, args, duals in (
+            ("primal", problem.A_ops, problem.signature.primal_slices, graph.a, graph.a,
+             graph.a_dual + problem.z_star.data),
+            ("dual", problem.B_ops, problem.signature.dual_slices, graph.b,
+             graph.b - problem.r.data, graph.b_dual)):
+        for idx, (op, sl) in enumerate(zip(ops, slices)):
+            res = membership_residual(op, args[sl], duals[sl])
+            if res > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(points[sl]))):
+                raise InvariantViolation(
+                    f"{side} graph point {idx} off its graph at n={n}: {res:.3e}")
+    sep, _ = build_separator(graph, problem)
+    for j, z in enumerate(problem.known_Z_points):
+        gap = pd_inner(z, sep.normal) - sep.level
+        if gap > HALFSPACE_TOL:
+            raise InvariantViolation(
+                f"half-space at n={n} cuts off fixture solution {j} by {gap:.3e}")
+        if state.config.mode == "fejer" and pd_norm(nxt - z) > pd_norm(before - z) + FEJER_TOL:
+            raise InvariantViolation(f"distance to fixture solution {j} increased at n={n}")
+    if state.config.mode == "haugazeau" \
+            and pd_norm(nxt - state.anchor) < pd_norm(before - state.anchor) - ANCHOR_TOL:
+        raise InvariantViolation(f"anchor distance decreased at n={n}")
+    if problem.projector.residual(nxt) > SUBSPACE_ITERATE_TOL:
+        raise InvariantViolation(f"iterate left the subspace at n={n}")
+
+
+def checked_run(problem: ProblemSpec, config: SolverConfig,
+                sched: Optional[ControlSchedule] = None) -> RunResult:
+    """`run`, with check_step after every step that continues the run or solves it.
+
+    `run` looks `advance` up when it calls it, so a checking wrapper stands in
+    for it while this run lasts.
+    """
+    step = engine.advance
+
+    def checked(state: EngineState):
+        before, n = state.current, state.n
+        terminal = step(state)
+        if terminal is None or terminal[0] == "solved":
+            check_step(state, before, n)
+        return terminal
+
+    engine.advance = checked
+    try:
+        return engine.run(problem, config, sched)
+    finally:
+        engine.advance = step

@@ -20,7 +20,7 @@ from pdsplit.separator import kt_residual
 
 from conftest import (make_lasso_problem, make_linear_primal_problem,
                       make_scalar_problem, point, random_problem)
-from oracle import (closed_form_Z_box, fejer_reference_trace, grid_minimize,
+from oracle import (checked_run, closed_form_Z_box, fejer_reference_trace, grid_minimize,
                     project_intersection_two_halfspaces)
 
 
@@ -54,7 +54,7 @@ def test_criterion_1_scalar_inclusion_fejer():
     ok = True
     for label, sched in schedules:
         t0 = time.perf_counter()
-        res = ps.run(prob, cfg, sched, check_invariants=True)
+        res = checked_run(prob, cfg, sched)
         elapsed = time.perf_counter() - t0
         resid = res.trace[-1].residual_sum()
         dist = pd_norm(res.final - point([[0.0]], [[0.0]]))
@@ -85,7 +85,7 @@ def test_criterion_2_box_best_approximation():
         bounded = True
         terminal = None
         for _ in range(cfg.max_iter):
-            terminal = advance(state, prob, sched, cfg)
+            terminal = advance(state)
             new_dist = pd_norm(state.current - state.anchor)
             monotone = monotone and new_dist >= dist - 1e-10
             bounded = bounded and new_dist <= best_dist + 1e-8
@@ -111,7 +111,7 @@ def test_criterion_3_lasso_both_engines():
     ok = True
     for mode in ("fejer", "haugazeau"):
         cfg = ps.SolverConfig(mode=mode, max_iter=10000, resid_tol=3e-6)
-        res = ps.run(prob, cfg, check_invariants=True)
+        res = checked_run(prob, cfg)
         kt = kt_residual(prob, res.final).max
         primal_err = float(np.linalg.norm(res.final.x.blocks[0] - target.x.blocks[0]))
         case_ok = res.iterations <= 10000 and kt <= 1e-4 and primal_err <= 1e-3
@@ -134,7 +134,7 @@ def test_criterion_4_property_suite_random_problems():
         cfg = ps.SolverConfig(mode="fejer", relaxation=1.5, max_iter=200,
                               resid_tol=0.0, exact_tol=-1.0)
         try:
-            ps.run(prob, cfg, sched, check_invariants=True)
+            checked_run(prob, cfg, sched)
         except ps.InvariantViolation as exc:
             violations += 1
             print(f"seed {seed}: {exc}")
@@ -169,13 +169,13 @@ def test_criterion_6_linear_primal_subspace():
     prob_full = make_linear_primal_problem("full")
     prob_lin = make_linear_primal_problem("linear_primal")
     cfg = ps.SolverConfig(mode="fejer", relaxation=1.9, max_iter=20000, resid_tol=1e-8)
-    res_full = ps.run(prob_full, cfg, check_invariants=True)
+    res_full = checked_run(prob_full, cfg)
     sched = synchronous(1, 1)
     state = EngineState.initial(prob_lin, cfg, sched)
     worst_constraint = float(np.linalg.norm(
         Q1 @ state.current.x.blocks[0] + state.current.v_star.blocks[0]))
     for _ in range(cfg.max_iter):
-        if advance(state, prob_lin, sched, cfg) is not None:
+        if advance(state) is not None:
             break
         worst_constraint = max(worst_constraint, float(np.linalg.norm(
             Q1 @ state.current.x.blocks[0] + state.current.v_star.blocks[0])))

@@ -97,6 +97,36 @@ def test_check_kt(workdir, capsys):
     code = main(["check-kt", "--problem", str(workdir / "problem.json"),
                  "--point", str(workdir / "bad.json"), "--tol", "1e-8"])
     assert code == 3
+    capsys.readouterr()
+    for tol, point_file in (("nan", "good.json"), ("-1", "good.json"), ("inf", "bad.json")):
+        code = main(["check-kt", "--problem", str(workdir / "problem.json"),
+                     "--point", str(workdir / point_file), "--tol", tol])
+        assert code == 1  # nan and -1 used to fail every point (exit 3), inf to pass any
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--config", "config.json", "--trace", "out.csv"],
+                 id="run-without-problem"),
+    pytest.param(["gen-schedule", "--type", "periodic", "--m", "x", "--p", "1", "--out", "s.json"],
+                 id="gen-schedule-m-not-an-integer"),
+    pytest.param(["solve"], id="unknown-command"),
+])
+def test_usage_errors_exit_one(argv, capsys):
+    # exit code 2 means "iteration budget exhausted"; argparse used to exit 2 here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"], ["gen-schedule", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: pdsplit" in capsys.readouterr().out
 
 
 def test_compare_identical_and_divergent(workdir, capsys):

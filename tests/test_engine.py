@@ -10,7 +10,7 @@ from pdsplit.errors import ConfigError, InconsistencyError
 from pdsplit.schedule import synchronous
 
 from conftest import (make_lasso_problem, make_scalar_problem, point, random_problem)
-from oracle import fejer_reference_trace, project_intersection_two_halfspaces
+from oracle import checked_run, fejer_reference_trace, project_intersection_two_halfspaces
 
 
 def start_20():
@@ -43,7 +43,7 @@ def test_step_determinism(l1_identity_problem):
     outs = []
     for _ in range(2):
         state = EngineState.initial(l1_identity_problem, cfg, sched)
-        advance(state, l1_identity_problem, sched, cfg)
+        advance(state)
         outs.append((state.current.x.blocks[0][0], state.current.v_star.blocks[0][0],
                      state.last_record.theta))
     assert outs[0] == outs[1]
@@ -128,7 +128,7 @@ def test_haugazeau_matches_projection_oracle():
 def test_haugazeau_anchor_distance_monotone(box_problem):
     cfg = ps.SolverConfig(mode="haugazeau", max_iter=200, resid_tol=0.0, exact_tol=-1.0,
                           start=point([[5.0]], [[3.0]]))
-    res = ps.run(box_problem, cfg, check_invariants=True)
+    res = checked_run(box_problem, cfg)
     anchor = point([[5.0]], [[3.0]])
     # reconstruct distances from the trace fixture columns is not possible;
     # re-run stepwise and track the distance directly
@@ -136,7 +136,7 @@ def test_haugazeau_anchor_distance_monotone(box_problem):
     state = EngineState.initial(box_problem, cfg, sched)
     dist = pd_norm(state.current - state.anchor)
     for _ in range(200):
-        advance(state, box_problem, sched, cfg)
+        advance(state)
         new_dist = pd_norm(state.current - state.anchor)
         assert new_dist >= dist - 1e-10
         dist = new_dist
@@ -154,7 +154,7 @@ def test_haugazeau_violation_zero_is_fixed_point(box_problem):
 
 def test_fejer_monotone_on_fixture(l1_identity_problem):
     cfg = fejer_config(relaxation=1.9, max_iter=300)
-    res = ps.run(l1_identity_problem, cfg, check_invariants=True)
+    res = checked_run(l1_identity_problem, cfg)
     dists = [rec.dists[0] for rec in res.trace]
     assert all(b <= a + 1e-10 for a, b in zip(dists, dists[1:]))
 
@@ -209,7 +209,7 @@ def test_recycling_reads_lagged_iterates():
     sched = ps.random_admissible(prob.m, prob.p, M=3, D=4, horizon=64, seed=4)
     cfg = ps.SolverConfig(mode="fejer", relaxation=1.5, max_iter=64,
                           resid_tol=0.0, exact_tol=-1.0)
-    res = ps.run(prob, cfg, sched, check_invariants=True)
+    res = checked_run(prob, cfg, sched)
     assert res.status == "max_iter"
     sync = ps.run(prob, cfg)
     assert any(a != b for a, b in zip(res.trace, sync.trace))
@@ -220,14 +220,14 @@ def test_haugazeau_async_multiblock():
     prob = random_problem(23)
     sched = ps.random_admissible(prob.m, prob.p, M=2, D=3, horizon=128, seed=8)
     cfg = ps.SolverConfig(mode="haugazeau", max_iter=150, resid_tol=0.0, exact_tol=-1.0)
-    res = ps.run(prob, cfg, sched, check_invariants=True)
+    res = checked_run(prob, cfg, sched)
     assert res.status == "max_iter"
 
 
 def test_run_extends_past_schedule_horizon(l1_identity_problem):
     sched = ps.random_admissible(1, 1, M=3, D=5, horizon=8, seed=2)
     cfg = fejer_config(relaxation=1.9, max_iter=64)
-    res = ps.run(l1_identity_problem, cfg, sched, check_invariants=True)
+    res = checked_run(l1_identity_problem, cfg, sched)
     assert res.status == "max_iter"
     assert [rec.n for rec in res.trace] == list(range(64))
 
@@ -283,13 +283,22 @@ def test_stepwise_advance_matches_run(mode, relaxation):
     state = EngineState.initial(problem, cfg, sched)
     records = []
     for _ in range(cfg.max_iter):
-        terminal = advance(state, problem, sched, cfg)
+        terminal = advance(state)
         records.append(state.last_record)
         assert terminal is None
     assert records == res.trace
     assert np.array_equal(state.current.data, res.final.data)
     assert state.perturb.accepted == res.metadata["perturb_accepted"] > 0
     assert state.perturb.rejected == res.metadata["perturb_rejected"]
+
+
+def test_state_keeps_the_config_it_validated(l1_identity_problem):
+    cfg = fejer_config(relaxation=1.9)
+    state = EngineState.initial(l1_identity_problem, cfg, synchronous(1, 1))
+    cfg.mode = "haugazeau"  # haugazeau allows relaxation <= 1; the state was validated as fejer
+    advance(state)
+    assert state.config.mode == "fejer" and state.rules.lam(0) == 1.9
+    assert state.current.x.blocks[0][0] == pytest.approx(0.1)  # the fejer step from (2, 0)
 
 
 def test_run_rejects_uncertified_schedule(l1_identity_problem):
@@ -303,7 +312,7 @@ def test_run_rejects_uncertified_schedule(l1_identity_problem):
     with pytest.raises(ConfigError):  # a stepwise loop used to end in a bare LookupError
         state = EngineState.initial(l1_identity_problem, cfg, bad)
         for _ in range(cfg.max_iter):
-            advance(state, l1_identity_problem, bad, cfg)
+            advance(state)
 
 
 def test_start_projected_onto_subspace():
@@ -311,7 +320,7 @@ def test_start_projected_onto_subspace():
     prob = make_linear_primal_problem("linear_primal")
     cfg = ps.SolverConfig(mode="fejer", max_iter=1, resid_tol=0.0, exact_tol=-1.0,
                           start=point([[1.0, 1.0]], [[1.0, 1.0]]))
-    res = ps.run(prob, cfg, check_invariants=True)
+    res = checked_run(prob, cfg)
     assert res.status == "max_iter"  # no invariant violation: iterate on subspace
 
 
@@ -348,7 +357,7 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
     rows = []
     for n in range(iters):
         before = dict(calls)
-        assert advance(state, problem, sched, cfg) is None
+        assert advance(state) is None
         I_n, K_n = sched.blocks_at(n)
         rows.append((calls["block"] - before["block"], calls["full"] - before["full"],
                      len(I_n) + len(K_n)))

@@ -159,18 +159,27 @@ def test_trace_17_digit_round_trip(tmp_path):
     assert rows[0][1] == value and rows[0][2] == value * 7
 
 
-@pytest.mark.parametrize("path", [("B_ops", 0, "Q"), ("B_ops", 0, "q"),
-                                  ("known_Z_points", 0, "x")])
-def test_problem_rejects_non_finite(tmp_path, path):
+@pytest.mark.parametrize("path, huge", [
+    pytest.param(("B_ops", 0, "Q"), False, id="path0"),
+    pytest.param(("B_ops", 0, "q"), False, id="path1"),
+    pytest.param(("known_Z_points", 0, "x"), False, id="path2"),
+    # an integer too large for a float used to be "int too large to convert to float"
+    pytest.param(("A_ops", 0, "weight"), True, id="weight-huge-int"),
+    pytest.param(("B_ops", 0, "q", 0), True, id="q-huge-int"),
+    pytest.param(("coupling", 0, "matrix", 0, 0), True, id="matrix-huge-int"),
+    pytest.param(("z_star", 0, 0), True, id="z_star-huge-int"),
+    pytest.param(("known_Z_points", 0, "x", 0, 0), True, id="x-huge-int"),
+])
+def test_problem_rejects_non_finite(tmp_path, path, huge):
     data = fileio.problem_to_dict(make_lasso_problem())
     *outer, last = path
     target = data
     for key in outer:
         target = target[key]
-    target[last] = (np.asarray(target[last], dtype=float) * np.nan).tolist()
+    target[last] = 10**400 if huge else (np.asarray(target[last], dtype=float) * np.nan).tolist()
     (tmp_path / "bad.json").write_text(json.dumps(data))
-    with pytest.raises(SchemaError, match=r"\." + r"\.".join(str(k) for k in path[2:])
-                       + ".*non-finite"):
+    field = [key for key in path if isinstance(key, str)][-1]
+    with pytest.raises(SchemaError, match=rf"\.{field}: non-finite value"):
         fileio.parse_problem(tmp_path / "bad.json")
 
 

@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit.errors import InconsistencyError
+from pdsplit.engine import EngineState, advance
+from pdsplit.errors import InconsistencyError, InvariantViolation
 from pdsplit.operators import resolvent
+from pdsplit.schedule import synchronous
 
-from conftest import PROX_REPRESENTABLE, function_value, random_registry_op
-from oracle import closed_form_Z_box, grid_minimize, project_intersection_two_halfspaces
+from conftest import (PROX_REPRESENTABLE, function_value, make_linear_primal_problem,
+                      make_scalar_problem, point, random_registry_op)
+from oracle import (check_step, closed_form_Z_box, grid_minimize,
+                    project_intersection_two_halfspaces)
 
 
 def test_grid_minimize_1d_frozen():
@@ -115,3 +119,63 @@ def test_closed_form_Z_box():
     assert closed_form_Z_box(5.0, 3.0) == (1.0, 0.0)
     assert closed_form_Z_box(0.0, 0.0) == (0.0, 0.0)
     assert closed_form_Z_box(-7.0, -2.0) == (-1.0, 0.0)
+
+
+# --- the per-step invariant checker ------------------------------------------
+# Each case takes one real step, which must pass check_step, then breaks one
+# guarantee: the graph, the fixture list, or the point the step started from.
+
+def _l1_problem():
+    return make_scalar_problem(ps.l1_norm(1), ps.affine_monotone([[1.0]]), z_fixtures=[(0.0, 0.0)])
+
+
+def _box_problem():
+    return make_scalar_problem(ps.zero(1), ps.normal_cone_box([-1.0], [1.0]),
+                               z_fixtures=[(0.5, 0.0), (-1.0, 0.0), (1.0, 0.0)])
+
+
+def _move_graph_dual(state, before):
+    state.graph.a_dual += 5.0
+    return before
+
+
+def _add_non_solution_fixture(state, before):
+    state.problem.known_Z_points = (point([[5.0]], [[0.0]]),)
+    return before
+
+
+def _start_at_the_solution(state, before):
+    return state.problem.known_Z_points[0]
+
+
+def _start_far_from_the_anchor(state, before):
+    return state.anchor + point([[100.0]], [[0.0]])
+
+
+def _leave_the_subspace(state, before):
+    state.current = point([[1.0, 1.0]], [[1.0, 1.0]])
+    return state.current
+
+
+@pytest.mark.parametrize("make, mode, start, corrupt, message", [
+    pytest.param(_l1_problem, "fejer", point([[2.0]], [[0.0]]), _move_graph_dual,
+                 "primal graph point 0 off its graph at n=0", id="graph-membership"),
+    pytest.param(_l1_problem, "fejer", point([[2.0]], [[0.0]]), _add_non_solution_fixture,
+                 "half-space at n=0 cuts off fixture solution 0", id="halfspace"),
+    pytest.param(_l1_problem, "fejer", point([[2.0]], [[0.0]]), _start_at_the_solution,
+                 "distance to fixture solution 0 increased at n=0", id="fejer-monotone"),
+    pytest.param(_box_problem, "haugazeau", point([[5.0]], [[3.0]]), _start_far_from_the_anchor,
+                 "anchor distance decreased at n=0", id="anchor-distance"),
+    pytest.param(lambda: make_linear_primal_problem("linear_primal"), "fejer", None,
+                 _leave_the_subspace, "iterate left the subspace at n=0", id="subspace"),
+])
+def test_check_step_catches_each_broken_guarantee(make, mode, start, corrupt, message):
+    problem = make()
+    cfg = ps.SolverConfig(mode=mode, relaxation=1.0, max_iter=1, resid_tol=0.0,
+                          exact_tol=-1.0, start=start)
+    state = EngineState.initial(problem, cfg, synchronous(problem.m, problem.p))
+    before = state.current
+    assert advance(state) is None
+    check_step(state, before, 0)
+    with pytest.raises(InvariantViolation, match=message):
+        check_step(state, corrupt(state, before), 0)
