@@ -8,26 +8,26 @@ best-approximation engine caps the factor at 1 and then pulls the update
 back toward the starting anchor through a closed-form projection onto the
 intersection of two half-spaces.
 
-Graph-point evaluations within one step are pure and independent; they are
-merged in fixed block order so results never depend on evaluation order.
-`advance` runs one iteration of either engine, and `run` is a loop over it.
+The decomposition phase is one batched pass per side: reads slice the
+L x and L* v* computed once per buffered iterate, and resolvents run once
+per operator group.  `advance` runs one iteration, `run` loops over it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import (PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm,
-                         pd_norm_sq)
+from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, pd_inner, pd_norm, pd_norm_sq
+from .blockspace import forward_block  # noqa: F401  (benchmark tooling looks it up here)
 from .errors import ConfigError, InconsistencyError
-from .operators import (GraphPoint, InexactnessBudget, finite_number, graph_point_dual,
-                        graph_point_primal, validate_inexact_dual, validate_inexact_primal)
+from .operators import (InexactnessBudget, finite_number, graph_point_dual, graph_point_primal,
+                        stacked_parameters, stacked_resolvent, validate_inexact_dual,
+                        validate_inexact_primal)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
@@ -164,12 +164,43 @@ class IterationRecord:
         return self.res_primal + self.res_dualmap + self.res_coupling + self.res_dual
 
 
+class _Side(NamedTuple):
+    """One side of the decomposition phase, fixed when the state is built."""
+
+    read: int           # its pair of a buffered iterate: 0 for (x, L* v*), 1 for (L x, v*)
+    ops: tuple
+    slices: tuple
+    offset: np.ndarray  # z_star or r
+    step: np.ndarray    # each block's gamma or mu, at the block's coordinates
+    groups: list        # (kind, members, stacked parameters, member coordinates) per (kind, dim)
+    where: dict         # block -> (group, row)
+
+
+def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
+    members: dict[tuple[str, int], list[int]] = {}
+    for j, op in enumerate(ops):
+        members.setdefault((op.kind, op.dim), []).append(j)
+    groups = [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]),
+               np.add.outer([slices[j].start for j in js], np.arange(dim)))
+              for (kind, dim), js in members.items()]
+    where = {j: (g, row) for g, group in enumerate(groups) for row, j in enumerate(group[1])}
+    return _Side(read, tuple(ops), slices, offset.data,
+                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups, where)
+
+
+def _buffered(coupling: CouplingMap, point: PrimalDualPoint) -> tuple:
+    """An iterate as the two sides read it, ((x, L* v*), (L x, v*)), with its images."""
+    x, v = point.x.data, point.v_star.data
+    return (x, coupling.adjoint(v)), (coupling.forward(x), v)
+
+
 @dataclass
 class EngineState:
     """Per-run state: validated inputs, iterate, anchor, recycled graph points, buffers.
 
-    `advance` reads all its inputs here: problem, sched, a copy of config (the
-    caller's may change later) and the rules config.validate returned.
+    `advance` reads all its inputs here: problem, copies of sched and config
+    (the caller's may change later), the rules config.validate returned and
+    the two sides, whose operator groups fix the operators' parameters.
     """
 
     problem: ProblemSpec
@@ -181,6 +212,8 @@ class EngineState:
     anchor: PrimalDualPoint
     graph: GraphTable
     buffer: LagBuffer
+    primal: _Side
+    dual: _Side
     perturb: Optional[_PerturbState] = None
     trace: list[IterationRecord] = field(default_factory=list)
     last_record: Optional[IterationRecord] = None
@@ -190,13 +223,16 @@ class EngineState:
                 sched: ControlSchedule) -> "EngineState":
         """The state before iteration 0, once the config is validated and the schedule certified."""
         rules = config.validate(problem)
+        sched = replace(sched, c=dict(sched.c), d=dict(sched.d))  # __post_init__ copies the rest
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
-        start = config.start or PrimalDualPoint.zeros(problem.signature)
-        current = problem.projector.project(start)
+        L, sig = problem.coupling, problem.signature
+        current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
-                   graph=GraphTable.zeros(problem.signature), buffer=LagBuffer(sched.D, current),
+                   graph=GraphTable.zeros(sig), buffer=LagBuffer(sched.D, _buffered(L, current)),
+                   primal=_side(0, problem.A_ops, sig.primal_slices, problem.z_star, rules.gamma),
+                   dual=_side(1, problem.B_ops, sig.dual_slices, problem.r, rules.mu),
                    perturb=_PerturbState(config.perturbation) if config.perturbation else None)
 
 
@@ -219,53 +255,83 @@ class _PerturbState:
         self.accepted = 0
         self.rejected = 0
 
-    def apply(self, exact: GraphPoint, base: np.ndarray, bound: float,
-              make: Callable, check: Callable) -> GraphPoint:
-        """Seeded error toward `base`, capped under the bound; kept if the budget accepts it."""
-        err = float(self.rng.uniform(-self.scale, self.scale)) * (base - exact.point)
-        cap = 0.95 * bound
-        err_norm = float(np.linalg.norm(err))
-        if err_norm > cap:
-            err = err * (cap / err_norm)
-        candidate = make(error=err)
-        if check(candidate).accepted:
-            self.accepted += 1
-            return candidate
-        self.rejected += 1
-        return exact
+    def apply(self, state: EngineState, side: _Side, active: Sequence[int], reads: tuple,
+              exact: tuple, graph: tuple) -> None:
+        """Perturb the activated blocks' exact points in order, keeping what the budget accepts."""
+        budget = state.config.inexact
+        point, check, steps, bound = (
+            (graph_point_primal, validate_inexact_primal, state.rules.gamma, budget.beta),
+            (graph_point_dual, validate_inexact_dual, state.rules.mu, budget.delta))[side.read]
+        for idx in active:
+            sl = side.slices[idx]
+            args = (side.ops[idx], side.offset[sl], steps[idx], reads[0][sl], reads[1][sl])
+            err = float(self.rng.uniform(-self.scale, self.scale)) * (args[3] - exact[0][sl])
+            cap, err_norm = 0.95 * bound, float(np.linalg.norm(err))
+            if err_norm > cap:
+                err = err * (cap / err_norm)
+            candidate = point(*args, error=err)
+            if check(args[0], candidate, *args[3:], *args[1:3], budget).accepted:
+                self.accepted += 1
+                graph[0][sl], graph[1][sl] = candidate.point, candidate.dual
+            else:
+                self.rejected += 1
 
 
-def _fresh_primal(state: EngineState, i: int, past: PrimalDualPoint) -> GraphPoint:
-    problem, gamma, budget = state.problem, state.rules.gamma[i], state.config.inexact
-    lstar = adjoint_block(problem.coupling, past.v_star, i)
-    sl = problem.signature.primal_slices[i]
-    op, zst, x_i = problem.A_ops[i], problem.z_star.data[sl], past.x.data[sl]
-    make = functools.partial(graph_point_primal, op, zst, gamma, x_i, lstar)
-    if state.perturb is None:
-        return make()
-    return state.perturb.apply(make(), x_i, budget.beta, make, lambda gp: validate_inexact_primal(
-        op, gp, x_i, lstar, zst, gamma, budget))
+def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[int]) -> tuple:
+    """The side's read arrays: each activated block's slices of the iterate it reads."""
+    if all(j == lags[0] for j in lags):  # then they are that iterate's own arrays
+        return state.buffer.get(lags[0])[side.read]
+    out = (np.zeros(side.step.size), np.zeros(side.step.size))
+    for idx, j in zip(active, lags):
+        for dst, src in zip(out, state.buffer.get(j)[side.read]):
+            dst[side.slices[idx]] = src[side.slices[idx]]
+    return out
 
 
-def _fresh_dual(state: EngineState, k: int, past: PrimalDualPoint) -> GraphPoint:
-    problem, mu, budget = state.problem, state.rules.mu[k], state.config.inexact
-    l_k = forward_block(problem.coupling, past.x, k)
-    sl = problem.signature.dual_slices[k]
-    op, r_k, v_k = problem.B_ops[k], problem.r.data[sl], past.v_star.data[sl]
-    make = functools.partial(graph_point_dual, op, r_k, mu, l_k, v_k)
-    if state.perturb is None:
-        return make()
-    return state.perturb.apply(make(), l_k, budget.delta, make, lambda gp: validate_inexact_dual(
-        op, gp, l_k, v_k, r_k, mu, budget))
+def _resolvents(side: _Side, active: Sequence[int], u: np.ndarray) -> tuple:
+    """(activated coordinates, their resolvents of u in a side array), one call per group."""
+    rows: dict[int, list[int]] = {}
+    for idx in active:
+        rows.setdefault(side.where[idx][0], []).append(side.where[idx][1])
+    out, parts = np.zeros_like(u), []
+    for g, sel in rows.items():
+        kind, members, params, coords = side.groups[g]
+        if len(sel) < len(members):
+            params, coords = tuple(p[sel] for p in params), coords[sel]
+        out[coords] = stacked_resolvent(kind, params, u[coords])
+        parts.append(coords)
+    return (slice(None) if len(active) == len(side.slices) else np.concatenate(parts, None)), out
+
+
+def _decompose(state: EngineState, n: int) -> None:
+    """Fresh graph points of the blocks activated at n overwrite their recycled ones.
+
+    Primal:  a = J(x + gamma*(z* - L*v)),  a* = (x - a)/gamma - L*v
+    Dual:    b = r + J(Lx + mu*v - r),     b* = v + (Lx - b)/mu
+    Inexact mode then perturbs them block by block, primal blocks first.
+    """
+    sched, graph, prim, dual = state.sched, state.graph, state.primal, state.dual
+    I_n, K_n = sched.blocks_at(n)
+    x, lsv = _reads(state, prim, I_n, [sched.lag_primal(i, n) for i in I_n])
+    act, a = _resolvents(prim, I_n, x + prim.step * (prim.offset - lsv))
+    a_dual = (x - a) / prim.step - lsv
+    graph.a[act], graph.a_dual[act] = a[act], a_dual[act]
+    lx, v = _reads(state, dual, K_n, [sched.lag_dual(k, n) for k in K_n])
+    act, j = _resolvents(dual, K_n, lx + dual.step * v - dual.offset)
+    b = dual.offset + j
+    b_dual = v + (lx - b) / dual.step
+    graph.b[act], graph.b_dual[act] = b[act], b_dual[act]
+    if state.perturb is not None:
+        state.perturb.apply(state, prim, I_n, (x, lsv), (a, a_dual), (graph.a, graph.a_dual))
+        state.perturb.apply(state, dual, K_n, (lx, v), (b, b_dual), (graph.b, graph.b_dual))
 
 
 def iteration_record(n: int, theta: float, tau: float, violation: float,
-                     problem: ProblemSpec, current: PrimalDualPoint,
-                     graph: GraphTable) -> IterationRecord:
-    """Assemble the diagnostics row for one iteration."""
-    L = problem.coupling
+                     problem: ProblemSpec, current: PrimalDualPoint, lx: np.ndarray,
+                     lsv: np.ndarray, graph: GraphTable) -> IterationRecord:
+    """Assemble the diagnostics row for one iteration; lx, lsv are L x and L* v* of current."""
     x, v = current.x.data, current.v_star.data
-    res = (x - graph.a, graph.a_dual + L.adjoint(v), L.forward(x) - graph.b, graph.b_dual - v)
+    res = (x - graph.a, graph.a_dual + lsv, lx - graph.b, graph.b_dual - v)
     dists = tuple(pd_norm(current - z) for z in problem.known_Z_points)
     return IterationRecord(n, theta, tau, violation,
                            *(math.sqrt(float(np.dot(w, w))) for w in res), dists)
@@ -306,17 +372,8 @@ def advance(state: EngineState):
     step started from), "exact_point" or "inconsistent".
     """
     n, current = state.n, state.current
-    problem, sched, config = state.problem, state.sched, state.config
-    graph, sig = state.graph, problem.signature
-    I_n, K_n = sched.blocks_at(n)
-    for i in I_n:  # fresh points overwrite their blocks; the others are recycled
-        past = state.buffer.get(sched.lag_primal(i, n))
-        gp = _fresh_primal(state, i, past)
-        graph.a[sig.primal_slices[i]], graph.a_dual[sig.primal_slices[i]] = gp.point, gp.dual
-    for k in K_n:
-        past = state.buffer.get(sched.lag_dual(k, n))
-        gp = _fresh_dual(state, k, past)
-        graph.b[sig.dual_slices[k]], graph.b_dual[sig.dual_slices[k]] = gp.point, gp.dual
+    problem, config, graph = state.problem, state.config, state.graph
+    _decompose(state, n)
     sep, raw = build_separator(graph, problem)
     exact = detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
     violation = halfspace_violation(current, sep)
@@ -326,7 +383,8 @@ def advance(state: EngineState):
             nxt = haugazeau_update(state.anchor, current, nxt)
         except InconsistencyError as exc:
             return "inconsistent", current, str(exc)
-    record = iteration_record(n, theta, sep.norm_sq, violation, problem, current, graph)
+    (_, lsv), (lx, _) = state.buffer.get(n)
+    record = iteration_record(n, theta, sep.norm_sq, violation, problem, current, lx, lsv, graph)
     state.last_record = record
     if n % config.trace_stride == 0:
         state.trace.append(record)
@@ -338,7 +396,7 @@ def advance(state: EngineState):
         state.n = n + 1
         return "exact_point", exact, f"separator normal vanished at iteration {n}"
     state.current = nxt
-    state.buffer.push(n + 1, nxt)
+    state.buffer.push(n + 1, _buffered(problem.coupling, nxt))
     state.n = n + 1
     if record.residual_sum() <= config.resid_tol * (1.0 + pd_norm(current)):
         return "solved", current, ""

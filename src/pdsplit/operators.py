@@ -2,8 +2,8 @@
 
 The registry is closed on purpose: six kinds, each with a closed-form or
 direct-solve resolvent, so every downstream guarantee can be tested
-exhaustively.  To extend, add a kind constructor, a branch in
-:func:`resolvent` and the kind's fields in the table that fileio reads.
+exhaustively.  To extend, add a kind constructor, its branches in
+`_parameters` and `stacked_resolvent`, and its fields in fileio's table.
 """
 
 from __future__ import annotations
@@ -118,6 +118,40 @@ def affine_monotone(M, c=None) -> MonotoneOp:
     return MonotoneOp("affine_monotone", d, {"M": M_arr.copy(), "c": c_arr})
 
 
+def _parameters(op: MonotoneOp, gamma: float) -> tuple:
+    """The parameters of (Id + gamma*Op)^{-1} that stacked_resolvent reads."""
+    if op.kind == "zero":
+        return ()
+    if op.kind == "l1_norm":
+        return (np.array([gamma * op.params["weight"]]),)
+    if op.kind in ("box_indicator", "normal_cone_box"):
+        return op.params["lo"], op.params["hi"]
+    if op.kind not in ("quadratic", "affine_monotone"):
+        raise ConfigError(f"unknown operator kind {op.kind!r}")
+    mat, vec = ("Q", "q") if op.kind == "quadratic" else ("M", "c")
+    return np.eye(op.dim) + gamma * op.params[mat], gamma * op.params[vec]
+
+
+def stacked_parameters(ops, gammas) -> tuple:
+    """The parameters of operators of one kind and dim at steps gammas, one row each."""
+    return tuple(map(np.array, zip(*map(_parameters, ops, gammas))))
+
+
+def stacked_resolvent(kind: str, params: tuple, u: np.ndarray) -> np.ndarray:
+    """Row j of u through the resolvent with row j of params (one resolvent if unstacked)."""
+    if kind == "zero":
+        return u.copy()
+    if kind == "l1_norm":
+        return np.sign(u) * np.maximum(np.abs(u) - params[0], 0.0)
+    if kind in ("box_indicator", "normal_cone_box"):
+        return np.minimum(np.maximum(u, params[0]), params[1])
+    A, offset = params  # I + gamma*Q and gamma*q (quadratic), I + gamma*M and gamma*c (affine)
+    try:  # right-hand sides as (n, d, 1): numpy reads (n, d) as a stack of matrices
+        return np.linalg.solve(A, (u - offset)[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:  # cannot happen for monotone inputs
+        raise NumericalError(f"resolvent solve failed for kind {kind!r}: {exc}") from exc
+
+
 def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
     """Evaluate (Id + gamma*Op)^{-1} at u.
 
@@ -128,26 +162,7 @@ def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (op.dim,):
         raise DimensionError(f"resolvent input has shape {u.shape}, expected ({op.dim},)")
-    kind = op.kind
-    if kind == "zero":
-        return u.copy()
-    if kind == "l1_norm":
-        t = gamma * op.params["weight"]
-        return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
-    if kind in ("box_indicator", "normal_cone_box"):
-        return np.minimum(np.maximum(u, op.params["lo"]), op.params["hi"])
-    if kind == "quadratic":
-        A = np.eye(op.dim) + gamma * op.params["Q"]
-        rhs = u - gamma * op.params["q"]
-    elif kind == "affine_monotone":
-        A = np.eye(op.dim) + gamma * op.params["M"]
-        rhs = u - gamma * op.params["c"]
-    else:
-        raise ConfigError(f"unknown operator kind {kind!r}")
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # cannot happen for monotone inputs
-        raise NumericalError(f"resolvent solve failed for kind {kind!r}: {exc}") from exc
+    return stacked_resolvent(op.kind, _parameters(op, gamma), u)
 
 
 @dataclass(frozen=True)

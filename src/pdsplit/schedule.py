@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from .blockspace import PrimalDualPoint
 from .errors import ConfigError
 
 
@@ -35,7 +34,7 @@ class CertResult:
 
 @dataclass
 class ControlSchedule:
-    """Explicit activation sets and lag tables over a finite horizon.
+    """Explicit activation sets (sorted, repeats dropped) and lag tables over a finite horizon.
 
     c maps activated (i, n) to the primal read iteration; d likewise for the
     dual side.  Missing entries mean "no lag" (read iteration n), so fully
@@ -51,8 +50,8 @@ class ControlSchedule:
     D: int = 0
 
     def __post_init__(self) -> None:
-        self.I_seq = [tuple(sorted(int(i) for i in s)) for s in self.I_seq]
-        self.K_seq = [tuple(sorted(int(k) for k in s)) for s in self.K_seq]
+        self.I_seq = [tuple(sorted({int(i) for i in s})) for s in self.I_seq]
+        self.K_seq = [tuple(sorted({int(k) for k in s})) for s in self.K_seq]
 
     def _tail_source(self, n: int) -> int:
         """Map an iteration beyond the horizon to its source in the tail window."""
@@ -235,27 +234,27 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
 
 
 class LagBuffer:
-    """Ring buffer of the last D+1 iterates, addressed by absolute iteration.
+    """Ring buffer of the last D+1 iterates (as the engine stores them), by absolute iteration.
 
     Owned exclusively by the engine's coordination step (single writer);
     reads are validated against the admissible window.
     """
 
-    def __init__(self, depth: int, first: PrimalDualPoint):
+    def __init__(self, depth: int, first: Any):
         if depth < 0:
             raise ConfigError(f"buffer depth must be >= 0, got {depth}")
         self._size = depth + 1
-        self._slots: list[Optional[PrimalDualPoint]] = [None] * self._size
+        self._slots: list[Any] = [None] * self._size
         self._latest = -1
         self.push(0, first)
 
-    def push(self, index: int, point: PrimalDualPoint) -> None:
+    def push(self, index: int, point: Any) -> None:
         if index != self._latest + 1:
             raise ConfigError(f"buffer push out of order: {index} after {self._latest}")
         self._slots[index % self._size] = point
         self._latest = index
 
-    def get(self, index: int) -> PrimalDualPoint:
+    def get(self, index: int) -> Any:
         if index > self._latest or index < 0 or index <= self._latest - self._size:
             raise LookupError(
                 f"iterate {index} not buffered (have {max(0, self._latest - self._size + 1)}"

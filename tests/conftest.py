@@ -107,11 +107,16 @@ def graph_table(a_points, b_points):
                                 for points in (a_points, b_points) for name in ("point", "dual")))
 
 
+KINDS = ("zero", "l1_norm", "box_indicator", "quadratic", "affine_monotone", "normal_cone_box")
+
+
 def random_registry_op(rng, dim, allow_normal_cone):
-    kinds = ["zero", "l1_norm", "box_indicator", "quadratic", "affine_monotone"]
-    if allow_normal_cone:
-        kinds.append("normal_cone_box")
-    kind = kinds[int(rng.integers(len(kinds)))]
+    kinds = KINDS if allow_normal_cone else KINDS[:-1]
+    return registry_op(rng, kinds[int(rng.integers(len(kinds)))], dim)
+
+
+def registry_op(rng, kind, dim):
+    """An operator of the given kind with seeded random parameters."""
     if kind == "zero":
         return ps.zero(dim)
     if kind == "l1_norm":
@@ -153,21 +158,44 @@ def random_problem(seed):
         L = ps.CouplingMap(sig, entries)
     A_ops = [random_registry_op(rng, pdims[i], False) for i in range(m)]
     B_ops = [random_registry_op(rng, ddims[k], True) for k in range(p)]
+    return _with_known_solution(rng, sig, L, A_ops, B_ops)
+
+
+def random_blocksparse_problem(seed, blocks=8, dim=3):
+    """Seeded problem with `blocks` primal and dual blocks, all of dimension `dim`.
+
+    The coupling has the diagonal blocks and about a quarter of the others,
+    all of one shape.  The operators take the kinds in turn: the five that
+    random_problem uses on the primal side, and all six on the dual side.
+    One solution pair is known, as in random_problem.
+    """
+    rng = np.random.default_rng(seed)
+    sig = ps.SpaceSignature((dim,) * blocks, (dim,) * blocks)
+    entries = {(k, i): rng.normal(size=(dim, dim)) / np.sqrt(2 * dim)
+               for k in range(blocks) for i in range(blocks) if k == i or rng.random() < 0.25}
+    L = ps.CouplingMap(sig, entries)
+    A_ops = [registry_op(rng, KINDS[j % 5], dim) for j in range(blocks)]
+    B_ops = [registry_op(rng, KINDS[(j + 2) % 6], dim) for j in range(blocks)]
+    return _with_known_solution(rng, sig, L, A_ops, B_ops)
+
+
+def _with_known_solution(rng, sig, L, A_ops, B_ops):
+    """The problem whose offsets make one sampled graph point per operator a solution."""
     xbar, wstars = [], []
-    for i in range(m):
-        u = rng.normal(size=pdims[i])
-        a = resolvent(A_ops[i], 1.0, u)
+    for op in A_ops:
+        u = rng.normal(size=op.dim)
+        a = resolvent(op, 1.0, u)
         xbar.append(a)
         wstars.append(u - a)
     ybar, vbar = [], []
-    for k in range(p):
-        u = rng.normal(size=ddims[k])
-        y = resolvent(B_ops[k], 1.0, u)
+    for op in B_ops:
+        u = rng.normal(size=op.dim)
+        y = resolvent(op, 1.0, u)
         ybar.append(y)
         vbar.append(u - y)
     xb = ps.BlockVector(xbar)
     vb = ps.BlockVector(vbar)
-    z_star = ps.BlockVector([wstars[i] + adjoint_block(L, vb, i) for i in range(m)])
-    r = ps.BlockVector([forward_block(L, xb, k) - ybar[k] for k in range(p)])
+    z_star = ps.BlockVector([wstars[i] + adjoint_block(L, vb, i) for i in range(len(A_ops))])
+    r = ps.BlockVector([forward_block(L, xb, k) - ybar[k] for k in range(len(B_ops))])
     return ps.ProblemSpec(sig, A_ops, B_ops, L, z_star, r,
                           known_Z_points=[ps.PrimalDualPoint(xb, vb)])

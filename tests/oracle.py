@@ -1,5 +1,5 @@
 """Independent verification machinery: brute-force minimizers, closed-form
-projections, a buffer-free reference iteration, and the per-step invariant
+projections, buffer-free reference iterations, and the per-step invariant
 checker.
 
 The tests use it as an independent reference; the package itself does not.
@@ -15,14 +15,15 @@ import numpy as np
 
 from pdsplit import engine
 from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm
-from pdsplit.engine import EngineState, IterationRecord, RunResult, SolverConfig, iteration_record
+from pdsplit.engine import (EngineState, IterationRecord, RunResult, SolverConfig,
+                            haugazeau_update, iteration_record)
 from pdsplit.errors import ConfigError, InconsistencyError, InvariantViolation
 from pdsplit.operators import (MEMBERSHIP_TOL, graph_point_dual, graph_point_primal,
-                               membership_residual)
-from pdsplit.schedule import ControlSchedule
-from pdsplit.separator import ProblemSpec, build_separator, halfspace_violation, project_halfspace
-
-from conftest import graph_table
+                               membership_residual, validate_inexact_dual,
+                               validate_inexact_primal)
+from pdsplit.schedule import ControlSchedule, synchronous
+from pdsplit.separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
+                               project_halfspace)
 
 FEJER_TOL = 1e-10
 ANCHOR_TOL = 1e-10
@@ -129,31 +130,70 @@ def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
                           n_iters: int) -> tuple[list[IterationRecord], PrimalDualPoint]:
     """Straight-line synchronous run of the relaxed-projection iteration.
 
-    No schedule, no lag buffer, no recycling: every block is refreshed from
-    the current iterate each step, in fixed block order, using the same
-    primitives as the engine.  Used to certify that the asynchronous
-    machinery introduces no arithmetic drift in the synchronous regime.
+    No lag buffer and no recycling: every block is refreshed from the
+    current iterate each step, in fixed block order, through the per-block
+    primitives (see lagged_reference_run).  Used to certify that the
+    asynchronous, batched machinery introduces no arithmetic drift in the
+    synchronous regime.
+    """
+    records, final, _ = lagged_reference_run(problem, config,
+                                             synchronous(problem.m, problem.p), n_iters)
+    return records, final
+
+
+def lagged_reference_run(problem: ProblemSpec, config: SolverConfig, sched: ControlSchedule,
+                         n_iters: int) -> tuple[list[IterationRecord], PrimalDualPoint, tuple]:
+    """The engine's iteration written out block by block, as a reference for its batched phase.
+
+    Every iterate is kept (no ring buffer).  Each activated block reads
+    L x or L* v* of the iterate its lag names with forward_block or
+    adjoint_block and gets its point from graph_point_*.  In inexact mode
+    each one, in activation order and primal blocks first, draws a seeded
+    error toward its first read, capped at 0.95 times the budget's bound,
+    and keeps the perturbed point if the budget accepts it.  Returns the
+    records, the last iterate and the inexact (accepted, rejected) counts.
     """
     rules = config.validate(problem)
-    current = problem.projector.project(config.start or PrimalDualPoint.zeros(problem.signature))
+    sig, L, budget, rule = problem.signature, problem.coupling, config.inexact, config.perturbation
+    rng = None if rule is None else np.random.default_rng(rule.seed)
+    counts = [0, 0]
+    iterates = [problem.projector.project(config.start or PrimalDualPoint.zeros(sig))]
+    graph = GraphTable.zeros(sig)
     records: list[IterationRecord] = []
+    sides = ((0, "a", graph_point_primal, validate_inexact_primal, "beta"),
+             (1, "b", graph_point_dual, validate_inexact_dual, "delta"))
     for n in range(n_iters):
-        a_points = [graph_point_primal(
-            problem.A_ops[i], problem.z_star.blocks[i], rules.gamma[i],
-            current.x.blocks[i], adjoint_block(problem.coupling, current.v_star, i))
-            for i in range(problem.m)]
-        b_points = [graph_point_dual(
-            problem.B_ops[k], problem.r.blocks[k], rules.mu[k],
-            forward_block(problem.coupling, current.x, k), current.v_star.blocks[k])
-            for k in range(problem.p)]
-        graph = graph_table(a_points, b_points)
+        for side, table, point, check, bound in sides:
+            for idx in sched.blocks_at(n)[side]:
+                if side == 0:
+                    past, sl = iterates[sched.lag_primal(idx, n)], sig.primal_slices[idx]
+                    args = (problem.A_ops[idx], problem.z_star.data[sl], rules.gamma[idx],
+                            past.x.data[sl], adjoint_block(L, past.v_star, idx))
+                else:
+                    past, sl = iterates[sched.lag_dual(idx, n)], sig.dual_slices[idx]
+                    args = (problem.B_ops[idx], problem.r.data[sl], rules.mu[idx],
+                            forward_block(L, past.x, idx), past.v_star.data[sl])
+                gp = point(*args)
+                if rng is not None:
+                    err = float(rng.uniform(-rule.scale, rule.scale)) * (args[3] - gp.point)
+                    cap, norm = 0.95 * getattr(budget, bound), float(np.linalg.norm(err))
+                    candidate = point(*args, error=err * (cap / norm) if norm > cap else err)
+                    accepted = check(args[0], candidate, args[3], args[4], args[1], args[2],
+                                     budget).accepted
+                    counts[0 if accepted else 1] += 1
+                    gp = candidate if accepted else gp
+                getattr(graph, table)[sl], getattr(graph, f"{table}_dual")[sl] = gp.point, gp.dual
+        current = iterates[n]
         sep, _ = build_separator(graph, problem)
         violation = halfspace_violation(current, sep)
         theta, nxt = project_halfspace(current, sep, rules.lam(n), config.tau_zero_tol)
-        records.append(iteration_record(n, theta, sep.norm_sq, violation, problem,
-                                        current, graph))
-        current = nxt
-    return records, current
+        if config.mode == "haugazeau":
+            nxt = haugazeau_update(iterates[0], current, nxt)
+        records.append(iteration_record(
+            n, theta, sep.norm_sq, violation, problem, current,
+            L.forward(current.x.data), L.adjoint(current.v_star.data), graph))
+        iterates.append(nxt)
+    return records, iterates[-1], None if rng is None else tuple(counts)
 
 
 def check_step(state: EngineState, before: PrimalDualPoint, n: int) -> None:

@@ -6,14 +6,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import time
 
 import numpy as np
-import pytest
 
 import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.blockspace import pd_norm
 from pdsplit.cli import main
 from pdsplit.engine import EngineState, advance
-from pdsplit.operators import GraphPoint, InexactnessBudget, graph_point_primal
+from pdsplit.operators import GraphPoint, InexactnessBudget
 from pdsplit.operators import validate_inexact_dual, validate_inexact_primal
 from pdsplit.schedule import synchronous
 from pdsplit.separator import kt_residual

@@ -8,7 +8,7 @@ import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.cli import main
 
-from conftest import make_lasso_problem, make_scalar_problem, point
+from conftest import make_scalar_problem, point
 
 
 @pytest.fixture

@@ -5,12 +5,13 @@ import pytest
 
 import pdsplit as ps
 from pdsplit.blockspace import pd_norm
-from pdsplit.engine import EngineState, IterationRecord, advance, haugazeau_update
+from pdsplit.engine import EngineState, advance, haugazeau_update
 from pdsplit.errors import ConfigError, InconsistencyError
 from pdsplit.schedule import synchronous
 
-from conftest import (make_lasso_problem, make_scalar_problem, point, random_problem)
-from oracle import checked_run, fejer_reference_trace, project_intersection_two_halfspaces
+from conftest import make_lasso_problem, point, random_blocksparse_problem, random_problem
+from oracle import (checked_run, fejer_reference_trace, lagged_reference_run,
+                    project_intersection_two_halfspaces)
 
 
 def start_20():
@@ -203,6 +204,36 @@ def test_synchronous_matches_reference_lasso():
     assert res.trace == ref
 
 
+def test_synchronous_matches_reference_multiblock():
+    # 8 blocks of one shape per side, every operator kind, a step per block:
+    # the batched phase must give the block-by-block reference's bits
+    prob = random_blocksparse_problem(3)
+    cfg = ps.SolverConfig(mode="fejer", relaxation=1.9, max_iter=40, resid_tol=0.0,
+                          exact_tol=-1.0, gamma=[0.5 + 0.25 * i for i in range(8)],
+                          mu=[2.0 - 0.2 * k for k in range(8)])
+    res = ps.run(prob, cfg)
+    ref, final = fejer_reference_trace(prob, cfg, 40)
+    assert res.trace == ref
+    assert np.array_equal(res.final.data, final.data)
+
+
+# (accepted, rejected) perturbations of this run at the commit before the
+# decomposition phase was batched
+@pytest.mark.parametrize("mode, counts", [("fejer", (216, 340)), ("haugazeau", (218, 338))])
+def test_perturbed_lagged_run_matches_the_blockwise_reference(mode, counts):
+    prob = random_blocksparse_problem(3)
+    sched = ps.random_admissible(prob.m, prob.p, M=3, D=4, horizon=64, seed=3)
+    cfg = ps.SolverConfig(mode=mode, max_iter=60, resid_tol=0.0, exact_tol=-1.0,
+                          inexact=ps.InexactnessBudget(1.0, 0.2, 1.0, 0.2),
+                          perturbation=ps.PerturbationRule(seed=7, scale=0.6))
+    res = ps.run(prob, cfg, sched)
+    ref, final, ref_counts = lagged_reference_run(prob, cfg, sched, 60)
+    assert res.trace == ref
+    assert np.array_equal(res.final.data, final.data)
+    assert (res.metadata["perturb_accepted"], res.metadata["perturb_rejected"]) == ref_counts
+    assert ref_counts == counts
+
+
 def test_recycling_reads_lagged_iterates():
     # with D>0 the trace differs from the synchronous run, but stays admissible
     prob = random_problem(12)
@@ -301,6 +332,21 @@ def test_state_keeps_the_config_it_validated(l1_identity_problem):
     assert state.current.x.blocks[0][0] == pytest.approx(0.1)  # the fejer step from (2, 0)
 
 
+def test_state_keeps_the_schedule_it_certified(l1_identity_problem):
+    cfg = fejer_config(max_iter=6, exact_tol=1e-14)
+    expected = ps.run(l1_identity_problem, cfg, ps.periodic(1, 1, 1, 4, ("constant", 1)))
+    sched = ps.periodic(1, 1, 1, 4, ("constant", 1))
+    state = EngineState.initial(l1_identity_problem, cfg, sched)
+    sched.I_seq[0] = sched.K_seq[0] = ()  # no block at n=0: the zero graph would be "exact"
+    sched.c[(0, 2)] = sched.d[(0, 2)] = 2
+    assert not ps.validate(sched, 1, 1).certified
+    terminal = None
+    while terminal is None and state.n < cfg.max_iter:
+        terminal = advance(state)
+    assert state.trace == expected.trace and state.trace[0].theta > 0
+    assert np.array_equal(state.current.data, expected.final.data)
+
+
 def test_run_rejects_uncertified_schedule(l1_identity_problem):
     bad = ps.ControlSchedule(3, [(0,), (0,), (0,)], [(0,)] * 3, c={(0, 2): 0},
                              M=1, D=1)
@@ -324,6 +370,46 @@ def test_start_projected_onto_subspace():
     assert res.status == "max_iter"  # no invariant violation: iterate on subspace
 
 
+def test_operator_groups_split_by_kind_and_dim():
+    groups = EngineState.initial(random_blocksparse_problem(3), ps.SolverConfig(),
+                                 synchronous(8, 8)).primal.groups
+    assert [(kind, members) for kind, members, _, _ in groups] == [
+        ("zero", [0, 5]), ("l1_norm", [1, 6]), ("box_indicator", [2, 7]), ("quadratic", [3]),
+        ("affine_monotone", [4])]
+    assert groups[1][3].tolist() == [[3, 4, 5], [18, 19, 20]]  # the members' coordinates
+    sig = ps.SpaceSignature((2, 3, 2), (1,))
+    problem = ps.ProblemSpec(sig, [ps.l1_norm(2), ps.l1_norm(3), ps.l1_norm(2)], [ps.zero(1)],
+                             ps.CouplingMap(sig, {(0, 1): np.ones((1, 3))}),
+                             ps.BlockVector([np.zeros(2), np.zeros(3), np.zeros(2)]),
+                             ps.BlockVector([[0.0]]))
+    groups = EngineState.initial(problem, ps.SolverConfig(), synchronous(3, 1)).primal.groups
+    assert [(kind, members) for kind, members, _, _ in groups] == [
+        ("l1_norm", [0, 2]), ("l1_norm", [1])]
+
+
+def test_synchronous_iteration_calls_each_resolvent_group_once(monkeypatch):
+    import pdsplit.engine
+    import pdsplit.operators
+    state = EngineState.initial(random_blocksparse_problem(3), ps.SolverConfig(), synchronous(8, 8))
+    calls = {"group": 0, "block": 0}
+    group_call, block_call = pdsplit.engine.stacked_resolvent, pdsplit.operators.resolvent
+
+    def counted_group(*args):
+        calls["group"] += 1
+        return group_call(*args)
+
+    def counted_block(*args):
+        calls["block"] += 1
+        return block_call(*args)
+    monkeypatch.setattr(pdsplit.engine, "stacked_resolvent", counted_group)
+    monkeypatch.setattr(pdsplit.operators, "resolvent", counted_block)
+    groups = len(state.primal.groups) + len(state.dual.groups)
+    assert groups == 5 + 6
+    for n in range(3):
+        assert advance(state) is None
+        assert calls == {"group": groups * (n + 1), "block": 0}
+
+
 def _ring_problem(m):
     """m = p blocks of dimension 2; dual block k couples primal blocks k and k+1."""
     sig = ps.SpaceSignature((2,) * m, (2,) * m)
@@ -338,6 +424,7 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
     """(per-block applies, full applies, activated blocks) for each iteration."""
     import pdsplit.blockspace
     import pdsplit.engine
+    import pdsplit.separator
     calls = {"block": 0, "full": 0}
 
     def counted(kind, fn):
@@ -345,9 +432,10 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
             calls[kind] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for module in (pdsplit.blockspace, pdsplit.engine):
+    for module in (pdsplit.blockspace, pdsplit.engine, pdsplit.separator):
         for name in ("forward_block", "adjoint_block"):
-            monkeypatch.setattr(module, name, counted("block", getattr(module, name)))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted("block", getattr(module, name)))
     for name in ("forward", "adjoint"):
         monkeypatch.setattr(ps.CouplingMap, name, counted("full", getattr(ps.CouplingMap, name)))
     problem = _ring_problem(m)
@@ -366,10 +454,10 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
 
 def test_iteration_cost_follows_the_activated_blocks(monkeypatch):
     rows = _coupling_calls_per_iteration(monkeypatch, 12, 30)
-    assert rows[0] == (24, 4, 24)  # iteration 0 activates every block
-    assert all(block == active == 2 for block, _, active in rows[1:])
-    full = {f for _, f, _ in rows}
-    assert len(full) == 1
-    # the number of full applies per iteration does not depend on m
+    assert rows[0] == (0, 4, 24)  # iteration 0 activates every block
+    assert all(active == 2 for _, _, active in rows[1:])
+    # reads slice the images of buffered iterates: no per-block apply, and
+    # 4 full applies (2 for the separator, 2 for the new iterate) whatever m is
+    assert {(block, full) for block, full, _ in rows} == {(0, 4)}
     small = _coupling_calls_per_iteration(monkeypatch, 3, 10)
-    assert {f for _, f, _ in small} == full
+    assert {(block, full) for block, full, _ in small} == {(0, 4)}

@@ -7,9 +7,10 @@ import pdsplit as ps
 from pdsplit.errors import ConfigError
 from pdsplit.operators import (GraphPoint, InexactnessBudget, graph_point_dual,
                                graph_point_primal, membership_residual, resolvent,
-                               validate_inexact_dual, validate_inexact_primal)
+                               stacked_parameters, stacked_resolvent, validate_inexact_dual,
+                               validate_inexact_primal)
 
-from conftest import PROX_REPRESENTABLE, function_value
+from conftest import KINDS, PROX_REPRESENTABLE, function_value, registry_op
 from oracle import grid_minimize
 
 
@@ -78,6 +79,37 @@ def test_resolvent_nonexpansive(seed, gamma):
         v = rng.normal(size=dim) * 3
         lhs = np.linalg.norm(resolvent(op, gamma, u) - resolvent(op, gamma, v))
         assert lhs <= np.linalg.norm(u - v) + 1e-12
+
+
+def _textbook_resolvent(op, gamma, u):
+    """The resolvent formulas written out for one operator, as a fixed reference."""
+    if op.kind == "zero":
+        return u.copy()
+    if op.kind == "l1_norm":
+        return np.sign(u) * np.maximum(np.abs(u) - gamma * op.params["weight"], 0.0)
+    if op.kind in ("box_indicator", "normal_cone_box"):
+        return np.minimum(np.maximum(u, op.params["lo"]), op.params["hi"])
+    mat, vec = ("Q", "q") if op.kind == "quadratic" else ("M", "c")
+    return np.linalg.solve(np.eye(op.dim) + gamma * op.params[mat], u - gamma * op.params[vec])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 20])
+@pytest.mark.parametrize("kind", KINDS)
+def test_grouped_resolvent_matches_the_per_block_one_bitwise(kind, dim):
+    rng = np.random.default_rng(dim)
+    ops = [registry_op(rng, kind, dim) for _ in range(5)]
+    gammas = [float(g) for g in rng.uniform(0.1, 3.0, 5)]
+    u = 3.0 * rng.normal(size=(5, dim))
+    single = [resolvent(op, g, row) for op, g, row in zip(ops, gammas, u)]
+    for op, g, row, out in zip(ops, gammas, u, single):
+        assert np.array_equal(out, _textbook_resolvent(op, g, row))
+    params = stacked_parameters(ops, gammas)
+    whole = stacked_resolvent(kind, params, u)
+    assert all(np.array_equal(whole[j], single[j]) for j in range(5))
+    for rows in ([3], [0, 2, 4], [1, 2]):  # part of the group active, as the engine selects it
+        part = stacked_resolvent(kind, tuple(p[rows] for p in params), u[rows])
+        assert len(part) == len(rows)
+        assert all(np.array_equal(out, single[j]) for out, j in zip(part, rows))
 
 
 def test_graph_point_primal_soft_threshold():

@@ -23,6 +23,13 @@ def test_validate_periodic_sweep():
     assert validate(s, 3, 1).certified
 
 
+def test_activation_sets_are_sorted_sets():
+    # a block listed twice is activated once, so a full set reads as full
+    s = ControlSchedule(2, [(1, 0, 1), (0, 1, 1)], [(0, 0), (0,)], M=1, D=0)
+    assert s.I_seq == [(0, 1), (0, 1)] and s.K_seq == [(0,), (0,)]
+    assert validate(s, 2, 1).certified
+
+
 def test_validate_empty_block_set():
     I_seq = [(0,)] * 5 + [()] + [(0,)] * 2
     s = ControlSchedule(8, I_seq, [(0,)] * 8, M=1, D=0)
