@@ -147,7 +147,7 @@ class CouplingMap:
     handful of numpy calls whose summation order depends only on the keys.
     """
 
-    __slots__ = ("signature", "entries", "_rows", "_cols", "_groups", "_index")
+    __slots__ = ("signature", "entries", "_groups", "_index", "_per_block")
 
     def __init__(self, signature: SpaceSignature, entries: Mapping[tuple[int, int], np.ndarray]):
         self.signature = signature
@@ -172,32 +172,58 @@ class CouplingMap:
             stack = np.array([arrays[key] for key in group])
             self.entries.update(zip(group, stack))
             self._groups.append((stack, group))
-        self._index = None  # per group, (stack, flat row index, flat column index); see _indexed
-        self._rows = {k: [] for k in range(signature.p)}  # (primal slice, entry) per dual block
-        self._cols = {i: [] for i in range(signature.m)}  # (dual slice, entry) per primal block
-        for k, i in keys:
-            self._rows[k].append((signature.primal_slices[i], self.entries[(k, i)]))
-            self._cols[i].append((signature.dual_slices[k], self.entries[(k, i)]))
+        self._index = None  # per group, (stack, row index, column index, keys); see _indexed
+        self._per_block = None  # see _blocks
+
+    def copy(self) -> "CouplingMap":
+        """A copy with its own stacks in the same layout, so its applies give the same bits."""
+        out = CouplingMap.__new__(CouplingMap)
+        out.signature, out._per_block = self.signature, None
+        out._groups = [(stack.copy(), keys) for stack, keys in self._groups]
+        out.entries = {key: mat for stack, keys in out._groups for key, mat in zip(keys, stack)}
+        out._index = [(stack, *index[1:]) for (stack, _), index in zip(out._groups, self._indexed())]
+        return out
+
+    def _blocks(self) -> tuple:
+        """Per dual block its (primal slice, entry) pairs, and per primal block its (dual slice,
+        entry) pairs, in key order; built at the first per-block apply."""
+        if self._per_block is None:
+            sig = self.signature
+            self._per_block = [[] for _ in range(sig.p)], [[] for _ in range(sig.m)]
+            for (k, i), mat in sorted(self.entries.items()):
+                self._per_block[0][k].append((sig.primal_slices[i], mat))
+                self._per_block[1][i].append((sig.dual_slices[k], mat))
+        return self._per_block
 
     def _indexed(self) -> list:
-        """The stacks with their gather/scatter index arrays, built at the first full apply."""
+        """Per stack: its entries' dual and primal coordinates and (k, i), built at the first apply."""
         if self._index is None:
             sig = self.signature
             self._index = [(stack, _flat_index([sig.dual_slices[k] for k, _ in keys]),
-                            _flat_index([sig.primal_slices[i] for _, i in keys]))
+                            _flat_index([sig.primal_slices[i] for _, i in keys]), np.array(keys))
                            for stack, keys in self._groups]
         return self._index
 
+    def _products(self, v: np.ndarray, adjoint: bool, picks=None) -> list:
+        """Per stack, its entries' products (of picks[stack] only, if given) as (entries, width)."""
+        out = []
+        for g, (stack, rows, cols, _) in enumerate(self._indexed()):
+            read = rows if adjoint else cols
+            if picks is not None:
+                stack, read = stack[picks[g]], read[picks[g]]
+            read = v[read]
+            out.append(np.matmul(read.reshape(len(read), 1, read.shape[1]), stack)[:, 0]
+                       if adjoint else np.matmul(stack, read.reshape(*read.shape, 1))[..., 0])
+        return out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """L x for a flat primal array, as a flat dual array."""
-        return _scatter([(rows, np.matmul(stack, x[cols].reshape(len(stack), -1, 1)))
-                         for stack, rows, cols in self._indexed()],
+        return _scatter([rows for _, rows, _, _ in self._indexed()], self._products(x, False),
                         self.signature.dual_slices[-1].stop)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """L* y for a flat dual array, as a flat primal array."""
-        return _scatter([(cols, np.matmul(y[rows].reshape(len(stack), 1, -1), stack))
-                         for stack, rows, cols in self._indexed()],
+        return _scatter([cols for _, _, cols, _ in self._indexed()], self._products(y, True),
                         self.signature.primal_slices[-1].stop)
 
     def to_dense(self) -> np.ndarray:
@@ -210,25 +236,78 @@ class CouplingMap:
 
 
 def _flat_index(slices: list) -> np.ndarray:
-    """Flat coordinates covered by a list of equally long block slices, in order."""
+    """Flat coordinates covered by a list of equally long block slices, one row per slice."""
     width = slices[0].stop - slices[0].start
-    return np.add.outer([sl.start for sl in slices], np.arange(width)).ravel()
+    return np.add.outer([sl.start for sl in slices], np.arange(width))
 
 
-def _scatter(parts: list, size: int) -> np.ndarray:
-    """Sum (flat index, per-block product) pairs into a flat vector, in list order."""
-    if not parts:
+def _scatter(at: list, products: list, size: int) -> np.ndarray:
+    """Sum each stack's products into a flat vector at its flat indices, in list order."""
+    if not at:
         return np.zeros(size)
-    if len(parts) == 1:
-        return np.bincount(parts[0][0], weights=parts[0][1].ravel(), minlength=size)
-    return np.bincount(np.concatenate([at for at, _ in parts]), minlength=size,
-                       weights=np.concatenate([prod.ravel() for _, prod in parts]))
+    if len(at) == 1:
+        return np.bincount(at[0].ravel(), weights=products[0].ravel(), minlength=size)
+    return np.bincount(np.concatenate([a.ravel() for a in at]), minlength=size,
+                       weights=np.concatenate([prod.ravel() for prod in products]))
+
+
+class KeptImage:
+    """L v, or L* v if adjoint, kept for a flat v that starts at 0 and changes a few blocks at a time.
+
+    It keeps each entry's product, flat in the full apply's order.  update
+    recomputes the products of the entries that read a changed block of v
+    and re-sums the output blocks they feed in that order, so value stays
+    bitwise equal to forward(v) (adjoint(v)).
+    """
+
+    __slots__ = ("coupling", "adjoint", "value", "_inputs", "_at", "_flat", "_products", "_outs",
+                 "_reads", "_feeds")
+
+    def __init__(self, coupling: CouplingMap, adjoint: bool = False):
+        sig, out = coupling.signature, int(adjoint)  # out: the key index naming an output block
+        stacks = [(cols if adjoint else rows, keys) for _, rows, cols, keys in coupling._indexed()]
+        ends, none = np.cumsum([at.size for at, _ in stacks]).tolist(), [np.zeros(0, np.intp)]
+        self.coupling, self.adjoint, self._inputs = coupling, adjoint, (sig.m, sig.p)[out]
+        self._at = np.concatenate([at.ravel() for at, _ in stacks] + none)  # per product
+        self._flat = np.zeros(self._at.size)
+        self._products = [self._flat[end - at.size:end].reshape(at.shape)  # per stack, views
+                          for end, (at, _) in zip(ends, stacks)]
+        self.value = np.zeros(sum(sig.primal_dims if adjoint else sig.dual_dims))
+        # per stack: each entry's output block, and per block of v the entries that read it
+        self._outs = [keys[:, out] for _, keys in stacks]
+        self._reads = [_by_owner(keys[:, 1 - out], self._inputs) for _, keys in stacks]
+        self._feeds = _by_owner(np.concatenate([np.repeat(keys[:, out], at.shape[1])  # products
+                                                for at, keys in stacks] + none), (sig.p, sig.m)[out])
+
+    def update(self, v: np.ndarray, changed) -> None:
+        """Bring value up to date after the blocks `changed` (sorted, distinct) of v changed."""
+        if len(changed) == self._inputs:
+            for kept, fresh in zip(self._products, self.coupling._products(v, self.adjoint)):
+                kept[...] = fresh
+            self.value = np.bincount(self._at, weights=self._flat, minlength=self.value.size)
+            return
+        picks = [r[changed[0]] if len(changed) == 1 else np.concatenate([r[c] for c in changed])
+                 for r in self._reads]
+        for kept, fresh, pick in zip(self._products,
+                                     self.coupling._products(v, self.adjoint, picks), picks):
+            kept[pick] = fresh
+        fed = set().union(*(outs[pick].tolist() for outs, pick in zip(self._outs, picks)))
+        if fed:
+            sel = np.concatenate([self._feeds[t] for t in fed])
+            at = self._at[sel]
+            self.value[at] = np.bincount(at, weights=self._flat[sel], minlength=self.value.size)[at]
+
+
+def _by_owner(owner: np.ndarray, count: int) -> list:
+    """For each value 0..count-1, the positions in owner that hold it, in order."""
+    order, ends = np.argsort(owner, kind="stable"), np.bincount(owner, minlength=count).cumsum()
+    return [order[start:end] for start, end in zip([0, *ends.tolist()], ends.tolist())]
 
 
 def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
     """Dual block k of the forward map: sum over i of entry (k,i) applied to x_i."""
     acc = np.zeros(cmap.signature.dual_dims[k])
-    for sl, mat in cmap._rows[k]:
+    for sl, mat in cmap._blocks()[0][k]:
         acc += mat @ x.data[sl]
     return acc
 
@@ -236,7 +315,7 @@ def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
 def adjoint_block(cmap: CouplingMap, y: BlockVector, i: int) -> np.ndarray:
     """Primal block i of the adjoint map: sum over k of entry (k,i) transposed applied to y_k."""
     acc = np.zeros(cmap.signature.primal_dims[i])
-    for sl, mat in cmap._cols[i]:
+    for sl, mat in cmap._blocks()[1][i]:
         acc += mat.T @ y.data[sl]
     return acc
 

@@ -15,6 +15,7 @@ per operator group.  `advance` runs one iteration, `run` loops over it.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -22,9 +23,10 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, pd_inner, pd_norm, pd_norm_sq
+from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, pd_inner, pd_norm,
+                         pd_norm_sq)
 from .blockspace import forward_block  # noqa: F401  (benchmark tooling looks it up here)
-from .errors import ConfigError, InconsistencyError
+from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, graph_point_dual, graph_point_primal,
                         stacked_parameters, stacked_resolvent, validate_inexact_dual,
                         validate_inexact_primal)
@@ -174,6 +176,7 @@ class _Side(NamedTuple):
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
     groups: list        # (kind, members, stacked parameters, member coordinates) per (kind, dim)
     where: dict         # block -> (group, row)
+    alone: list         # per block, its group's rows (views) as _plan gives them
 
 
 def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
@@ -184,8 +187,10 @@ def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
                np.add.outer([slices[j].start for j in js], np.arange(dim)))
               for (kind, dim), js in members.items()]
     where = {j: (g, row) for g, group in enumerate(groups) for row, j in enumerate(group[1])}
+    alone = [(groups[g][0], tuple(p[row:row + 1] for p in groups[g][2]),
+              np.arange(groups[g][3].shape[1])[None]) for g, row in map(where.get, range(len(ops)))]
     return _Side(read, tuple(ops), slices, offset.data,
-                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups, where)
+                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups, where, alone)
 
 
 def _buffered(coupling: CouplingMap, point: PrimalDualPoint) -> tuple:
@@ -198,9 +203,11 @@ def _buffered(coupling: CouplingMap, point: PrimalDualPoint) -> tuple:
 class EngineState:
     """Per-run state: validated inputs, iterate, anchor, recycled graph points, buffers.
 
-    `advance` reads all its inputs here: problem, copies of sched and config
-    (the caller's may change later), the rules config.validate returned and
-    the two sides, whose operator groups fix the operators' parameters.
+    `advance` reads all its inputs here: copies of the problem's offsets,
+    coupling and fixtures, of sched and of config (the caller's may change
+    later), the rules config.validate returned and the two sides, whose
+    operator groups fix the operators' parameters.  ended names the terminal
+    status after which the run cannot go on.
     """
 
     problem: ProblemSpec
@@ -214,9 +221,12 @@ class EngineState:
     buffer: LagBuffer
     primal: _Side
     dual: _Side
+    la: KeptImage   # L a and L* b* of the graph points
+    lsb: KeptImage
     perturb: Optional[_PerturbState] = None
     trace: list[IterationRecord] = field(default_factory=list)
     last_record: Optional[IterationRecord] = None
+    ended: Optional[str] = None
 
     @classmethod
     def initial(cls, problem: ProblemSpec, config: SolverConfig,
@@ -227,12 +237,18 @@ class EngineState:
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
+        problem = copy.copy(problem)  # with its own arrays, where the caller's may change later
+        problem.z_star, problem.r = (BlockVector._wrap(b.data.copy(), b.dims)
+                                     for b in (problem.z_star, problem.r))
+        problem.coupling = problem.coupling.copy()
+        problem.known_Z_points = tuple(z._like(z.data.copy()) for z in problem.known_Z_points)
         L, sig = problem.coupling, problem.signature
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
                    graph=GraphTable.zeros(sig), buffer=LagBuffer(sched.D, _buffered(L, current)),
                    primal=_side(0, problem.A_ops, sig.primal_slices, problem.z_star, rules.gamma),
                    dual=_side(1, problem.B_ops, sig.dual_slices, problem.r, rules.mu),
+                   la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
                    perturb=_PerturbState(config.perturbation) if config.perturbation else None)
 
 
@@ -256,8 +272,8 @@ class _PerturbState:
         self.rejected = 0
 
     def apply(self, state: EngineState, side: _Side, active: Sequence[int], reads: tuple,
-              exact: tuple, graph: tuple) -> None:
-        """Perturb the activated blocks' exact points in order, keeping what the budget accepts."""
+              graph: tuple) -> None:
+        """Perturb the activated blocks' exact points (in graph) in order, keeping what passes."""
         budget = state.config.inexact
         point, check, steps, bound = (
             (graph_point_primal, validate_inexact_primal, state.rules.gamma, budget.beta),
@@ -265,7 +281,7 @@ class _PerturbState:
         for idx in active:
             sl = side.slices[idx]
             args = (side.ops[idx], side.offset[sl], steps[idx], reads[0][sl], reads[1][sl])
-            err = float(self.rng.uniform(-self.scale, self.scale)) * (args[3] - exact[0][sl])
+            err = float(self.rng.uniform(-self.scale, self.scale)) * (args[3] - graph[0][sl])
             cap, err_norm = 0.95 * bound, float(np.linalg.norm(err))
             if err_norm > cap:
                 err = err * (cap / err_norm)
@@ -278,7 +294,7 @@ class _PerturbState:
 
 
 def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[int]) -> tuple:
-    """The side's read arrays: each activated block's slices of the iterate it reads."""
+    """The side's read arrays: each activated block's slices of the iterate it reads (else 0)."""
     if all(j == lags[0] for j in lags):  # then they are that iterate's own arrays
         return state.buffer.get(lags[0])[side.read]
     out = (np.zeros(side.step.size), np.zeros(side.step.size))
@@ -288,19 +304,34 @@ def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[in
     return out
 
 
-def _resolvents(side: _Side, active: Sequence[int], u: np.ndarray) -> tuple:
-    """(activated coordinates, their resolvents of u in a side array), one call per group."""
+def _plan(side: _Side, active: Sequence[int]) -> tuple:
+    """The activated coordinates (slice(None) for all, a slice for one block), and for each
+    operator group with an activated member its (kind, parameters, members' positions in arrays
+    over those coordinates)."""
+    everything = len(active) == len(side.slices)
+    if len(active) == 1 and not everything:  # the block's slice, and its group's rows as views
+        return side.slices[active[0]], [side.alone[active[0]]]
     rows: dict[int, list[int]] = {}
     for idx in active:
         rows.setdefault(side.where[idx][0], []).append(side.where[idx][1])
-    out, parts = np.zeros_like(u), []
+    plan, parts, start = [], [], 0
     for g, sel in rows.items():
         kind, members, params, coords = side.groups[g]
         if len(sel) < len(members):
             params, coords = tuple(p[sel] for p in params), coords[sel]
-        out[coords] = stacked_resolvent(kind, params, u[coords])
+        plan.append((kind, params, coords if everything
+                     else np.arange(start, start + coords.size).reshape(coords.shape)))
         parts.append(coords)
-    return (slice(None) if len(active) == len(side.slices) else np.concatenate(parts, None)), out
+        start += coords.size
+    return (slice(None) if everything else np.concatenate(parts, None)), plan
+
+
+def _resolve(plan: list, u: np.ndarray) -> np.ndarray:
+    """The resolvents of u at the planned positions, one call per group."""
+    out = np.empty_like(u)
+    for kind, params, at in plan:
+        out[at] = stacked_resolvent(kind, params, u[at])
+    return out
 
 
 def _decompose(state: EngineState, n: int) -> None:
@@ -308,22 +339,26 @@ def _decompose(state: EngineState, n: int) -> None:
 
     Primal:  a = J(x + gamma*(z* - L*v)),  a* = (x - a)/gamma - L*v
     Dual:    b = r + J(Lx + mu*v - r),     b* = v + (Lx - b)/mu
-    Inexact mode then perturbs them block by block, primal blocks first.
+    on the activated coordinates only.  Inexact mode then perturbs them block
+    by block, primal blocks first, and the kept L a and L* b* follow.
     """
     sched, graph, prim, dual = state.sched, state.graph, state.primal, state.dual
     I_n, K_n = sched.blocks_at(n)
-    x, lsv = _reads(state, prim, I_n, [sched.lag_primal(i, n) for i in I_n])
-    act, a = _resolvents(prim, I_n, x + prim.step * (prim.offset - lsv))
-    a_dual = (x - a) / prim.step - lsv
-    graph.a[act], graph.a_dual[act] = a[act], a_dual[act]
-    lx, v = _reads(state, dual, K_n, [sched.lag_dual(k, n) for k in K_n])
-    act, j = _resolvents(dual, K_n, lx + dual.step * v - dual.offset)
-    b = dual.offset + j
-    b_dual = v + (lx - b) / dual.step
-    graph.b[act], graph.b_dual[act] = b[act], b_dual[act]
+    reads_p = _reads(state, prim, I_n, [sched.lag_primal(i, n) for i in I_n])
+    at, plan = _plan(prim, I_n)
+    x, lsv, step = reads_p[0][at], reads_p[1][at], prim.step[at]
+    a = _resolve(plan, x + step * (prim.offset[at] - lsv))
+    graph.a[at], graph.a_dual[at] = a, (x - a) / step - lsv
+    reads_d = _reads(state, dual, K_n, [sched.lag_dual(k, n) for k in K_n])
+    at, plan = _plan(dual, K_n)
+    lx, v, step, offset = reads_d[0][at], reads_d[1][at], dual.step[at], dual.offset[at]
+    b = offset + _resolve(plan, lx + step * v - offset)
+    graph.b[at], graph.b_dual[at] = b, v + (lx - b) / step
     if state.perturb is not None:
-        state.perturb.apply(state, prim, I_n, (x, lsv), (a, a_dual), (graph.a, graph.a_dual))
-        state.perturb.apply(state, dual, K_n, (lx, v), (b, b_dual), (graph.b, graph.b_dual))
+        state.perturb.apply(state, prim, I_n, reads_p, (graph.a, graph.a_dual))
+        state.perturb.apply(state, dual, K_n, reads_d, (graph.b, graph.b_dual))
+    state.la.update(graph.a, I_n)
+    state.lsb.update(graph.b_dual, K_n)
 
 
 def iteration_record(n: int, theta: float, tau: float, violation: float,
@@ -369,12 +404,16 @@ def advance(state: EngineState):
 
     Returns None, or the run's terminal (status, point, message): "solved"
     once the residuals pass the stopping test (they certify the iterate the
-    step started from), "exact_point" or "inconsistent".
+    step started from), "exact_point" or "inconsistent".  A run that
+    returned "exact_point" has ended: advancing it again raises PdsplitError.
     """
     n, current = state.n, state.current
     problem, config, graph = state.problem, state.config, state.graph
+    if state.ended is not None:
+        raise PdsplitError(f"the run has ended: advance returned {state.ended!r} at iteration "
+                           f"{n - 1}; build a new state to run again")
     _decompose(state, n)
-    sep, raw = build_separator(graph, problem)
+    sep, raw = build_separator(graph, problem, (state.lsb.value, state.la.value))
     exact = detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
     violation = halfspace_violation(current, sep)
     theta, nxt = project_halfspace(current, sep, state.rules.lam(n), config.tau_zero_tol)
@@ -393,7 +432,7 @@ def advance(state: EngineState):
     if not finite:
         return "inconsistent", current, f"non-finite values at iteration {n}"
     if exact is not None:
-        state.n = n + 1
+        state.n, state.ended = n + 1, "exact_point"
         return "exact_point", exact, f"separator normal vanished at iteration {n}"
     state.current = nxt
     state.buffer.push(n + 1, _buffered(problem.coupling, nxt))

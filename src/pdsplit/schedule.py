@@ -64,6 +64,8 @@ class ControlSchedule:
         return self.I_seq[src], self.K_seq[src]
 
     def _lag(self, table: dict, idx: int, n: int) -> int:
+        if not table:  # no lags: every read is of iterate n
+            return n
         if n < self.horizon:
             return table.get((idx, n), n)
         src = self._tail_source(n)

@@ -240,14 +240,17 @@ class Separator:
     norm_sq: float     # tau: ||normal||^2
 
 
-def build_separator(graph: GraphTable, problem: ProblemSpec) -> tuple[Separator, PrimalDualPoint]:
+def build_separator(graph: GraphTable, problem: ProblemSpec,
+                    images: Optional[tuple] = None) -> tuple[Separator, PrimalDualPoint]:
     """Assemble the separating half-space from one graph point per operator.
 
     Returns the separator together with the raw (unprojected) normal, which
-    the exact-solution test inspects.
+    the exact-solution test inspects.  images are (L* b_dual, L a) if the
+    caller keeps them; without them L is applied in full.
     """
     L = problem.coupling
-    raw = graph.pair(graph.a_dual + L.adjoint(graph.b_dual), graph.b - L.forward(graph.a))
+    lsb, la = images or (L.adjoint(graph.b_dual), L.forward(graph.a))
+    raw = graph.pair(graph.a_dual + lsb, graph.b - la)
     level = float(np.dot(graph.a, graph.a_dual)) + float(np.dot(graph.b, graph.b_dual))
     projected = problem.projector.project(raw)
     return Separator(projected, level, pd_norm_sq(projected)), raw

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdsplit as ps
-from pdsplit.blockspace import (BlockVector, CouplingMap, SpaceSignature, adjoint_block,
-                                forward_block, pd_inner, pd_norm_sq)
+from pdsplit.blockspace import (BlockVector, CouplingMap, KeptImage, SpaceSignature,
+                                adjoint_block, forward_block, pd_inner, pd_norm_sq)
 from pdsplit.errors import DimensionError
 
 
@@ -138,6 +138,34 @@ def test_batched_applies_match_the_dense_matrix(seed, density, single_entry):
         assert np.allclose(forward_block(L, x, k), lx[sl], rtol=1e-12, atol=1e-12 * scale)
     for i, sl in enumerate(L.signature.primal_slices):
         assert np.allclose(adjoint_block(L, y, i), lsy[sl], rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=1_000_000), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.booleans())
+def test_kept_images_equal_the_full_applies_bitwise(seed, density, single_entry):
+    # v starts at 0 and changes a random set of blocks per step, sometimes all of them
+    rng = np.random.default_rng(seed)
+    L = _random_map(rng, density, single_entry)
+    for adjoint, apply, slices in ((False, L.forward, L.signature.primal_slices),
+                                   (True, L.adjoint, L.signature.dual_slices)):
+        kept, v = KeptImage(L, adjoint), np.zeros(slices[-1].stop)
+        for _ in range(8):
+            changed = tuple(b for b in range(len(slices)) if rng.random() < 0.4) or (0,)
+            for b in changed:
+                v[slices[b]] = rng.normal(size=slices[b].stop - slices[b].start)
+            kept.update(v, changed)
+            assert kept.value.tobytes() == apply(v).tobytes()
+
+
+def test_coupling_copy_owns_its_stacks():
+    sig = SpaceSignature((2, 3), (2, 2))
+    L = CouplingMap(sig, {(0, 0): np.eye(2), (1, 0): 2 * np.eye(2), (1, 1): np.ones((2, 3))})
+    x = np.arange(5.0)
+    copy = L.copy()
+    L.entries[(1, 0)][0, 0] = 7.0
+    assert np.array_equal(copy.forward(x), [0.0, 1.0, 9.0, 11.0])
+    assert copy.entries[(1, 0)].base is copy.entries[(0, 0)].base
 
 
 def test_coupling_blocks_are_views_into_one_stack_per_shape():

@@ -6,7 +6,7 @@ import pytest
 import pdsplit as ps
 from pdsplit.blockspace import pd_norm
 from pdsplit.engine import EngineState, advance, haugazeau_update
-from pdsplit.errors import ConfigError, InconsistencyError
+from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
 from pdsplit.schedule import synchronous
 
 from conftest import make_lasso_problem, point, random_blocksparse_problem, random_problem
@@ -234,6 +234,26 @@ def test_perturbed_lagged_run_matches_the_blockwise_reference(mode, counts):
     assert ref_counts == counts
 
 
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+def test_kept_images_equal_the_full_applies_after_every_step(mode):
+    # lagged runs on mixed block shapes, with perturbed graph points
+    shapes = 0
+    for seed in range(12):
+        problem = random_problem(seed)
+        sched = ps.random_admissible(problem.m, problem.p, M=3, D=4, horizon=64, seed=seed)
+        cfg = ps.SolverConfig(mode=mode, max_iter=40, resid_tol=0.0, exact_tol=-1.0,
+                              inexact=ps.InexactnessBudget(1.0, 0.2, 1.0, 0.2),
+                              perturbation=ps.PerturbationRule(seed=seed, scale=0.6))
+        state = EngineState.initial(problem, cfg, sched)
+        L, graph = state.problem.coupling, state.graph
+        shapes = max(shapes, len(L._groups))
+        for _ in range(cfg.max_iter):
+            assert advance(state) is None
+            assert state.la.value.tobytes() == L.forward(graph.a).tobytes()
+            assert state.lsb.value.tobytes() == L.adjoint(graph.b_dual).tobytes()
+    assert shapes > 1
+
+
 def test_recycling_reads_lagged_iterates():
     # with D>0 the trace differs from the synchronous run, but stays admissible
     prob = random_problem(12)
@@ -347,6 +367,30 @@ def test_state_keeps_the_schedule_it_certified(l1_identity_problem):
     assert np.array_equal(state.current.data, expected.final.data)
 
 
+def test_advancing_past_an_exact_point_raises(l1_identity_problem):
+    cfg = fejer_config(start=point([[0.0]], [[0.0]]), exact_tol=1e-14)
+    state = EngineState.initial(l1_identity_problem, cfg, synchronous(1, 1))
+    assert advance(state)[0] == "exact_point"
+    with pytest.raises(PdsplitError, match="run has ended"):
+        advance(state)
+
+
+def test_state_keeps_its_own_problem_arrays():
+    problem = random_blocksparse_problem(3)
+    sched = ps.random_admissible(problem.m, problem.p, M=3, D=4, horizon=64, seed=3)
+    cfg = ps.SolverConfig(max_iter=30, resid_tol=0.0, exact_tol=-1.0)
+    expected = ps.run(problem, cfg, sched)
+    state = EngineState.initial(problem, cfg, sched)
+    problem.z_star.data[:] = 5.0
+    problem.r.data[:] = 5.0
+    problem.coupling.entries[(0, 0)][0, 0] += 1.0
+    problem.known_Z_points[0].data[:] = 5.0
+    for _ in range(cfg.max_iter):
+        assert advance(state) is None
+    assert state.trace == expected.trace
+    assert np.array_equal(state.current.data, expected.final.data)
+
+
 def test_run_rejects_uncertified_schedule(l1_identity_problem):
     bad = ps.ControlSchedule(3, [(0,), (0,), (0,)], [(0,)] * 3, c={(0, 2): 0},
                              M=1, D=1)
@@ -421,11 +465,16 @@ def _ring_problem(m):
 
 
 def _coupling_calls_per_iteration(monkeypatch, m, iters):
-    """(per-block applies, full applies, activated blocks) for each iteration."""
+    """(per-block applies, full applies, restricted entries, activated blocks) per iteration.
+
+    Every apply of the coupling stacks goes through CouplingMap._products: a
+    full apply multiplies every entry, a restricted one only the entries it
+    picks, which are counted.
+    """
     import pdsplit.blockspace
     import pdsplit.engine
     import pdsplit.separator
-    calls = {"block": 0, "full": 0}
+    calls = {"block": 0, "full": 0, "entries": 0}
 
     def counted(kind, fn):
         def wrapper(*args, **kwargs):
@@ -436,8 +485,16 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
         for name in ("forward_block", "adjoint_block"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted("block", getattr(module, name)))
-    for name in ("forward", "adjoint"):
-        monkeypatch.setattr(ps.CouplingMap, name, counted("full", getattr(ps.CouplingMap, name)))
+    products = ps.CouplingMap._products
+
+    def counted_products(cmap, v, adjoint, picks=None):
+        out = products(cmap, v, adjoint, picks)
+        if picks is None or all(isinstance(pick, slice) for pick in picks):
+            calls["full"] += 1
+        else:
+            calls["entries"] += sum(len(prod) for prod in out)
+        return out
+    monkeypatch.setattr(ps.CouplingMap, "_products", counted_products)
     problem = _ring_problem(m)
     sched = ps.periodic(m, m, group_size=1, horizon=4 * m)
     cfg = fejer_config(start=None, max_iter=iters)
@@ -447,17 +504,18 @@ def _coupling_calls_per_iteration(monkeypatch, m, iters):
         before = dict(calls)
         assert advance(state) is None
         I_n, K_n = sched.blocks_at(n)
-        rows.append((calls["block"] - before["block"], calls["full"] - before["full"],
-                     len(I_n) + len(K_n)))
+        rows.append(tuple(calls[key] - before[key] for key in ("block", "full", "entries"))
+                    + (len(I_n) + len(K_n),))
     return rows
 
 
 def test_iteration_cost_follows_the_activated_blocks(monkeypatch):
-    rows = _coupling_calls_per_iteration(monkeypatch, 12, 30)
-    assert rows[0] == (0, 4, 24)  # iteration 0 activates every block
-    assert all(active == 2 for _, _, active in rows[1:])
-    # reads slice the images of buffered iterates: no per-block apply, and
-    # 4 full applies (2 for the separator, 2 for the new iterate) whatever m is
-    assert {(block, full) for block, full, _ in rows} == {(0, 4)}
-    small = _coupling_calls_per_iteration(monkeypatch, 3, 10)
-    assert {(block, full) for block, full, _ in small} == {(0, 4)}
+    # iteration 0 activates every block: the kept images L a and L* b* take a
+    # full apply each, besides the 2 for the images of the new iterate
+    for m in (12, 48):
+        rows = _coupling_calls_per_iteration(monkeypatch, m, 30)
+        assert rows[0] == (0, 4, 0, 2 * m)
+        # then one block per side: the new iterate's 2 full applies, and the
+        # kept images recompute only the entries that read the activated
+        # blocks, 2 per side on the ring whatever m is
+        assert {row for row in rows[1:]} == {(0, 2, 4, 2)}

@@ -111,6 +111,14 @@ def test_zero_lag_is_identity():
             assert s.lag_dual(k, n) == n
 
 
+def test_schedules_without_lag_tables_read_iterate_n():
+    for s in (synchronous(3, 2), periodic(3, 2, 1, horizon=5)):
+        assert not s.c and not s.d
+        for n in range(12):  # within and beyond the horizon
+            assert [s.lag_primal(i, n) for i in s.blocks_at(n)[0]] == [n] * len(s.blocks_at(n)[0])
+            assert [s.lag_dual(k, n) for k in s.blocks_at(n)[1]] == [n] * len(s.blocks_at(n)[1])
+
+
 def test_tail_extension_preserves_certification():
     s = random_admissible(3, 3, M=3, D=4, horizon=20, seed=9)
     # coverage over windows straddling and beyond the horizon
