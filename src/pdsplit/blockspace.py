@@ -142,15 +142,18 @@ class CouplingMap:
     Entry (k, i) holds the dense matrix mapping primal block i into dual
     block k; absent entries are zero maps.  The adjoint of entry (k, i) is
     its transpose.  Entries are stored once, stacked by block shape, and
-    `entries[(k, i)]` is a view into its stack.  With the gather and scatter
-    index arrays built here, the full forward and adjoint maps are a fixed
-    handful of numpy calls whose summation order depends only on the keys.
+    `entries[(k, i)]` is a view into its stack.  The index tables are built
+    here with the stacks and never change: per stack its keys and its
+    entries' coordinates on each side, per direction the output coordinate
+    of each product, and per block its entries' keys.  A full forward or
+    adjoint map is then a fixed handful of numpy calls whose summation
+    order depends only on the keys.
     """
 
-    __slots__ = ("signature", "entries", "_groups", "_index", "_per_block")
+    __slots__ = ("signature", "entries", "_stacks", "_keys", "_coords", "_at", "_per_block")
 
     def __init__(self, signature: SpaceSignature, entries: Mapping[tuple[int, int], np.ndarray]):
-        self.signature = signature
+        self.signature = sig = signature
         arrays: dict[tuple[int, int], np.ndarray] = {}
         for key, mat in entries.items():
             k, i = int(key[0]), int(key[1])
@@ -166,49 +169,34 @@ class CouplingMap:
         by_shape: dict[tuple[int, int], list] = {}
         for key in keys:
             by_shape.setdefault(arrays[key].shape, []).append(key)
-        self.entries: dict[tuple[int, int], np.ndarray] = {}
-        self._groups = []  # (stack, keys), one per block shape
-        for group in by_shape.values():
-            stack = np.array([arrays[key] for key in group])
-            self.entries.update(zip(group, stack))
-            self._groups.append((stack, group))
-        self._index = None  # per group, (stack, row index, column index, keys); see _indexed
-        self._per_block = None  # see _blocks
+        self._keys = list(by_shape.values())  # per stack, its keys in order
+        self._stacks = [np.array([arrays[key] for key in group]) for group in self._keys]
+        self.entries = dict(zip(itertools.chain(*self._keys), itertools.chain(*self._stacks)))
+        # per side (primal, dual), per stack: its entries' coordinates on that side, one row each
+        self._coords = tuple([_flat_index([slices[key[at]] for key in group])
+                              for group in self._keys]
+                             for slices, at in ((sig.primal_slices, 1), (sig.dual_slices, 0)))
+        # per direction (forward, adjoint): each product's output coordinate, stack after stack
+        self._at = (_flat(self._coords[1]), _flat(self._coords[0]))
+        # per dual block its entries' (key, primal slice), per primal block their (key, dual slice)
+        self._per_block = [[] for _ in range(sig.p)], [[] for _ in range(sig.m)]
+        for k, i in keys:
+            self._per_block[0][k].append(((k, i), sig.primal_slices[i]))
+            self._per_block[1][i].append(((k, i), sig.dual_slices[k]))
 
     def copy(self) -> "CouplingMap":
         """A copy with its own stacks in the same layout, so its applies give the same bits."""
         out = CouplingMap.__new__(CouplingMap)
-        out.signature, out._per_block = self.signature, None
-        out._groups = [(stack.copy(), keys) for stack, keys in self._groups]
-        out.entries = {key: mat for stack, keys in out._groups for key, mat in zip(keys, stack)}
-        out._index = [(stack, *index[1:]) for (stack, _), index in zip(out._groups, self._indexed())]
+        for name in CouplingMap.__slots__:  # the index tables are shared
+            setattr(out, name, getattr(self, name))
+        out._stacks = [stack.copy() for stack in self._stacks]
+        out.entries = dict(zip(self.entries, itertools.chain(*out._stacks)))
         return out
-
-    def _blocks(self) -> tuple:
-        """Per dual block its (primal slice, entry) pairs, and per primal block its (dual slice,
-        entry) pairs, in key order; built at the first per-block apply."""
-        if self._per_block is None:
-            sig = self.signature
-            self._per_block = [[] for _ in range(sig.p)], [[] for _ in range(sig.m)]
-            for (k, i), mat in sorted(self.entries.items()):
-                self._per_block[0][k].append((sig.primal_slices[i], mat))
-                self._per_block[1][i].append((sig.dual_slices[k], mat))
-        return self._per_block
-
-    def _indexed(self) -> list:
-        """Per stack: its entries' dual and primal coordinates and (k, i), built at the first apply."""
-        if self._index is None:
-            sig = self.signature
-            self._index = [(stack, _flat_index([sig.dual_slices[k] for k, _ in keys]),
-                            _flat_index([sig.primal_slices[i] for _, i in keys]), np.array(keys))
-                           for stack, keys in self._groups]
-        return self._index
 
     def _products(self, v: np.ndarray, adjoint: bool, picks=None) -> list:
         """Per stack, its entries' products (of picks[stack] only, if given) as (entries, width)."""
         out = []
-        for g, (stack, rows, cols, _) in enumerate(self._indexed()):
-            read = rows if adjoint else cols
+        for g, (stack, read) in enumerate(zip(self._stacks, self._coords[adjoint])):
             if picks is not None:
                 stack, read = stack[picks[g]], read[picks[g]]
             read = v[read]
@@ -216,15 +204,18 @@ class CouplingMap:
                        if adjoint else np.matmul(stack, read.reshape(*read.shape, 1))[..., 0])
         return out
 
+    def _sum(self, products: np.ndarray, adjoint: bool) -> np.ndarray:
+        """Flat products, in the order of _at, summed into a flat output array of the direction."""
+        size = (self.signature.dual_slices, self.signature.primal_slices)[adjoint][-1].stop
+        return np.bincount(self._at[adjoint], weights=products, minlength=size)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """L x for a flat primal array, as a flat dual array."""
-        return _scatter([rows for _, rows, _, _ in self._indexed()], self._products(x, False),
-                        self.signature.dual_slices[-1].stop)
+        return self._sum(_flat(self._products(x, False)), False)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """L* y for a flat dual array, as a flat primal array."""
-        return _scatter([cols for _, _, cols, _ in self._indexed()], self._products(y, True),
-                        self.signature.primal_slices[-1].stop)
+        return self._sum(_flat(self._products(y, True)), True)
 
     def to_dense(self) -> np.ndarray:
         """Assemble the full matrix (diagnostics and tests only)."""
@@ -241,14 +232,11 @@ def _flat_index(slices: list) -> np.ndarray:
     return np.add.outer([sl.start for sl in slices], np.arange(width))
 
 
-def _scatter(at: list, products: list, size: int) -> np.ndarray:
-    """Sum each stack's products into a flat vector at its flat indices, in list order."""
-    if not at:
-        return np.zeros(size)
-    if len(at) == 1:
-        return np.bincount(at[0].ravel(), weights=products[0].ravel(), minlength=size)
-    return np.bincount(np.concatenate([a.ravel() for a in at]), minlength=size,
-                       weights=np.concatenate([prod.ravel() for prod in products]))
+def _flat(arrays: list) -> np.ndarray:
+    """The arrays raveled and joined in order (an empty index array if there are none)."""
+    if len(arrays) == 1:
+        return arrays[0].ravel()
+    return np.concatenate([a.ravel() for a in arrays] + [np.zeros(0, np.intp)])
 
 
 class KeptImage:
@@ -260,41 +248,39 @@ class KeptImage:
     bitwise equal to forward(v) (adjoint(v)).
     """
 
-    __slots__ = ("coupling", "adjoint", "value", "_inputs", "_at", "_flat", "_products", "_outs",
-                 "_reads", "_feeds")
+    __slots__ = ("coupling", "adjoint", "value", "_inputs", "_flat", "_products", "_reads",
+                 "_feeds")
 
     def __init__(self, coupling: CouplingMap, adjoint: bool = False):
         sig, out = coupling.signature, int(adjoint)  # out: the key index naming an output block
-        stacks = [(cols if adjoint else rows, keys) for _, rows, cols, keys in coupling._indexed()]
-        ends, none = np.cumsum([at.size for at, _ in stacks]).tolist(), [np.zeros(0, np.intp)]
+        at, writes = coupling._at[out], coupling._coords[1 - out]
+        dims = (sig.dual_dims, sig.primal_dims)[out]  # of the output blocks
         self.coupling, self.adjoint, self._inputs = coupling, adjoint, (sig.m, sig.p)[out]
-        self._at = np.concatenate([at.ravel() for at, _ in stacks] + none)  # per product
-        self._flat = np.zeros(self._at.size)
-        self._products = [self._flat[end - at.size:end].reshape(at.shape)  # per stack, views
-                          for end, (at, _) in zip(ends, stacks)]
-        self.value = np.zeros(sum(sig.primal_dims if adjoint else sig.dual_dims))
-        # per stack: each entry's output block, and per block of v the entries that read it
-        self._outs = [keys[:, out] for _, keys in stacks]
-        self._reads = [_by_owner(keys[:, 1 - out], self._inputs) for _, keys in stacks]
-        self._feeds = _by_owner(np.concatenate([np.repeat(keys[:, out], at.shape[1])  # products
-                                                for at, keys in stacks] + none), (sig.p, sig.m)[out])
+        self._flat, ends = np.zeros(at.size), np.cumsum([w.size for w in writes]).tolist()
+        self._products = [self._flat[end - w.size:end].reshape(w.shape)  # per stack, views
+                          for end, w in zip(ends, writes)]
+        self.value = np.zeros(sum(dims))
+        # per stack, per block of v the entries that read it; per output block the products it sums
+        self._reads = [_by_owner(np.array(g)[:, 1 - out], self._inputs) for g in coupling._keys]
+        self._feeds = _by_owner(np.repeat(np.arange(len(dims)), dims)[at], len(dims))
 
     def update(self, v: np.ndarray, changed) -> None:
         """Bring value up to date after the blocks `changed` (sorted, distinct) of v changed."""
         if len(changed) == self._inputs:
             for kept, fresh in zip(self._products, self.coupling._products(v, self.adjoint)):
                 kept[...] = fresh
-            self.value = np.bincount(self._at, weights=self._flat, minlength=self.value.size)
+            self.value = self.coupling._sum(self._flat, self.adjoint)
             return
         picks = [r[changed[0]] if len(changed) == 1 else np.concatenate([r[c] for c in changed])
                  for r in self._reads]
         for kept, fresh, pick in zip(self._products,
                                      self.coupling._products(v, self.adjoint, picks), picks):
             kept[pick] = fresh
-        fed = set().union(*(outs[pick].tolist() for outs, pick in zip(self._outs, picks)))
+        fed = {key[self.adjoint] for c in changed
+               for key, _ in self.coupling._per_block[1 - self.adjoint][c]}
         if fed:
             sel = np.concatenate([self._feeds[t] for t in fed])
-            at = self._at[sel]
+            at = self.coupling._at[self.adjoint][sel]
             self.value[at] = np.bincount(at, weights=self._flat[sel], minlength=self.value.size)[at]
 
 
@@ -307,15 +293,14 @@ def _by_owner(owner: np.ndarray, count: int) -> list:
 def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
     """Dual block k of the forward map: sum over i of entry (k,i) applied to x_i."""
     acc = np.zeros(cmap.signature.dual_dims[k])
-    for sl, mat in cmap._blocks()[0][k]:
-        acc += mat @ x.data[sl]
+    for key, sl in cmap._per_block[0][k]:
+        acc += cmap.entries[key] @ x.data[sl]
     return acc
 
 
 def adjoint_block(cmap: CouplingMap, y: BlockVector, i: int) -> np.ndarray:
     """Primal block i of the adjoint map: sum over k of entry (k,i) transposed applied to y_k."""
     acc = np.zeros(cmap.signature.primal_dims[i])
-    for sl, mat in cmap._blocks()[1][i]:
-        acc += mat.T @ y.data[sl]
+    for key, sl in cmap._per_block[1][i]:
+        acc += cmap.entries[key].T @ y.data[sl]
     return acc
-

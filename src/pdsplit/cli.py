@@ -45,8 +45,8 @@ def _cmd_run(args) -> int:
     summary = {"status": result.status, "iterations": result.iterations,
                "message": result.message, "metadata": result.metadata,
                "final": fileio.point_to_dict(result.final)}
-    if result.trace:
-        summary["final_residual_sum"] = result.trace[-1].residual_sum()
+    if result.last_record is not None:
+        summary["final_residual_sum"] = result.last_record.residual_sum()
     print(json.dumps(summary, indent=1))
     return _STATUS_EXIT[result.status]
 
@@ -66,6 +66,7 @@ def _cmd_check_kt(args) -> int:
     tol = _tolerance(args.tol)
     problem = fileio.parse_problem(args.problem)
     point = fileio.parse_point(args.point)
+    problem.check_point(point, args.point)
     res = kt_residual(problem, point)
     for i, v in enumerate(res.primal):
         print(f"primal[{i}]: {v:.6e}")

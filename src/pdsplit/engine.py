@@ -103,10 +103,8 @@ class SolverConfig:
                       _rule("mu", self.mu, problem.p, *prox))
         if self.perturbation is not None and self.inexact is None:
             raise ConfigError("perturbation injection requires an inexactness budget")
-        sig = problem.signature
-        if self.start is not None and (self.start.x.dims, self.start.v_star.dims) \
-                != (sig.primal_dims, sig.dual_dims):
-            raise ConfigError("start point dims do not match the problem signature")
+        if self.start is not None:
+            problem.check_point(self.start, "start")
         return rules
 
 
@@ -260,6 +258,7 @@ class RunResult:
     iterations: int
     message: str = ""
     metadata: dict = field(default_factory=dict)
+    last_record: Optional[IterationRecord] = None  # of the last iteration, traced or not
 
 
 class _PerturbState:
@@ -414,7 +413,8 @@ def advance(state: EngineState):
                            f"{n - 1}; build a new state to run again")
     _decompose(state, n)
     sep, raw = build_separator(graph, problem, (state.lsb.value, state.la.value))
-    exact = detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
+    exact = None if config.exact_tol < 0.0 else \
+        detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
     violation = halfspace_violation(current, sep)
     theta, nxt = project_halfspace(current, sep, state.rules.lam(n), config.tau_zero_tol)
     if config.mode == "haugazeau":
@@ -479,4 +479,4 @@ def run(problem: ProblemSpec, config: SolverConfig,
         metadata["perturb_accepted"] = state.perturb.accepted
         metadata["perturb_rejected"] = state.perturb.rejected
     status, final, message = terminal
-    return RunResult(status, final, state.trace, state.n, message, metadata)
+    return RunResult(status, final, state.trace, state.n, message, metadata, state.last_record)

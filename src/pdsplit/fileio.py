@@ -351,8 +351,12 @@ def write_trace(records: list[IterationRecord], path: PathLike,
 
 
 def read_trace(path: PathLike) -> tuple[list[str], list[list[float]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = [ln for ln in data.decode("utf-8").splitlines() if ln]
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if not lines:
         raise SchemaError(f"{path}: empty trace file")
     header = lines[0].split(",")

@@ -170,6 +170,7 @@ class ProblemSpec:
         if self.subspace.variant == "linear_primal":  # build_projector checked m and A1's shape
             self._validate_linear_primal()
         for j, z in enumerate(self.known_Z_points):
+            self.check_point(z, f"known_Z_points[{j}]")
             res = kt_residual(self, z)
             if res.max > FIXTURE_KT_TOL:
                 raise ConfigError(
@@ -190,6 +191,13 @@ class ProblemSpec:
                 "(zero, quadratic with q=0, or affine_monotone with c=0)")
         if not np.allclose(mat, self.subspace.A1, rtol=0.0, atol=LINEAR_MATCH_TOL):
             raise ConfigError("subspace matrix A1 does not match the primal operator")
+
+    def check_point(self, point: PrimalDualPoint, name: str) -> None:
+        """Raise DimensionError unless the named point's blocks have the signature's dims."""
+        sig = self.signature
+        if (point.x.dims, point.v_star.dims) != (sig.primal_dims, sig.dual_dims):
+            raise DimensionError(f"{name} has block dims {point.x.dims}, {point.v_star.dims}; "
+                                 f"the problem has {sig.primal_dims}, {sig.dual_dims}")
 
     @property
     def m(self) -> int:

@@ -166,6 +166,9 @@ def test_coupling_copy_owns_its_stacks():
     L.entries[(1, 0)][0, 0] = 7.0
     assert np.array_equal(copy.forward(x), [0.0, 1.0, 9.0, 11.0])
     assert copy.entries[(1, 0)].base is copy.entries[(0, 0)].base
+    # the index tables never change, so the copy shares them
+    assert all(getattr(copy, name) is getattr(L, name) for name in ("_keys", "_coords", "_at",
+                                                                      "_per_block"))
 
 
 def test_coupling_blocks_are_views_into_one_stack_per_shape():

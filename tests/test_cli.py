@@ -8,7 +8,7 @@ import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.cli import main
 
-from conftest import make_scalar_problem, point
+from conftest import make_lasso_problem, make_scalar_problem, point
 
 
 @pytest.fixture
@@ -302,3 +302,51 @@ def test_run_rejects_non_finite_config_data(workdir, tmp_path, capsys, path, bad
     assert _run_with(workdir, tmp_path, config=_set(path, bad)) == 1
     err = capsys.readouterr().err
     assert "non-finite" in err and ".".join(path) in err
+
+
+@pytest.mark.parametrize("x", [pytest.param([[1.0, 0.0, 99.0]], id="extra-coordinate"),
+                               pytest.param([[1.0], [0.0]], id="mis-split")])
+def test_points_with_the_wrong_blocks_exit_one(tmp_path, capsys, x):
+    # the lasso solution's x with a wrong block layout: check-kt passed it with max 0, and as a
+    # fixture it loaded, then the run solved or died in a numpy broadcast traceback
+    fileio.write_problem(make_lasso_problem(), tmp_path / "lasso.json")
+    fileio.write_config(ps.SolverConfig(max_iter=10), tmp_path / "config.json")
+    (tmp_path / "p.json").write_text(json.dumps({"x": x, "v_star": [[-1.0, -1.0]]}))
+    code = main(["check-kt", "--problem", str(tmp_path / "lasso.json"),
+                 "--point", str(tmp_path / "p.json"), "--tol", "1e-6"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "p.json has block dims" in err
+    data = fileio.problem_to_dict(make_lasso_problem())
+    data["known_Z_points"][0]["x"] = x
+    (tmp_path / "fixture.json").write_text(json.dumps(data))
+    code = main(["run", "--problem", str(tmp_path / "fixture.json"),
+                 "--config", str(tmp_path / "config.json"), "--trace", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert "known_Z_points[0] has block dims" in err
+
+
+def test_run_reports_the_residual_of_the_last_iteration(tmp_path, capsys):
+    # with a trace stride the last traced row is not the last iteration; its residual sum
+    # (2.66e-5 at n = 3000) was reported, above what the stopping test certified
+    fileio.write_problem(make_lasso_problem(), tmp_path / "lasso.json")
+    cfg = ps.SolverConfig(mode="haugazeau", max_iter=10000, resid_tol=3e-6, trace_stride=1000)
+    fileio.write_config(cfg, tmp_path / "config.json")
+    assert main(["run", "--problem", str(tmp_path / "lasso.json"), "--config",
+                 str(tmp_path / "config.json"), "--trace", str(tmp_path / "t.csv")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    _, rows = fileio.read_trace(tmp_path / "t.csv")
+    assert summary["status"] == "solved" and rows[-1][0] < summary["iterations"] - 1
+    final = np.concatenate(summary["final"]["x"] + summary["final"]["v_star"])
+    assert summary["final_residual_sum"] <= cfg.resid_tol * (1.0 + np.linalg.norm(final))
+
+
+def test_compare_undecodable_trace_is_a_schema_error(workdir, capsys):
+    from pdsplit.engine import IterationRecord
+    fileio.write_trace([IterationRecord(0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())],
+                       workdir / "good.csv")
+    (workdir / "bad.csv").write_bytes(b"n,theta\n0,\xff\xfe\n")  # was a UnicodeDecodeError
+    code = main(["compare", "--trace-a", str(workdir / "good.csv"),
+                 "--trace-b", str(workdir / "bad.csv"), "--tol", "1e-6"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "bad.csv" in err

@@ -246,7 +246,7 @@ def test_kept_images_equal_the_full_applies_after_every_step(mode):
                               perturbation=ps.PerturbationRule(seed=seed, scale=0.6))
         state = EngineState.initial(problem, cfg, sched)
         L, graph = state.problem.coupling, state.graph
-        shapes = max(shapes, len(L._groups))
+        shapes = max(shapes, len(L._stacks))
         for _ in range(cfg.max_iter):
             assert advance(state) is None
             assert state.la.value.tobytes() == L.forward(graph.a).tobytes()
@@ -519,3 +519,14 @@ def test_iteration_cost_follows_the_activated_blocks(monkeypatch):
         # kept images recompute only the entries that read the activated
         # blocks, 2 per side on the ring whatever m is
         assert {row for row in rows[1:]} == {(0, 2, 4, 2)}
+
+
+def test_a_negative_exact_tol_skips_the_exact_point_test(monkeypatch):
+    # no norm can pass it, so neither the candidate pair nor its norms are built
+    def exact_point_test(*args):
+        raise AssertionError("the exact-point test ran")
+    monkeypatch.setattr(ps.engine, "detect_exact_solution", exact_point_test)
+    result = ps.run(random_problem(3), ps.SolverConfig(max_iter=5, resid_tol=0.0, exact_tol=-1.0))
+    assert (result.status, result.iterations) == ("max_iter", 5)
+    with pytest.raises(AssertionError, match="exact-point test"):
+        ps.run(random_problem(3), ps.SolverConfig(max_iter=5, resid_tol=0.0, exact_tol=0.0))

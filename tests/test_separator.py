@@ -3,7 +3,7 @@ import pytest
 
 import pdsplit as ps
 from pdsplit.blockspace import pd_inner, pd_norm
-from pdsplit.errors import ConfigError
+from pdsplit.errors import ConfigError, DimensionError
 from pdsplit.operators import GraphPoint, resolvent
 from pdsplit.separator import (build_projector, build_separator, detect_exact_solution,
                                halfspace_violation, kt_residual, project_halfspace)
@@ -248,3 +248,15 @@ def test_problem_rejects_mismatched_ops():
         ps.ProblemSpec(sig, [ps.l1_norm(1)], [ps.zero(1)],
                        ps.CouplingMap(sig, {}),
                        ps.BlockVector([[0.0, 0.0]]), ps.BlockVector([[0.0]]))
+
+
+@pytest.mark.parametrize("x", [pytest.param([[1.0, 0.0, 99.0]], id="extra-coordinate"),
+                               pytest.param([[1.0], [0.0]], id="mis-split")])
+def test_fixtures_and_start_points_are_checked_against_the_signature(x):
+    # the lasso solution's x with a wrong block layout: was accepted as a fixture
+    lasso, bad = make_lasso_problem(), point(x, [[-1.0, -1.0]])
+    with pytest.raises(DimensionError, match=r"known_Z_points\[0\] has block dims"):
+        ps.ProblemSpec(lasso.signature, lasso.A_ops, lasso.B_ops, lasso.coupling, lasso.z_star,
+                       lasso.r, known_Z_points=[bad])
+    with pytest.raises(DimensionError, match="start has block dims"):
+        ps.SolverConfig(start=bad).validate(lasso)
