@@ -244,50 +244,38 @@ class KeptImage:
 
     It keeps each entry's product, flat in the full apply's order.  update
     recomputes the products of the entries that read a changed block of v
-    and re-sums the output blocks they feed in that order, so value stays
+    and sums all kept products as the full apply does, so value stays
     bitwise equal to forward(v) (adjoint(v)).
     """
 
-    __slots__ = ("coupling", "adjoint", "value", "_inputs", "_flat", "_products", "_reads",
-                 "_feeds")
+    __slots__ = ("coupling", "adjoint", "value", "_count", "_owners", "_flat", "_products")
 
     def __init__(self, coupling: CouplingMap, adjoint: bool = False):
         sig, out = coupling.signature, int(adjoint)  # out: the key index naming an output block
-        at, writes = coupling._at[out], coupling._coords[1 - out]
-        dims = (sig.dual_dims, sig.primal_dims)[out]  # of the output blocks
-        self.coupling, self.adjoint, self._inputs = coupling, adjoint, (sig.m, sig.p)[out]
-        self._flat, ends = np.zeros(at.size), np.cumsum([w.size for w in writes]).tolist()
+        self.coupling, self.adjoint, self._count = coupling, adjoint, (sig.m, sig.p)[out]
+        self._owners = [np.array(g)[:, 1 - out] for g in coupling._keys]  # the block each reads
+        writes, self._flat = coupling._coords[1 - out], np.zeros(coupling._at[out].size)
+        ends = np.cumsum([w.size for w in writes]).tolist()
         self._products = [self._flat[end - w.size:end].reshape(w.shape)  # per stack, views
                           for end, w in zip(ends, writes)]
-        self.value = np.zeros(sum(dims))
-        # per stack, per block of v the entries that read it; per output block the products it sums
-        self._reads = [_by_owner(np.array(g)[:, 1 - out], self._inputs) for g in coupling._keys]
-        self._feeds = _by_owner(np.repeat(np.arange(len(dims)), dims)[at], len(dims))
+        self.value = coupling._sum(self._flat, adjoint)
 
     def update(self, v: np.ndarray, changed) -> None:
         """Bring value up to date after the blocks `changed` (sorted, distinct) of v changed."""
-        if len(changed) == self._inputs:
-            for kept, fresh in zip(self._products, self.coupling._products(v, self.adjoint)):
-                kept[...] = fresh
-            self.value = self.coupling._sum(self._flat, self.adjoint)
-            return
-        picks = [r[changed[0]] if len(changed) == 1 else np.concatenate([r[c] for c in changed])
-                 for r in self._reads]
+        picks = rows_owned(self._owners, changed, self._count)
         for kept, fresh, pick in zip(self._products,
                                      self.coupling._products(v, self.adjoint, picks), picks):
             kept[pick] = fresh
-        fed = {key[self.adjoint] for c in changed
-               for key, _ in self.coupling._per_block[1 - self.adjoint][c]}
-        if fed:
-            sel = np.concatenate([self._feeds[t] for t in fed])
-            at = self.coupling._at[self.adjoint][sel]
-            self.value[at] = np.bincount(at, weights=self._flat[sel], minlength=self.value.size)[at]
+        self.value = self.coupling._sum(self._flat, self.adjoint)
 
 
-def _by_owner(owner: np.ndarray, count: int) -> list:
-    """For each value 0..count-1, the positions in owner that hold it, in order."""
-    order, ends = np.argsort(owner, kind="stable"), np.bincount(owner, minlength=count).cumsum()
-    return [order[start:end] for start, end in zip([0, *ends.tolist()], ends.tolist())]
+def rows_owned(owners: list, active, count: int) -> list:
+    """Per stack, its rows whose owner is in active (distinct), in order; slice(None) if all are."""
+    if len(active) == count:
+        return [slice(None)] * len(owners)
+    on = np.zeros(count, bool)
+    on[list(active)] = True
+    return [on[owner].nonzero()[0] for owner in owners]
 
 
 def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, pd_inner, pd_norm,
-                         pd_norm_sq)
+                         pd_norm_sq, rows_owned)
 from .blockspace import forward_block  # noqa: F401  (benchmark tooling looks it up here)
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, graph_point_dual, graph_point_primal,
@@ -173,8 +173,7 @@ class _Side(NamedTuple):
     offset: np.ndarray  # z_star or r
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
     groups: list        # (kind, members, stacked parameters, member coordinates) per (kind, dim)
-    where: dict         # block -> (group, row)
-    alone: list         # per block, its group's rows (views) as _plan gives them
+    owners: list        # per group, its members as an index array
 
 
 def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
@@ -184,11 +183,9 @@ def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
     groups = [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]),
                np.add.outer([slices[j].start for j in js], np.arange(dim)))
               for (kind, dim), js in members.items()]
-    where = {j: (g, row) for g, group in enumerate(groups) for row, j in enumerate(group[1])}
-    alone = [(groups[g][0], tuple(p[row:row + 1] for p in groups[g][2]),
-              np.arange(groups[g][3].shape[1])[None]) for g, row in map(where.get, range(len(ops)))]
     return _Side(read, tuple(ops), slices, offset.data,
-                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups, where, alone)
+                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups,
+                 [np.array(js) for _, js, _, _ in groups])
 
 
 def _buffered(coupling: CouplingMap, point: PrimalDualPoint) -> tuple:
@@ -303,34 +300,13 @@ def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[in
     return out
 
 
-def _plan(side: _Side, active: Sequence[int]) -> tuple:
-    """The activated coordinates (slice(None) for all, a slice for one block), and for each
-    operator group with an activated member its (kind, parameters, members' positions in arrays
-    over those coordinates)."""
-    everything = len(active) == len(side.slices)
-    if len(active) == 1 and not everything:  # the block's slice, and its group's rows as views
-        return side.slices[active[0]], [side.alone[active[0]]]
-    rows: dict[int, list[int]] = {}
-    for idx in active:
-        rows.setdefault(side.where[idx][0], []).append(side.where[idx][1])
-    plan, parts, start = [], [], 0
-    for g, sel in rows.items():
-        kind, members, params, coords = side.groups[g]
-        if len(sel) < len(members):
-            params, coords = tuple(p[sel] for p in params), coords[sel]
-        plan.append((kind, params, coords if everything
-                     else np.arange(start, start + coords.size).reshape(coords.shape)))
-        parts.append(coords)
-        start += coords.size
-    return (slice(None) if everything else np.concatenate(parts, None)), plan
-
-
-def _resolve(plan: list, u: np.ndarray) -> np.ndarray:
-    """The resolvents of u at the planned positions, one call per group."""
-    out = np.empty_like(u)
-    for kind, params, at in plan:
-        out[at] = stacked_resolvent(kind, params, u[at])
-    return out
+def _plan(side: _Side, active: Sequence[int]) -> list:
+    """For each operator group with an activated member: its kind, and those members'
+    parameters and (members, dim) coordinates."""
+    rows = rows_owned(side.owners, active, len(side.ops))
+    return [(kind, tuple(p[sel] for p in params), coords[sel])
+            for (kind, _, params, coords), sel in zip(side.groups, rows)
+            if isinstance(sel, slice) or sel.size]
 
 
 def _decompose(state: EngineState, n: int) -> None:
@@ -338,21 +314,22 @@ def _decompose(state: EngineState, n: int) -> None:
 
     Primal:  a = J(x + gamma*(z* - L*v)),  a* = (x - a)/gamma - L*v
     Dual:    b = r + J(Lx + mu*v - r),     b* = v + (Lx - b)/mu
-    on the activated coordinates only.  Inexact mode then perturbs them block
-    by block, primal blocks first, and the kept L a and L* b* follow.
+    once per operator group, on its activated members' coordinates.  Inexact
+    mode then perturbs them block by block, primal blocks first, and the kept
+    L a and L* b* follow.
     """
     sched, graph, prim, dual = state.sched, state.graph, state.primal, state.dual
     I_n, K_n = sched.blocks_at(n)
     reads_p = _reads(state, prim, I_n, [sched.lag_primal(i, n) for i in I_n])
-    at, plan = _plan(prim, I_n)
-    x, lsv, step = reads_p[0][at], reads_p[1][at], prim.step[at]
-    a = _resolve(plan, x + step * (prim.offset[at] - lsv))
-    graph.a[at], graph.a_dual[at] = a, (x - a) / step - lsv
+    for kind, params, at in _plan(prim, I_n):
+        x, lsv, step = reads_p[0][at], reads_p[1][at], prim.step[at]
+        a = stacked_resolvent(kind, params, x + step * (prim.offset[at] - lsv))
+        graph.a[at], graph.a_dual[at] = a, (x - a) / step - lsv
     reads_d = _reads(state, dual, K_n, [sched.lag_dual(k, n) for k in K_n])
-    at, plan = _plan(dual, K_n)
-    lx, v, step, offset = reads_d[0][at], reads_d[1][at], dual.step[at], dual.offset[at]
-    b = offset + _resolve(plan, lx + step * v - offset)
-    graph.b[at], graph.b_dual[at] = b, v + (lx - b) / step
+    for kind, params, at in _plan(dual, K_n):
+        lx, v, step, offset = reads_d[0][at], reads_d[1][at], dual.step[at], dual.offset[at]
+        b = offset + stacked_resolvent(kind, params, lx + step * v - offset)
+        graph.b[at], graph.b_dual[at] = b, v + (lx - b) / step
     if state.perturb is not None:
         state.perturb.apply(state, prim, I_n, reads_p, (graph.a, graph.a_dual))
         state.perturb.apply(state, dual, K_n, reads_d, (graph.b, graph.b_dual))

@@ -7,6 +7,7 @@ round-trip precision so byte-identical reruns are achievable.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -73,22 +74,23 @@ class _parsing:
 def _finite(value, where: str, key=None):
     """Return a number, or a list (of lists) of numbers, once all of it is finite.
 
-    Plain sums keep this cheap: a finite sum proves every entry finite, and
-    only a sum that overflowed needs the entrywise test.
+    Booleans, strings and null are not numbers.  Plain sums keep this cheap:
+    a finite sum proves every entry finite, and only a sum that overflowed
+    needs the entrywise test.
     """
-    kind = type(value)
-    if kind is list:
-        rows = value if value and type(value[0]) is list else [value]
-        try:
-            if math.isfinite(sum(map(sum, rows))):
-                return value
-        except OverflowError:  # an integer sum, or an integer added to a float, too large
-            pass
-        if all(abs(x) <= _FLOAT_MAX for row in rows for x in row):
+    name = where if key is None else f"{where}.{key}"
+    rows = value if type(value) is list else [value]
+    rows = rows if rows and type(rows[0]) is list else [rows]  # a list of rows of entries
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise SchemaError(f"{name}: expected a number")
+    try:
+        if math.isfinite(sum(map(sum, rows))):
             return value
-    elif abs(value) <= _FLOAT_MAX if kind in (int, float) else np.isfinite(value).all():
+    except OverflowError:  # an integer sum, or an integer added to a float, too large
+        pass
+    if all(abs(x) <= _FLOAT_MAX for row in rows for x in row):
         return value
-    raise SchemaError(f"{where if key is None else f'{where}.{key}'}: non-finite value")
+    raise SchemaError(f"{name}: non-finite value")
 
 
 def _integer(value, where: str, key):
@@ -239,9 +241,17 @@ def _lag_table(data: dict, key: str, where: str) -> dict[tuple[int, int], int]:
     """Lag table `key` of a schedule, {block: {iteration: read iteration}} with string keys."""
     loc = f"{where}.{key}"
     with _parsing(loc):
-        return {(int(idx), int(n)): _integer(val, where, f"{key}[{idx}][{n}]")
+        return {(_index(idx, loc), _index(n, f"{loc}[{idx}]")):
+                _integer(val, where, f"{key}[{idx}][{n}]")
                 for idx, per_n in _object(data.get(key, {}), loc).items()
                 for n, val in _object(per_n, f"{loc}[{idx!r}]").items()}
+
+
+def _index(key: str, where: str) -> int:
+    """A key written as a canonical non-negative decimal ("0", "17"; not "00", "1_0" or "-1")."""
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise SchemaError(f"{where}: key {key!r} is not a canonical non-negative decimal")
+    return int(key)
 
 
 _LAG_FIELDS = {"zero": None, "constant": "value", "sawtooth": "max"}

@@ -326,6 +326,7 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     pair (coupled primal image - r_k, v*_k) must lie in the graph of the
     k-th operator.  Each membership is measured by the resolvent test.
     """
+    problem.check_point(point, "point")
     L, sig = problem.coupling, problem.signature
     x, v = point.x.data, point.v_star.data
     primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl]

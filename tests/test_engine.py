@@ -217,12 +217,21 @@ def test_synchronous_matches_reference_multiblock():
     assert np.array_equal(res.final.data, final.data)
 
 
-# (accepted, rejected) perturbations of this run at the commit before the
-# decomposition phase was batched
-@pytest.mark.parametrize("mode, counts", [("fejer", (216, 340)), ("haugazeau", (218, 338))])
-def test_perturbed_lagged_run_matches_the_blockwise_reference(mode, counts):
+# (accepted, rejected) perturbations of these runs at the commit before the
+# decomposition phase was batched (random) and before its one-block path was
+# folded into the per-group one (round-robin: one block per side, read lag D = 3)
+_SCHEDULES = {"random": lambda m, p: ps.random_admissible(m, p, M=3, D=4, horizon=64, seed=3),
+              "round-robin": lambda m, p: ps.periodic(m, p, 1, 4 * m, ("sawtooth", 3))}
+
+
+@pytest.mark.parametrize("mode, counts, schedule", [
+    pytest.param("fejer", (216, 340), "random", id="fejer-counts0"),
+    pytest.param("haugazeau", (218, 338), "random", id="haugazeau-counts1"),
+    pytest.param("fejer", (57, 77), "round-robin", id="fejer-round-robin"),
+    pytest.param("haugazeau", (57, 77), "round-robin", id="haugazeau-round-robin")])
+def test_perturbed_lagged_run_matches_the_blockwise_reference(mode, counts, schedule):
     prob = random_blocksparse_problem(3)
-    sched = ps.random_admissible(prob.m, prob.p, M=3, D=4, horizon=64, seed=3)
+    sched = _SCHEDULES[schedule](prob.m, prob.p)
     cfg = ps.SolverConfig(mode=mode, max_iter=60, resid_tol=0.0, exact_tol=-1.0,
                           inexact=ps.InexactnessBudget(1.0, 0.2, 1.0, 0.2),
                           perturbation=ps.PerturbationRule(seed=7, scale=0.6))

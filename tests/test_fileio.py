@@ -206,7 +206,10 @@ def test_parse_errors_name_the_field():
             fileio.config_from_dict(data).validate(make_lasso_problem())
 
 
-_INTEGER_BASES = {
+_LASSO_SOLUTION = ps.PrimalDualPoint(ps.BlockVector([[1.0, 0.0]]),
+                                     ps.BlockVector([[-1.0, -1.0]]))
+
+_BASES = {
     "periodic": lambda: {"type": "periodic", "m": 2, "p": 2, "group_size": 1, "horizon": 8,
                          "lag": {"pattern": "constant", "value": 1}},
     "sawtooth": lambda: {"type": "periodic", "m": 2, "p": 2, "group_size": 1, "horizon": 8,
@@ -218,6 +221,11 @@ _INTEGER_BASES = {
     "lasso": lambda: fileio.problem_to_dict(make_lasso_problem()),
     "zero_op": lambda: fileio.problem_to_dict(
         make_scalar_problem(ps.zero(1), ps.normal_cone_box([-1.0], [1.0]))),
+    "nullspace": lambda: {**fileio.problem_to_dict(make_lasso_problem()),
+                          "subspace": {"variant": "nullspace", "C": [[0.0, 1.0, 0.0, 0.0]]}},
+    "linear_primal": lambda: fileio.problem_to_dict(make_linear_primal_problem("linear_primal")),
+    "config": lambda: fileio.config_to_dict(ps.SolverConfig(start=_LASSO_SOLUTION)),
+    "point": lambda: fileio.point_to_dict(_LASSO_SOLUTION),
 }
 
 # (base data, path to an integer field, the field name the error must give)
@@ -247,7 +255,7 @@ def test_integer_fields_must_be_json_integers(base, path, name, bad):
     # each used to be truncated or coerced: horizon 2.7 -> 2, "m": true -> 1, K_seq 0.7 -> 0
     parse = fileio.schedule_from_dict if name.startswith("schedule") \
         else fileio.problem_from_dict
-    data = _INTEGER_BASES[base]()
+    data = _BASES[base]()
     parse(data)
     target = data
     for key in path[:-1]:
@@ -255,6 +263,52 @@ def test_integer_fields_must_be_json_integers(base, path, name, bad):
     target[path[-1]] = bad
     with pytest.raises(SchemaError, match=re.escape(name) + ": expected an integer"):
         parse(data)
+
+
+# (base data, path to a number field, the field name the error must give)
+_NUMBER_FIELDS = [
+    ("lasso", ("A_ops", 0, "weight"), "problem.A_ops[0].weight"),
+    ("lasso", ("B_ops", 0, "Q", 0, 1), "problem.B_ops[0].Q"),
+    ("lasso", ("B_ops", 0, "q", 0), "problem.B_ops[0].q"),
+    ("lasso", ("coupling", 0, "matrix", 1, 0), "problem.coupling[0].matrix"),
+    ("lasso", ("z_star", 0, 0), "problem.z_star"),
+    ("lasso", ("r",), "problem.r"),
+    ("lasso", ("known_Z_points", 0, "x", 0, 1), "problem.known_Z_points[0].x"),
+    ("nullspace", ("subspace", "C", 0, 1), "problem.subspace.C"),
+    ("linear_primal", ("subspace", "A1", 1, 1), "problem.subspace.A1"),
+    ("config", ("start", "v_star", 0, 0), "config.start.v_star"),
+    ("point", ("x", 0, 1), "point.json.x"),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "1", None], ids=["boolean", "string", "null"])
+@pytest.mark.parametrize("base, path, name", _NUMBER_FIELDS,
+                         ids=[f"{base}-{name}" for base, _, name in _NUMBER_FIELDS])
+def test_number_fields_must_be_json_numbers(tmp_path, base, path, name, bad):
+    # booleans used to load as 0.0 and 1.0: a point of booleans passed check-kt
+    def parse(data):
+        (tmp_path / "point.json").write_text(json.dumps(data))
+        return {"problem": fileio.problem_from_dict, "config": fileio.config_from_dict,
+                "point": lambda _: fileio.parse_point(tmp_path / "point.json")}[
+                    name.split(".")[0]](data)
+    data = _BASES[base]()
+    parse(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(SchemaError, match=re.escape(name) + ": expected a number"):
+        parse(data)
+
+
+@pytest.mark.parametrize("key", ["00", "1_0", "-1", "+1", " 1", "\u0661", "1.0", ""])
+def test_lag_table_keys_must_be_canonical_decimals(key):
+    # "0" and "00" used to merge silently, and "1_0" was read as block 10
+    data = _BASES["explicit"]()
+    fileio.schedule_from_dict(data)
+    for table in ({"c": {"0": {"1": 0}, key: {"1": 0}}}, {"d": {"0": {key: 0}}}):
+        with pytest.raises(SchemaError, match=r"schedule\.[cd].*: key .* canonical non-negative decimal"):
+            fileio.schedule_from_dict({**data, **table})
 
 
 def _fuzz_bases():

@@ -253,8 +253,11 @@ def test_problem_rejects_mismatched_ops():
 @pytest.mark.parametrize("x", [pytest.param([[1.0, 0.0, 99.0]], id="extra-coordinate"),
                                pytest.param([[1.0], [0.0]], id="mis-split")])
 def test_fixtures_and_start_points_are_checked_against_the_signature(x):
-    # the lasso solution's x with a wrong block layout: was accepted as a fixture
+    # the lasso solution's x with a wrong block layout: was accepted as a fixture, and
+    # kt_residual, which reads only the flat arrays, gave it max 0.0
     lasso, bad = make_lasso_problem(), point(x, [[-1.0, -1.0]])
+    with pytest.raises(DimensionError, match="point has block dims"):
+        kt_residual(lasso, bad)
     with pytest.raises(DimensionError, match=r"known_Z_points\[0\] has block dims"):
         ps.ProblemSpec(lasso.signature, lasso.A_ops, lasso.B_ops, lasso.coupling, lasso.z_star,
                        lasso.r, known_Z_points=[bad])
