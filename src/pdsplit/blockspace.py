@@ -3,6 +3,7 @@
 A block vector and a primal-dual point each store their coordinates in one
 contiguous float64 array; blocks are views into it.  Values are treated as
 immutable after construction: every operation allocates a fresh output array.
+The engine computes on those flat arrays (flat_inner); points are the API type.
 """
 
 from __future__ import annotations
@@ -123,9 +124,14 @@ class PrimalDualPoint:
     __rmul__ = __mul__
 
 
+def flat_inner(u: np.ndarray, w: np.ndarray, split: int) -> float:
+    """<u, w> of flat primal-dual arrays with `split` primal entries, summed primal side first."""
+    return float(u[:split].dot(w[:split])) + float(u[split:].dot(w[split:]))
+
+
 def pd_inner(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
-    """Inner product on the primal-dual product space, summed primal side first."""
-    return float(np.dot(u.x.data, v.x.data)) + float(np.dot(u.v_star.data, v.v_star.data))
+    """Inner product on the primal-dual product space (flat_inner of the points' arrays)."""
+    return flat_inner(u.data, v.data, u.x.data.shape[0])
 
 
 def pd_norm_sq(u: PrimalDualPoint) -> float:

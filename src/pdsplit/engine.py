@@ -10,7 +10,8 @@ intersection of two half-spaces.
 
 The decomposition phase is one batched pass per side: reads slice the
 L x and L* v* computed once per buffered iterate, and resolvents run once
-per operator group.  `advance` runs one iteration, `run` loops over it.
+per operator group.  The coordination phase runs on flat arrays and builds
+one point, the new iterate.  `advance` runs one iteration, `run` loops over it.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, pd_inner, pd_norm,
-                         pd_norm_sq, rows_owned)
-from .blockspace import forward_block  # noqa: F401  (benchmark tooling looks it up here)
+from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, flat_inner, rows_owned
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, graph_point_dual, graph_point_primal,
                         stacked_parameters, stacked_resolvent, validate_inexact_dual,
                         validate_inexact_primal)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
-from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
-                        halfspace_violation, project_halfspace)
+from .separator import (GraphTable, ProblemSpec, flat_projection, flat_separator, flat_violation,
+                        normal_vanishes)
 
 Rule = Union[float, Sequence[float]]
 
@@ -188,9 +187,8 @@ def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
                  [np.array(js) for _, js, _, _ in groups])
 
 
-def _buffered(coupling: CouplingMap, point: PrimalDualPoint) -> tuple:
-    """An iterate as the two sides read it, ((x, L* v*), (L x, v*)), with its images."""
-    x, v = point.x.data, point.v_star.data
+def _buffered(coupling: CouplingMap, x: np.ndarray, v: np.ndarray) -> tuple:
+    """A flat iterate (x, v*) as the two sides read it, ((x, L* v*), (L x, v*)), with its images."""
     return (x, coupling.adjoint(v)), (coupling.forward(x), v)
 
 
@@ -240,7 +238,8 @@ class EngineState:
         L, sig = problem.coupling, problem.signature
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
-                   graph=GraphTable.zeros(sig), buffer=LagBuffer(sched.D, _buffered(L, current)),
+                   graph=GraphTable.zeros(sig),
+                   buffer=LagBuffer(sched.D, _buffered(L, current.x.data, current.v_star.data)),
                    primal=_side(0, problem.A_ops, sig.primal_slices, problem.z_star, rules.gamma),
                    dual=_side(1, problem.B_ops, sig.dual_slices, problem.r, rules.mu),
                    la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
@@ -343,14 +342,15 @@ def iteration_record(n: int, theta: float, tau: float, violation: float,
     """Assemble the diagnostics row for one iteration; lx, lsv are L x and L* v* of current."""
     x, v = current.x.data, current.v_star.data
     res = (x - graph.a, graph.a_dual + lsv, lx - graph.b, graph.b_dual - v)
-    dists = tuple(pd_norm(current - z) for z in problem.known_Z_points)
+    dists = tuple(math.sqrt(flat_inner(d, d, x.size))
+                  for d in (current.data - z.data for z in problem.known_Z_points))
     return IterationRecord(n, theta, tau, violation,
-                           *(math.sqrt(float(np.dot(w, w))) for w in res), dists)
+                           *(math.sqrt(float(w.dot(w))) for w in res), dists)
 
 
-def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
-                     candidate: PrimalDualPoint) -> PrimalDualPoint:
-    """Project the anchor onto the intersection of the two bracketing half-spaces.
+def flat_haugazeau(anchor: np.ndarray, current: np.ndarray, candidate: np.ndarray,
+                   split: int) -> np.ndarray:
+    """Project the flat anchor onto the intersection of the two bracketing half-spaces.
 
     The three-case closed form branches on chi = <anchor-current,
     current-candidate>, the squared norms mu, nu of those differences, and
@@ -359,11 +359,9 @@ def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
     chi means the two half-spaces miss each other, which is impossible when
     a solution exists; it is reported instead of silently patched.
     """
-    diff_ay = anchor - current
-    diff_yz = current - candidate
-    chi = pd_inner(diff_ay, diff_yz)
-    mu = pd_norm_sq(diff_ay)
-    nu = pd_norm_sq(diff_yz)
+    diff_ay, diff_yz = anchor - current, current - candidate
+    chi = flat_inner(diff_ay, diff_yz, split)
+    mu, nu = flat_inner(diff_ay, diff_ay, split), flat_inner(diff_yz, diff_yz, split)
     rho = max(mu * nu - chi * chi, 0.0)
     if rho <= RHO_TOL * mu * nu:
         if chi >= -RHO_TOL * (mu + nu):
@@ -373,6 +371,13 @@ def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
     if chi * nu >= rho:
         return anchor + (1.0 + chi / nu) * (candidate - current)
     return current + (nu / rho) * (chi * diff_ay + mu * (candidate - current))
+
+
+def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
+                     candidate: PrimalDualPoint) -> PrimalDualPoint:
+    """flat_haugazeau on points; returns candidate itself in the first case."""
+    out = flat_haugazeau(anchor.data, current.data, candidate.data, current.x.data.shape[0])
+    return candidate if out is candidate.data else current._like(out)
 
 
 def advance(state: EngineState):
@@ -389,32 +394,34 @@ def advance(state: EngineState):
         raise PdsplitError(f"the run has ended: advance returned {state.ended!r} at iteration "
                            f"{n - 1}; build a new state to run again")
     _decompose(state, n)
-    sep, raw = build_separator(graph, problem, (state.lsb.value, state.la.value))
-    exact = None if config.exact_tol < 0.0 else \
-        detect_exact_solution(raw, graph.pair(graph.a, graph.b_dual), config.exact_tol)
-    violation = halfspace_violation(current, sep)
-    theta, nxt = project_halfspace(current, sep, state.rules.lam(n), config.tau_zero_tol)
+    z, split = current.data, graph.a.size
+    normal, level, tau, raw = flat_separator(graph, problem, (state.lsb.value, state.la.value))
+    violation = flat_violation(z, normal, level, split)
+    theta, nxt = flat_projection(z, normal, level, tau, violation, state.rules.lam(n),
+                                 config.tau_zero_tol)
     if config.mode == "haugazeau":
         try:
-            nxt = haugazeau_update(state.anchor, current, nxt)
+            nxt = flat_haugazeau(state.anchor.data, z, nxt, split)
         except InconsistencyError as exc:
             return "inconsistent", current, str(exc)
     (_, lsv), (lx, _) = state.buffer.get(n)
-    record = iteration_record(n, theta, sep.norm_sq, violation, problem, current, lx, lsv, graph)
+    record = iteration_record(n, theta, tau, violation, problem, current, lx, lsv, graph)
     state.last_record = record
     if n % config.trace_stride == 0:
         state.trace.append(record)
-    finite = math.isfinite(record.residual_sum()) and math.isfinite(theta) \
-        and bool(np.isfinite(nxt.data).all())
-    if not finite:
+    residual = record.residual_sum()
+    if not (math.isfinite(residual) and math.isfinite(theta) and np.isfinite(nxt).all()):
         return "inconsistent", current, f"non-finite values at iteration {n}"
-    if exact is not None:
+    if config.exact_tol >= 0.0 and normal_vanishes(  # raw is normal on the full space
+            tau if normal is raw else flat_inner(raw, raw, split),
+            float(graph.a.dot(graph.a)) + float(graph.b_dual.dot(graph.b_dual)), config.exact_tol):
         state.n, state.ended = n + 1, "exact_point"
-        return "exact_point", exact, f"separator normal vanished at iteration {n}"
-    state.current = nxt
-    state.buffer.push(n + 1, _buffered(problem.coupling, nxt))
+        return ("exact_point", graph.pair(graph.a, graph.b_dual),
+                f"separator normal vanished at iteration {n}")
+    state.current = current._like(nxt)
+    state.buffer.push(n + 1, _buffered(problem.coupling, nxt[:split], nxt[split:]))
     state.n = n + 1
-    if record.residual_sum() <= config.resid_tol * (1.0 + pd_norm(current)):
+    if residual <= config.resid_tol * (1.0 + math.sqrt(flat_inner(z, z, split))):
         return "solved", current, ""
     return None
 

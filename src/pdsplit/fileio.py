@@ -28,18 +28,26 @@ PathLike = Union[str, Path]
 _FLOAT_MAX = sys.float_info.max  # NaN, infinities and larger integers are non-finite
 
 
+def _unique_keys(pairs: list) -> dict:
+    if len(obj := dict(pairs)) < len(pairs):  # json alone keeps the last of two equal keys
+        key = next(k for j, (k, _) in enumerate(pairs) if k in dict(pairs[:j]))
+        raise ValueError(f"duplicate object key {key!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads would build one per call
+
+
 def _load_json(path: PathLike) -> dict:
     try:
         with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
-    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+            return _DECODER.decode(fh.read().decode("utf-8"))
+    except ValueError as exc:  # invalid JSON, a key given twice, or bytes that are not UTF-8
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _write_json(obj, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
 
 
 def _object(obj, where: str) -> dict:
@@ -334,37 +342,21 @@ TRACE_COLUMNS = ("n", "theta", "tau", "violation",
                  "res_primal", "res_dualmap", "res_coupling", "res_dual")
 
 
-def trace_header(fixture_count: int) -> str:
-    cols = list(TRACE_COLUMNS) + [f"dist_z{j}" for j in range(fixture_count)]
-    return ",".join(cols)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_trace(records: list[IterationRecord], path: PathLike,
                 fixture_count: int = None) -> None:
     """Write the iteration trace as deterministic CSV (17 significant digits)."""
     if fixture_count is None:
         fixture_count = len(records[0].dists) if records else 0
-    lines = [trace_header(fixture_count)]
-    for rec in records:
-        cells = [str(rec.n), _fmt(rec.theta), _fmt(rec.tau), _fmt(rec.violation),
-                 _fmt(rec.res_primal), _fmt(rec.res_dualmap),
-                 _fmt(rec.res_coupling), _fmt(rec.res_dual)]
-        cells.extend(_fmt(d) for d in rec.dists)
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    lines = [",".join(TRACE_COLUMNS + tuple(f"dist_z{j}" for j in range(fixture_count)))]
+    row = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1 + fixture_count)  # %.17g is f"{v:.17g}"
+    lines.extend(row % (rec.n, rec.theta, rec.tau, rec.violation, rec.res_primal, rec.res_dualmap,
+                        rec.res_coupling, rec.res_dual, *rec.dists) for rec in records)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_trace(path: PathLike) -> tuple[list[str], list[list[float]]]:
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        lines = [ln for ln in data.decode("utf-8").splitlines() if ln]
+        lines = [ln for ln in Path(path).read_bytes().decode("utf-8").splitlines() if ln]
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a UTF-8 text file: {exc}") from exc
     if not lines:

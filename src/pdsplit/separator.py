@@ -9,13 +9,14 @@ step of both engines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
-                         adjoint_block, forward_block, pd_inner, pd_norm, pd_norm_sq)
+                         adjoint_block, flat_inner, forward_block, pd_norm, pd_norm_sq)
 from .errors import ConfigError, DimensionError
 from .operators import MonotoneOp, membership_residual
 
@@ -64,17 +65,19 @@ class SubspaceProjector:
     rowspace: Optional[np.ndarray] = None  # orthonormal rows spanning the constraint row space
 
     def project(self, point: PrimalDualPoint) -> PrimalDualPoint:
-        if self.variant == "full":
-            return point
+        data = self.project_flat(point.data)
+        return point if data is point.data else point._like(data)
+
+    def project_flat(self, data: np.ndarray) -> np.ndarray:
+        """The projection of a flat primal-dual array: data itself where it cannot move."""
         if self.variant == "zero_sum_dual":
-            dual = point.v_star.data.reshape(self.signature.p, -1)
-            centered = dual - dual.mean(axis=0)
-            return point._like(np.concatenate((point.x.data, centered.ravel())))
-        # nullspace / linear_primal: subtract the row-space component
-        rows = self.rowspace
+            split = self.signature.primal_slices[-1].stop
+            dual = data[split:].reshape(self.signature.p, -1)
+            return np.concatenate((data[:split], (dual - dual.mean(axis=0)).ravel()))
+        rows = self.rowspace  # None for full; nullspace / linear_primal subtract the row space
         if rows is None or rows.shape[0] == 0:
-            return point
-        return point._like(point.data - rows.T @ (rows @ point.data))
+            return data
+        return data - rows.T @ (rows @ data)
 
     def residual(self, point: PrimalDualPoint) -> float:
         """Distance between a point and its projection (0 when on the subspace)."""
@@ -248,57 +251,64 @@ class Separator:
     norm_sq: float     # tau: ||normal||^2
 
 
-def build_separator(graph: GraphTable, problem: ProblemSpec,
-                    images: Optional[tuple] = None) -> tuple[Separator, PrimalDualPoint]:
-    """Assemble the separating half-space from one graph point per operator.
-
-    Returns the separator together with the raw (unprojected) normal, which
-    the exact-solution test inspects.  images are (L* b_dual, L a) if the
-    caller keeps them; without them L is applied in full.
-    """
+def flat_separator(graph: GraphTable, problem: ProblemSpec,
+                   images: Optional[tuple] = None) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Flat (normal, level, norm_sq, raw) of one graph point per operator; normal is raw projected
+    (raw itself where that cannot move it).  images: (L* b_dual, L a) if kept, else L is applied."""
     L = problem.coupling
     lsb, la = images or (L.adjoint(graph.b_dual), L.forward(graph.a))
-    raw = graph.pair(graph.a_dual + lsb, graph.b - la)
-    level = float(np.dot(graph.a, graph.a_dual)) + float(np.dot(graph.b, graph.b_dual))
-    projected = problem.projector.project(raw)
-    return Separator(projected, level, pd_norm_sq(projected)), raw
+    raw = np.concatenate((graph.a_dual + lsb, graph.b - la))
+    level = float(graph.a.dot(graph.a_dual)) + float(graph.b.dot(graph.b_dual))
+    normal = problem.projector.project_flat(raw)
+    return normal, level, flat_inner(normal, normal, graph.a.size), raw
+
+
+def build_separator(graph: GraphTable, problem: ProblemSpec,
+                    images: Optional[tuple] = None) -> tuple[Separator, PrimalDualPoint]:
+    """flat_separator's half-space as a Separator, and its raw normal as a point."""
+    normal, level, norm_sq, raw = flat_separator(graph, problem, images)
+    raw_point = graph.pair(raw[:graph.a.size], raw[graph.a.size:])
+    return Separator(raw_point._like(normal), level, norm_sq), raw_point
+
+
+def normal_vanishes(raw_sq: float, candidate_sq: float, tol: float) -> bool:
+    """Whether the raw normal vanishes next to the candidate (a, b*), which then solves exactly."""
+    return math.sqrt(raw_sq) <= tol * (1.0 + math.sqrt(candidate_sq))
 
 
 def detect_exact_solution(s_star_raw: PrimalDualPoint, candidate: PrimalDualPoint,
                           tol: float) -> Optional[PrimalDualPoint]:
-    """Return the candidate solution pair when the raw normal vanishes.
+    """The candidate solution pair if the raw normal vanishes (normal_vanishes), else None."""
+    exact = normal_vanishes(pd_norm_sq(s_star_raw), pd_norm_sq(candidate), tol)
+    return candidate if exact else None
 
-    A zero raw normal certifies that (a, b*) solves the coupled system
-    exactly; the tolerance is scaled by the candidate magnitude.
-    """
-    if pd_norm(s_star_raw) <= tol * (1.0 + pd_norm(candidate)):
-        return candidate
-    return None
+
+def flat_violation(z: np.ndarray, normal: np.ndarray, level: float, split: int) -> float:
+    """Nonnegative amount by which a flat point violates the half-space {<u, normal> <= level}."""
+    return max(0.0, flat_inner(z, normal, split) - level)
 
 
 def halfspace_violation(current: PrimalDualPoint, sep: Separator) -> float:
-    """Nonnegative amount by which the current point violates the half-space."""
-    return max(0.0, pd_inner(current, sep.normal) - sep.level)
+    return flat_violation(current.data, sep.normal.data, sep.level, current.x.data.shape[0])
+
+
+def flat_projection(z: np.ndarray, normal: np.ndarray, level: float, norm_sq: float,
+                    violation: float, lam: float, tau_zero_tol: float) -> tuple[float, np.ndarray]:
+    """Relaxed projection (theta, next) of a flat point z that violates the half-space by violation;
+    theta is 0 and next is z itself if z is inside or the normal is numerically 0 (scaled by
+    1 + level^2).  SolverConfig.validate bounds lam."""
+    if norm_sq <= tau_zero_tol * (1.0 + level ** 2) or violation <= 0.0:
+        return 0.0, z
+    theta = lam * violation / norm_sq
+    return theta, z - theta * normal
 
 
 def project_halfspace(current: PrimalDualPoint, sep: Separator, lam: float,
                       tau_zero_tol: float = 1e-14) -> tuple[float, PrimalDualPoint]:
-    """Relaxed projection of the current point onto the separator's half-space.
-
-    Returns (theta, next_point).  theta is the applied step scale; it is zero
-    (and the point is returned unchanged) when the point already satisfies
-    the half-space or when the normal is numerically zero.  The branch on a
-    nonzero normal uses a threshold scaled by (1 + level^2) because an exact
-    zero test is meaningless in floating point.  lam is the relaxation
-    factor; SolverConfig.validate bounds it, so it is not checked here.
-    """
-    if sep.norm_sq <= tau_zero_tol * (1.0 + sep.level ** 2):
-        return 0.0, current
-    violation = halfspace_violation(current, sep)
-    if violation <= 0.0:
-        return 0.0, current
-    theta = lam * violation / sep.norm_sq
-    return theta, current._like(current.data - theta * sep.normal.data)
+    """flat_projection of a point; next is current itself when theta is 0."""
+    theta, z = flat_projection(current.data, sep.normal.data, sep.level, sep.norm_sq,
+                               halfspace_violation(current, sep), lam, tau_zero_tol)
+    return theta, current if z is current.data else current._like(z)
 
 
 @dataclass(frozen=True)

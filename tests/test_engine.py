@@ -9,7 +9,8 @@ from pdsplit.engine import EngineState, advance, haugazeau_update
 from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
 from pdsplit.schedule import synchronous
 
-from conftest import make_lasso_problem, point, random_blocksparse_problem, random_problem
+from conftest import (make_lasso_problem, make_linear_primal_problem, point,
+                      random_blocksparse_problem, random_problem)
 from oracle import (checked_run, fejer_reference_trace, lagged_reference_run,
                     project_intersection_two_halfspaces)
 
@@ -261,6 +262,39 @@ def test_kept_images_equal_the_full_applies_after_every_step(mode):
             assert state.la.value.tobytes() == L.forward(graph.a).tobytes()
             assert state.lsb.value.tobytes() == L.adjoint(graph.b_dual).tobytes()
     assert shapes > 1
+
+
+def test_default_exact_tol_lasso_run_matches_the_blockwise_reference():
+    # the exact-point test runs every iteration (and never fires) without moving a bit
+    prob = make_lasso_problem()
+    cfg = ps.SolverConfig(mode="haugazeau", max_iter=300)
+    res = ps.run(prob, cfg)
+    ref, final, _ = lagged_reference_run(prob, cfg, synchronous(1, 1), 300)
+    assert (res.status, res.iterations) == ("max_iter", 300)
+    assert res.trace == ref
+    assert np.array_equal(res.final.data, final.data)
+
+
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+def test_projected_normal_run_matches_the_blockwise_reference(mode):
+    # on the linear_primal subspace the separator's normal is the projected raw normal,
+    # and the exact-point test measures the raw one
+    prob = make_linear_primal_problem("linear_primal")
+    cfg = ps.SolverConfig(mode=mode, max_iter=100)
+    for sched in (synchronous(1, 1), ps.random_admissible(1, 1, M=2, D=3, horizon=64, seed=5)):
+        res = ps.run(prob, cfg, sched)
+        ref, final, _ = lagged_reference_run(prob, cfg, sched, 100)
+        assert (res.status, res.iterations) == ("max_iter", 100)
+        assert res.trace == ref
+        assert np.array_equal(res.final.data, final.data)
+
+
+def test_lasso_haugazeau_iteration_count_is_pinned():
+    # the count moves on rounding alone (swapping the two coordinates gives 9,643), so
+    # a change that reorders a sum on the haugazeau path shows here
+    res = ps.run(make_lasso_problem(),
+                 ps.SolverConfig(mode="haugazeau", max_iter=20000, resid_tol=1e-6))
+    assert (res.status, res.iterations) == ("solved", 7124)
 
 
 def test_recycling_reads_lagged_iterates():
@@ -534,7 +568,7 @@ def test_a_negative_exact_tol_skips_the_exact_point_test(monkeypatch):
     # no norm can pass it, so neither the candidate pair nor its norms are built
     def exact_point_test(*args):
         raise AssertionError("the exact-point test ran")
-    monkeypatch.setattr(ps.engine, "detect_exact_solution", exact_point_test)
+    monkeypatch.setattr(ps.engine, "normal_vanishes", exact_point_test)
     result = ps.run(random_problem(3), ps.SolverConfig(max_iter=5, resid_tol=0.0, exact_tol=-1.0))
     assert (result.status, result.iterations) == ("max_iter", 5)
     with pytest.raises(AssertionError, match="exact-point test"):

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit import fileio
+from pdsplit.cli import main
 from pdsplit.engine import IterationRecord
 from pdsplit.errors import ConfigError, SchemaError
 
@@ -157,6 +159,44 @@ def test_trace_17_digit_round_trip(tmp_path):
     fileio.write_trace([rec], path)
     _, rows = fileio.read_trace(path)
     assert rows[0][1] == value and rows[0][2] == value * 7
+
+
+def test_trace_cells_are_17_digit_format_strings(tmp_path):
+    # one format string per row writes each float cell as f"{v:.17g}"
+    odd = (math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308)
+    rec = IterationRecord(7, *odd, -math.inf, 1.0 / 3.0, odd)
+    path = tmp_path / "t.csv"
+    fileio.write_trace([rec], path)
+    floats = (rec.theta, rec.tau, rec.violation, rec.res_primal, rec.res_dualmap,
+              rec.res_coupling, rec.res_dual, *rec.dists)
+    assert path.read_text().splitlines()[1].split(",") == ["7"] + [f"{v:.17g}" for v in floats]
+
+
+def _appended(data: dict, key: str, text: str) -> str:
+    """data as JSON text, with `key` and the JSON text `text` appended to its object."""
+    return json.dumps(data)[:-1] + f", {json.dumps(key)}: {text}}}"
+
+
+def test_duplicate_object_keys_are_schema_errors(tmp_path):
+    # json.loads keeps the last of two equal keys: a schedule whose "c" gives block "0"
+    # twice was certified with one lag table dropped
+    data = fileio.schedule_to_dict(ps.random_admissible(1, 1, 2, 2, 6, seed=3))
+    lags = json.dumps(data["c"]["0"])
+    del data["c"]
+    sched = tmp_path / "schedule.json"
+    sched.write_text(_appended(data, "c", f'{{"0": {lags}, "0": {lags}}}'))
+    with pytest.raises(SchemaError, match="duplicate object key '0'"):
+        fileio.parse_schedule(sched)
+    problem = tmp_path / "problem.json"
+    problem.write_text(_appended(fileio.problem_to_dict(make_lasso_problem()), "z_star",
+                                 "[[5.0, 5.0]]"))
+    with pytest.raises(SchemaError, match="duplicate object key 'z_star'"):
+        fileio.parse_problem(problem)
+    config = tmp_path / "config.json"
+    fileio.write_config(ps.SolverConfig(max_iter=5), config)
+    assert main(["validate-schedule", "--schedule", str(sched), "--m", "1", "--p", "1"]) == 1
+    assert main(["run", "--problem", str(problem), "--config", str(config),
+                 "--trace", str(tmp_path / "trace.csv")]) == 1
 
 
 @pytest.mark.parametrize("path, huge", [
