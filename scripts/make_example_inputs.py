@@ -48,6 +48,11 @@ def main():
     fileio.write_config(ps.SolverConfig(mode="haugazeau", max_iter=10000,
                                         resid_tol=3e-6),
                         out / "lasso_config.json")
+    # inexact resolvents: the budget accepts most perturbed graph points and rejects some
+    fileio.write_config(ps.SolverConfig(
+        mode="fejer", max_iter=5000, resid_tol=1e-6,
+        inexact=ps.InexactnessBudget(beta=1.0, sigma=0.3, delta=1.0, zeta=0.3),
+        perturbation=ps.PerturbationRule(seed=3, scale=0.5)), out / "lasso_inexact_config.json")
     fileio.write_schedule(ps.random_admissible(1, 1, M=3, D=5, horizon=512, seed=1),
                           out / "scalar_async_schedule.json")
     print(f"wrote example inputs to {out}/")

@@ -11,10 +11,8 @@ from .engine import (EngineState, IterationRecord, PerturbationRule, Rules, RunR
                      SolverConfig, advance, haugazeau_update, run)
 from .errors import (ConfigError, DimensionError, InconsistencyError,
                      InvariantViolation, NumericalError, PdsplitError, SchemaError)
-from .operators import (GraphPoint, InexactnessBudget, MonotoneOp, affine_monotone,
-                        box_indicator, graph_point_dual, graph_point_primal, l1_norm,
-                        normal_cone_box, quadratic, resolvent, validate_inexact_dual,
-                        validate_inexact_primal, zero)
+from .operators import (InexactnessBudget, MonotoneOp, affine_monotone, box_indicator, l1_norm,
+                        normal_cone_box, quadratic, resolvent, zero)
 from .schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,
                        synchronous, validate)
 from .separator import (GraphTable, KTResidual, ProblemSpec, Separator, SubspaceSpec,

@@ -284,6 +284,8 @@ def rows_owned(owners: list, active, count: int) -> list:
     return [on[owner].nonzero()[0] for owner in owners]
 
 
+# No package code calls the per-block applies; they stay here because perfbench's
+# problem generator imports them and its tracer patches them.
 def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
     """Dual block k of the forward map: sum over i of entry (k,i) applied to x_i."""
     acc = np.zeros(cmap.signature.dual_dims[k])

@@ -16,7 +16,7 @@ from typing import Optional
 from . import fileio
 from .engine import run
 from .errors import ConfigError, InconsistencyError, PdsplitError
-from .schedule import periodic, random_admissible, validate
+from .schedule import at_least, periodic, random_admissible, validate
 from .separator import kt_residual
 
 EXIT_OK = 0
@@ -52,6 +52,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate_schedule(args) -> int:
+    at_least(("--m", args.m, 1), ("--p", args.p, 1))
     sched = fileio.parse_schedule(args.schedule)
     cert = validate(sched, args.m, args.p)
     if cert.certified:

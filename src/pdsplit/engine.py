@@ -26,9 +26,8 @@ import numpy as np
 
 from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, flat_inner, rows_owned
 from .errors import ConfigError, InconsistencyError, PdsplitError
-from .operators import (InexactnessBudget, finite_number, graph_point_dual, graph_point_primal,
-                        stacked_parameters, stacked_resolvent, validate_inexact_dual,
-                        validate_inexact_primal)
+from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal, row_dots,
+                        stacked_parameters, stacked_resolvent)
 from .schedule import ControlSchedule, LagBuffer, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, flat_projection, flat_separator, flat_violation,
                         normal_vanishes)
@@ -104,6 +103,8 @@ class SolverConfig:
             raise ConfigError("perturbation injection requires an inexactness budget")
         if self.start is not None:
             problem.check_point(self.start, "start")
+            if not np.isfinite(self.start.data).all():
+                raise ConfigError("start has non-finite values")
         return rules
 
 
@@ -237,13 +238,14 @@ class EngineState:
         problem.known_Z_points = tuple(z._like(z.data.copy()) for z in problem.known_Z_points)
         L, sig = problem.coupling, problem.signature
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
+        sides = (_side(0, problem.A_ops, sig.primal_slices, problem.z_star, rules.gamma),
+                 _side(1, problem.B_ops, sig.dual_slices, problem.r, rules.mu))
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
                    graph=GraphTable.zeros(sig),
                    buffer=LagBuffer(sched.D, _buffered(L, current.x.data, current.v_star.data)),
-                   primal=_side(0, problem.A_ops, sig.primal_slices, problem.z_star, rules.gamma),
-                   dual=_side(1, problem.B_ops, sig.dual_slices, problem.r, rules.mu),
-                   la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
-                   perturb=_PerturbState(config.perturbation) if config.perturbation else None)
+                   primal=sides[0], dual=sides[1], la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
+                   perturb=None if config.perturbation is None
+                   else _PerturbState(config.perturbation, config.inexact, sides))
 
 
 @dataclass
@@ -258,34 +260,36 @@ class RunResult:
 
 
 class _PerturbState:
-    """Run-local RNG and acceptance counters for injected resolvent errors."""
+    """Run-local RNG, budget and acceptance counters for injected resolvent errors, and the
+    operator groups' parameters at step 1, which the budget's membership test reads."""
 
-    def __init__(self, rule: PerturbationRule):
-        self.rng = np.random.default_rng(rule.seed)
-        self.scale = rule.scale
-        self.accepted = 0
-        self.rejected = 0
+    def __init__(self, rule: PerturbationRule, budget: InexactnessBudget, sides: tuple):
+        self.rng, self.scale, self.budget = np.random.default_rng(rule.seed), rule.scale, budget
+        self.unit = [[stacked_parameters([side.ops[j] for j in js], [1.0] * len(js))
+                      for _, js, _, _ in side.groups] for side in sides]
+        self.accepted = self.rejected = 0
 
-    def apply(self, state: EngineState, side: _Side, active: Sequence[int], reads: tuple,
-              graph: tuple) -> None:
-        """Perturb the activated blocks' exact points (in graph) in order, keeping what passes."""
-        budget = state.config.inexact
-        point, check, steps, bound = (
-            (graph_point_primal, validate_inexact_primal, state.rules.gamma, budget.beta),
-            (graph_point_dual, validate_inexact_dual, state.rules.mu, budget.delta))[side.read]
-        for idx in active:
-            sl = side.slices[idx]
-            args = (side.ops[idx], side.offset[sl], steps[idx], reads[0][sl], reads[1][sl])
-            err = float(self.rng.uniform(-self.scale, self.scale)) * (args[3] - graph[0][sl])
-            cap, err_norm = 0.95 * bound, float(np.linalg.norm(err))
-            if err_norm > cap:
-                err = err * (cap / err_norm)
-            candidate = point(*args, error=err)
-            if check(args[0], candidate, *args[3:], *args[1:3], budget).accepted:
-                self.accepted += 1
-                graph[0][sl], graph[1][sl] = candidate.point, candidate.dual
-            else:
-                self.rejected += 1
+    def draw(self, side: _Side, active: Sequence[int]) -> np.ndarray:
+        """Per block of the side, its error coefficient: one draw per activated block, in order."""
+        coef = np.zeros(len(side.ops))
+        coef[list(active)] = self.rng.uniform(-self.scale, self.scale, size=len(active))
+        return coef
+
+    def apply(self, side: _Side, g: int, sel, coef: np.ndarray, args: tuple, exact: tuple):
+        """Rows sel of group g: each one's perturbed point if the budget accepts it, else its
+        exact one.  args are the group routine's arguments, exact its result."""
+        fresh, check, bound = ((graph_point_primal, inexact_primal, self.budget.beta),
+                               (graph_point_dual, inexact_dual, self.budget.delta))[side.read]
+        err = coef[side.owners[g][sel]][:, None] * (args[2] - exact[0])  # toward the first read
+        cap, norm = 0.95 * bound, np.sqrt(row_dots(err, err))
+        over = norm > cap
+        err[over] *= (cap / norm[over])[:, None]
+        candidate = fresh(*args, error=err)
+        keep = check(args[0], tuple(q[sel] for q in self.unit[side.read][g]), *candidate,
+                     *args[2:], self.budget)
+        self.accepted += int(keep.sum())
+        self.rejected += keep.size - int(keep.sum())
+        return tuple(np.where(keep[:, None], c, e) for c, e in zip(candidate, exact))
 
 
 def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[int]) -> tuple:
@@ -299,39 +303,56 @@ def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[in
     return out
 
 
-def _plan(side: _Side, active: Sequence[int]) -> list:
-    """For each operator group with an activated member: its kind, and those members'
-    parameters and (members, dim) coordinates."""
-    rows = rows_owned(side.owners, active, len(side.ops))
-    return [(kind, tuple(p[sel] for p in params), coords[sel])
-            for (kind, _, params, coords), sel in zip(side.groups, rows)
-            if isinstance(sel, slice) or sel.size]
+def graph_point_primal(kind: str, params: tuple, x: np.ndarray, lsv: np.ndarray,
+                       gamma: np.ndarray, z_star: np.ndarray, error=None) -> tuple:
+    """Fresh graph points of a primal operator group, one row per activated block:
+    a = J(x + gamma*(z* - L*v)), a* = (x - a)/gamma - L*v, so a* + z* in Op(a).  An error
+    perturbs J's input and enters a* the same way, which keeps graph membership."""
+    u = x + gamma * (z_star - lsv)
+    if error is None:
+        a = stacked_resolvent(kind, params, u)
+        return a, (x - a) / gamma - lsv
+    a = stacked_resolvent(kind, params, u + error)
+    return a, (x - a + error) / gamma - lsv
+
+
+def graph_point_dual(kind: str, params: tuple, lx: np.ndarray, v: np.ndarray,
+                     mu: np.ndarray, r: np.ndarray, error=None) -> tuple:
+    """Fresh graph points of a dual operator group, one row per activated block:
+    b = r + J(Lx + mu*v - r), b* = v + (Lx - b)/mu, so b* in Op(b - r); an error as above."""
+    u = lx + mu * v - r
+    if error is None:
+        b = r + stacked_resolvent(kind, params, u)
+        return b, v + (lx - b) / mu
+    b = r + stacked_resolvent(kind, params, u + error)
+    return b, v + (lx - b + error) / mu
 
 
 def _decompose(state: EngineState, n: int) -> None:
     """Fresh graph points of the blocks activated at n overwrite their recycled ones.
 
-    Primal:  a = J(x + gamma*(z* - L*v)),  a* = (x - a)/gamma - L*v
-    Dual:    b = r + J(Lx + mu*v - r),     b* = v + (Lx - b)/mu
-    once per operator group, on its activated members' coordinates.  Inexact
-    mode then perturbs them block by block, primal blocks first, and the kept
-    L a and L* b* follow.
+    The primal side, then the dual side, runs its group routine once per operator
+    group with an activated member, on those members' coordinates.  Inexact mode draws
+    the side's error coefficients first and keeps each perturbed point the budget
+    accepts.  The kept L a and L* b* follow.
     """
-    sched, graph, prim, dual = state.sched, state.graph, state.primal, state.dual
+    sched, graph, perturb = state.sched, state.graph, state.perturb
     I_n, K_n = sched.blocks_at(n)
-    reads_p = _reads(state, prim, I_n, [sched.lag_primal(i, n) for i in I_n])
-    for kind, params, at in _plan(prim, I_n):
-        x, lsv, step = reads_p[0][at], reads_p[1][at], prim.step[at]
-        a = stacked_resolvent(kind, params, x + step * (prim.offset[at] - lsv))
-        graph.a[at], graph.a_dual[at] = a, (x - a) / step - lsv
-    reads_d = _reads(state, dual, K_n, [sched.lag_dual(k, n) for k in K_n])
-    for kind, params, at in _plan(dual, K_n):
-        lx, v, step, offset = reads_d[0][at], reads_d[1][at], dual.step[at], dual.offset[at]
-        b = offset + stacked_resolvent(kind, params, lx + step * v - offset)
-        graph.b[at], graph.b_dual[at] = b, v + (lx - b) / step
-    if state.perturb is not None:
-        state.perturb.apply(state, prim, I_n, reads_p, (graph.a, graph.a_dual))
-        state.perturb.apply(state, dual, K_n, reads_d, (graph.b, graph.b_dual))
+    for side, active, lag, fresh, table in (
+            (state.primal, I_n, sched.lag_primal, graph_point_primal, (graph.a, graph.a_dual)),
+            (state.dual, K_n, sched.lag_dual, graph_point_dual, (graph.b, graph.b_dual))):
+        reads = _reads(state, side, active, [lag(j, n) for j in active])
+        coef = None if perturb is None else perturb.draw(side, active)
+        for g, sel in enumerate(rows_owned(side.owners, active, len(side.ops))):
+            kind, _, params, coords = side.groups[g]
+            at = coords[sel]
+            if at.size:
+                args = (kind, tuple(p[sel] for p in params), reads[0][at], reads[1][at],
+                        side.step[at], side.offset[at])
+                points = fresh(*args)
+                if coef is not None:
+                    points = perturb.apply(side, g, sel, coef, args, points)
+                table[0][at], table[1][at] = points
     state.la.update(graph.a, I_n)
     state.lsb.update(graph.b_dual, K_n)
 

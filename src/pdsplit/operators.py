@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -165,14 +164,6 @@ def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
     return stacked_resolvent(op.kind, _parameters(op, gamma), u)
 
 
-@dataclass(frozen=True)
-class GraphPoint:
-    """A pair (point, dual) claimed to satisfy dual in Op(point)."""
-
-    point: np.ndarray
-    dual: np.ndarray
-
-
 def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> float:
     """Distance of (point, dual) from the operator graph, via the resolvent test.
 
@@ -180,48 +171,6 @@ def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> 
     """
     d = point - resolvent(op, 1.0, point + dual)
     return math.sqrt(float(d @ d))  # what np.linalg.norm computes, without its overhead
-
-
-def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
-                       x_lag: np.ndarray, lstar: np.ndarray,
-                       error: Optional[np.ndarray] = None) -> GraphPoint:
-    """Fresh graph point for one primal operator from (possibly lagged) reads.
-
-    Exact mode (error=None) returns (a, a*) with
-        a  = resolvent(op, gamma, x_lag + gamma*(z_star - lstar))
-        a* = (x_lag - a)/gamma - lstar,
-    so that a + gamma*(a* + lstar) = x_lag and a* + z_star in Op(a).
-    A nonzero error perturbs the resolvent input and enters a* the same way,
-    preserving graph membership while shifting the reconstruction identity.
-    """
-    u = x_lag + gamma * (z_star - lstar)
-    if error is None:
-        a = resolvent(op, gamma, u)
-        a_dual = (x_lag - a) / gamma - lstar
-    else:
-        a = resolvent(op, gamma, u + error)
-        a_dual = (x_lag - a + error) / gamma - lstar
-    return GraphPoint(a, a_dual)
-
-
-def graph_point_dual(op: MonotoneOp, r: np.ndarray, mu: float,
-                     l_k: np.ndarray, v_lag: np.ndarray,
-                     error: Optional[np.ndarray] = None) -> GraphPoint:
-    """Fresh graph point for one dual operator from (possibly lagged) reads.
-
-    Exact mode returns (b, b*) with
-        b  = r + resolvent(op, mu, l_k + mu*v_lag - r)
-        b* = v_lag + (l_k - b)/mu,
-    so that b + mu*(b* - v_lag) = l_k and b* in Op(b - r).
-    """
-    u = l_k + mu * v_lag - r
-    if error is None:
-        b = r + resolvent(op, mu, u)
-        b_dual = v_lag + (l_k - b) / mu
-    else:
-        b = r + resolvent(op, mu, u + error)
-        b_dual = v_lag + (l_k - b + error) / mu
-    return GraphPoint(b, b_dual)
 
 
 @dataclass(frozen=True)
@@ -249,62 +198,49 @@ class InexactnessBudget:
             raise ConfigError(f"zeta must lie in [0, 1), got {self.zeta}")
 
 
-@dataclass(frozen=True)
-class InexactCheck:
-    """Outcome of validating an approximate graph point."""
-
-    accepted: bool
-    reason: Optional[str] = None  # None when accepted
+def row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row j of u dotted with row j of w, bitwise what u[j].dot(w[j]) gives."""
+    return np.matmul(u[:, None, :], w[:, :, None])[:, 0, 0]
 
 
-def validate_inexact_primal(op: MonotoneOp, candidate: GraphPoint,
-                            x_lag: np.ndarray, lstar: np.ndarray, z_star: np.ndarray,
-                            gamma: float, budget: InexactnessBudget) -> InexactCheck:
-    """Check an approximate primal graph point against the error budget.
+def _off_graph(kind: str, unit: tuple, point: np.ndarray, dual: np.ndarray,
+               size: np.ndarray) -> np.ndarray:
+    """Per row: the resolvent test puts (point, dual) farther from the graph than
+    MEMBERSHIP_TOL * (1 + the norm of size's row); unit holds the step-1 parameters."""
+    d = point - stacked_resolvent(kind, unit, point + dual)
+    return np.sqrt(row_dots(d, d)) > MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dots(size, size)))
 
-    The implied error is e = a + gamma*(a* + lstar) - x_lag.  Conditions are
-    checked in order; the first violation is reported:
+
+def inexact_primal(kind: str, unit: tuple, a: np.ndarray, a_dual: np.ndarray, x: np.ndarray,
+                   lstar: np.ndarray, gamma: np.ndarray, z_star: np.ndarray,
+                   budget: InexactnessBudget) -> np.ndarray:
+    """Per row of an operator group (a block each, gamma its step along the row), whether
+    the approximate primal graph point passes all four conditions on the implied error
+    e = a + gamma*(a* + lstar) - x:
       membership   (a, z* + a*) must lie in the operator graph
       norm-bound   ||e|| <= beta
       sigma-dual   <e, a* + l*> <= sigma * gamma * ||a* + l*||^2
       sigma-primal <x - a, e>  >= -sigma * ||x - a||^2
     """
-    a, a_dual = candidate.point, candidate.dual
-    if membership_residual(op, a, a_dual + z_star) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(a)):
-        return InexactCheck(False, "membership")
-    e = a + gamma * (a_dual + lstar) - x_lag
-    if float(np.linalg.norm(e)) > budget.beta:
-        return InexactCheck(False, "norm-bound")
-    w = a_dual + lstar
-    if float(np.dot(e, w)) > budget.sigma * gamma * float(np.dot(w, w)):
-        return InexactCheck(False, "sigma-dual")
-    d = x_lag - a
-    if float(np.dot(d, e)) < -budget.sigma * float(np.dot(d, d)):
-        return InexactCheck(False, "sigma-primal")
-    return InexactCheck(True)
+    e, w, d = a + gamma * (a_dual + lstar) - x, a_dual + lstar, x - a
+    return ~(_off_graph(kind, unit, a, a_dual + z_star, a)
+             | (np.sqrt(row_dots(e, e)) > budget.beta)
+             | (row_dots(e, w) > budget.sigma * gamma[:, 0] * row_dots(w, w))
+             | (row_dots(d, e) < -budget.sigma * row_dots(d, d)))
 
 
-def validate_inexact_dual(op: MonotoneOp, candidate: GraphPoint,
-                          l_k: np.ndarray, v_lag: np.ndarray, r: np.ndarray,
-                          mu: float, budget: InexactnessBudget) -> InexactCheck:
-    """Dual-side counterpart of :func:`validate_inexact_primal`.
-
-    The implied error is f = b + mu*b* - l - mu*v_lag; conditions in order:
+def inexact_dual(kind: str, unit: tuple, b: np.ndarray, b_dual: np.ndarray, l_k: np.ndarray,
+                 v_lag: np.ndarray, mu: np.ndarray, r: np.ndarray,
+                 budget: InexactnessBudget) -> np.ndarray:
+    """Dual-side counterpart of :func:`inexact_primal`; the implied error is
+    f = b + mu*b* - l - mu*v_lag, and the conditions are
       membership   (b - r, b*) must lie in the operator graph
       norm-bound   ||f|| <= delta
       zeta-primal  <l - b, f> >= -zeta * ||l - b||^2
       zeta-dual    <f, b* - v*> <= zeta * mu * ||b* - v*||^2
     """
-    b, b_dual = candidate.point, candidate.dual
-    if membership_residual(op, b - r, b_dual) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(b)):
-        return InexactCheck(False, "membership")
-    f = b + mu * b_dual - l_k - mu * v_lag
-    if float(np.linalg.norm(f)) > budget.delta:
-        return InexactCheck(False, "norm-bound")
-    d = l_k - b
-    if float(np.dot(d, f)) < -budget.zeta * float(np.dot(d, d)):
-        return InexactCheck(False, "zeta-primal")
-    w = b_dual - v_lag
-    if float(np.dot(f, w)) > budget.zeta * mu * float(np.dot(w, w)):
-        return InexactCheck(False, "zeta-dual")
-    return InexactCheck(True)
+    f, d, w = b + mu * b_dual - l_k - mu * v_lag, l_k - b, b_dual - v_lag
+    return ~(_off_graph(kind, unit, b - r, b_dual, b)
+             | (np.sqrt(row_dots(f, f)) > budget.delta)
+             | (row_dots(d, f) < -budget.zeta * row_dots(d, d))
+             | (row_dots(f, w) > budget.zeta * mu[:, 0] * row_dots(w, w)))

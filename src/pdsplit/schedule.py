@@ -128,7 +128,7 @@ def synchronous(m: int, p: int) -> ControlSchedule:
     return ControlSchedule(1, [tuple(range(m))], [tuple(range(p))], M=1, D=0)
 
 
-def _at_least(*checks) -> None:
+def at_least(*checks) -> None:
     """ConfigError for the first (name, value, low) whose value is below low."""
     for name, value, low in checks:
         if value < low:
@@ -163,7 +163,7 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
     generated pattern.  lag_pattern is ("zero",), ("constant", d), or
     ("sawtooth", D).
     """
-    _at_least(("m", m, 1), ("p", p, 1), ("group_size", group_size, 1), ("horizon", horizon, 1))
+    at_least(("m", m, 1), ("p", p, 1), ("group_size", group_size, 1), ("horizon", horizon, 1))
     D = _pattern_depth(lag_pattern)
 
     def sweep(count: int) -> list[tuple[int, ...]]:
@@ -201,7 +201,7 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     iterations, which guarantees window coverage.  Lags are uniform over the
     admissible range.  Identical seeds give identical schedules.
     """
-    _at_least(("m", m, 1), ("p", p, 1), ("M", M, 1), ("D", D, 0), ("horizon", horizon, 1),
+    at_least(("m", m, 1), ("p", p, 1), ("M", M, 1), ("D", D, 0), ("horizon", horizon, 1),
               ("seed", seed, 0))
     rng = np.random.default_rng(seed)
 

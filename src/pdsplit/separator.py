@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature,
-                         adjoint_block, flat_inner, forward_block, pd_norm, pd_norm_sq)
+from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, flat_inner,
+                         pd_norm, pd_norm_sq)
 from .errors import ConfigError, DimensionError
 from .operators import MonotoneOp, membership_residual
 
@@ -339,9 +339,9 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     problem.check_point(point, "point")
     L, sig = problem.coupling, problem.signature
     x, v = point.x.data, point.v_star.data
-    primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl]
-                                       - adjoint_block(L, point.v_star, i))
-                   for i, (op, sl) in enumerate(zip(problem.A_ops, sig.primal_slices)))
-    dual = tuple(membership_residual(op, forward_block(L, point.x, k) - problem.r.data[sl], v[sl])
-                 for k, (op, sl) in enumerate(zip(problem.B_ops, sig.dual_slices)))
+    lsv, lx = L.adjoint(v), L.forward(x)
+    primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl] - lsv[sl])
+                   for op, sl in zip(problem.A_ops, sig.primal_slices))
+    dual = tuple(membership_residual(op, lx[sl] - problem.r.data[sl], v[sl])
+                 for op, sl in zip(problem.B_ops, sig.dual_slices))
     return KTResidual(primal, dual)

@@ -1,14 +1,18 @@
 """Independent verification machinery: brute-force minimizers, closed-form
-projections, buffer-free reference iterations, and the per-step invariant
-checker.
+projections, the per-block graph points and inexactness checks, buffer-free
+reference iterations, and the per-step invariant checker.
 
 The tests use it as an independent reference; the package itself does not.
+The per-block graph points and budget checks share no arithmetic with the
+engine's per-group routines: they evaluate one block at a time through the
+registry's resolvent and membership_residual.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,9 +22,8 @@ from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd
 from pdsplit.engine import (EngineState, IterationRecord, RunResult, SolverConfig,
                             haugazeau_update, iteration_record)
 from pdsplit.errors import ConfigError, InconsistencyError, InvariantViolation
-from pdsplit.operators import (MEMBERSHIP_TOL, graph_point_dual, graph_point_primal,
-                               membership_residual, validate_inexact_dual,
-                               validate_inexact_primal)
+from pdsplit.operators import (MEMBERSHIP_TOL, InexactnessBudget, MonotoneOp,
+                               membership_residual, resolvent)
 from pdsplit.schedule import ControlSchedule, synchronous
 from pdsplit.separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
                                project_halfspace)
@@ -124,6 +127,117 @@ def closed_form_Z_box(x0: float, v0: float) -> tuple[float, float]:
     clamps the primal part and zeroes the dual part.
     """
     return min(max(float(x0), -1.0), 1.0), 0.0
+
+
+@dataclass(frozen=True)
+class GraphPoint:
+    """A pair (point, dual) claimed to satisfy dual in Op(point)."""
+
+    point: np.ndarray
+    dual: np.ndarray
+
+
+def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,
+                       x_lag: np.ndarray, lstar: np.ndarray,
+                       error: Optional[np.ndarray] = None) -> GraphPoint:
+    """Fresh graph point for one primal operator from (possibly lagged) reads.
+
+    Exact mode (error=None) returns (a, a*) with
+        a  = resolvent(op, gamma, x_lag + gamma*(z_star - lstar))
+        a* = (x_lag - a)/gamma - lstar,
+    so that a + gamma*(a* + lstar) = x_lag and a* + z_star in Op(a).
+    A nonzero error perturbs the resolvent input and enters a* the same way,
+    preserving graph membership while shifting the reconstruction identity.
+    """
+    u = x_lag + gamma * (z_star - lstar)
+    if error is None:
+        a = resolvent(op, gamma, u)
+        a_dual = (x_lag - a) / gamma - lstar
+    else:
+        a = resolvent(op, gamma, u + error)
+        a_dual = (x_lag - a + error) / gamma - lstar
+    return GraphPoint(a, a_dual)
+
+
+def graph_point_dual(op: MonotoneOp, r: np.ndarray, mu: float,
+                     l_k: np.ndarray, v_lag: np.ndarray,
+                     error: Optional[np.ndarray] = None) -> GraphPoint:
+    """Fresh graph point for one dual operator from (possibly lagged) reads.
+
+    Exact mode returns (b, b*) with
+        b  = r + resolvent(op, mu, l_k + mu*v_lag - r)
+        b* = v_lag + (l_k - b)/mu,
+    so that b + mu*(b* - v_lag) = l_k and b* in Op(b - r).
+    """
+    u = l_k + mu * v_lag - r
+    if error is None:
+        b = r + resolvent(op, mu, u)
+        b_dual = v_lag + (l_k - b) / mu
+    else:
+        b = r + resolvent(op, mu, u + error)
+        b_dual = v_lag + (l_k - b + error) / mu
+    return GraphPoint(b, b_dual)
+
+
+@dataclass(frozen=True)
+class InexactCheck:
+    """Outcome of validating an approximate graph point."""
+
+    accepted: bool
+    reason: Optional[str] = None  # None when accepted
+
+
+def validate_inexact_primal(op: MonotoneOp, candidate: GraphPoint,
+                            x_lag: np.ndarray, lstar: np.ndarray, z_star: np.ndarray,
+                            gamma: float, budget: InexactnessBudget) -> InexactCheck:
+    """Check an approximate primal graph point against the error budget.
+
+    The implied error is e = a + gamma*(a* + lstar) - x_lag.  Conditions are
+    checked in order; the first violation is reported:
+      membership   (a, z* + a*) must lie in the operator graph
+      norm-bound   ||e|| <= beta
+      sigma-dual   <e, a* + l*> <= sigma * gamma * ||a* + l*||^2
+      sigma-primal <x - a, e>  >= -sigma * ||x - a||^2
+    """
+    a, a_dual = candidate.point, candidate.dual
+    if membership_residual(op, a, a_dual + z_star) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(a)):
+        return InexactCheck(False, "membership")
+    e = a + gamma * (a_dual + lstar) - x_lag
+    if float(np.linalg.norm(e)) > budget.beta:
+        return InexactCheck(False, "norm-bound")
+    w = a_dual + lstar
+    if float(np.dot(e, w)) > budget.sigma * gamma * float(np.dot(w, w)):
+        return InexactCheck(False, "sigma-dual")
+    d = x_lag - a
+    if float(np.dot(d, e)) < -budget.sigma * float(np.dot(d, d)):
+        return InexactCheck(False, "sigma-primal")
+    return InexactCheck(True)
+
+
+def validate_inexact_dual(op: MonotoneOp, candidate: GraphPoint,
+                          l_k: np.ndarray, v_lag: np.ndarray, r: np.ndarray,
+                          mu: float, budget: InexactnessBudget) -> InexactCheck:
+    """Dual-side counterpart of :func:`validate_inexact_primal`.
+
+    The implied error is f = b + mu*b* - l - mu*v_lag; conditions in order:
+      membership   (b - r, b*) must lie in the operator graph
+      norm-bound   ||f|| <= delta
+      zeta-primal  <l - b, f> >= -zeta * ||l - b||^2
+      zeta-dual    <f, b* - v*> <= zeta * mu * ||b* - v*||^2
+    """
+    b, b_dual = candidate.point, candidate.dual
+    if membership_residual(op, b - r, b_dual) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(b)):
+        return InexactCheck(False, "membership")
+    f = b + mu * b_dual - l_k - mu * v_lag
+    if float(np.linalg.norm(f)) > budget.delta:
+        return InexactCheck(False, "norm-bound")
+    d = l_k - b
+    if float(np.dot(d, f)) < -budget.zeta * float(np.dot(d, d)):
+        return InexactCheck(False, "zeta-primal")
+    w = b_dual - v_lag
+    if float(np.dot(f, w)) > budget.zeta * mu * float(np.dot(w, w)):
+        return InexactCheck(False, "zeta-dual")
+    return InexactCheck(True)
 
 
 def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,

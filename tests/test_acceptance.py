@@ -12,15 +12,17 @@ from pdsplit import fileio
 from pdsplit.blockspace import pd_norm
 from pdsplit.cli import main
 from pdsplit.engine import EngineState, advance
-from pdsplit.operators import GraphPoint, InexactnessBudget
-from pdsplit.operators import validate_inexact_dual, validate_inexact_primal
+from pdsplit.operators import (InexactnessBudget, inexact_dual, inexact_primal,
+                               stacked_parameters)
 from pdsplit.schedule import synchronous
 from pdsplit.separator import kt_residual
 
 from conftest import (make_lasso_problem, make_linear_primal_problem,
                       make_scalar_problem, point, random_problem)
-from oracle import (checked_run, closed_form_Z_box, fejer_reference_trace, grid_minimize,
-                    project_intersection_two_halfspaces)
+from oracle import (GraphPoint, checked_run, closed_form_Z_box, fejer_reference_trace,
+                    graph_point_dual, graph_point_primal, grid_minimize,
+                    project_intersection_two_halfspaces, validate_inexact_dual,
+                    validate_inexact_primal)
 
 
 def _finish(name, ok, detail=""):
@@ -243,9 +245,28 @@ def test_criterion_8_inexact_mode():
     ]
     ids_ok = (got == ["norm-bound", "sigma-dual", "sigma-primal"]
               and got_dual == ["norm-bound", "zeta-primal", "zeta-dual"])
-    _finish("8 (inexact resolvent mode)", converged and ids_ok,
-            f"n={res.iterations} resid={resid:.2e} accepted={used} "
-            f"ids={got + got_dual}")
+
+    # the package's per-group check, one row per call: it rejects the same six
+    # candidates and accepts the oracle's exact graph points
+    def package(check, op, c, read0, read1, budget):
+        return bool(check(op.kind, stacked_parameters([op], [1.0]), c.point[None], c.dual[None],
+                          np.array([read0]), np.array([read1]), np.ones((1, 1)),
+                          np.zeros((1, 1)), budget)[0])
+    rejects_six = not any([
+        package(inexact_primal, l1, cand, [-3.0], zero1, tight),
+        package(inexact_primal, l1, cand, [1.9], [1.0], loose),
+        package(inexact_primal, l1, cand, [4.0], zero1, loose),
+        package(inexact_dual, aff, cand, [-3.0], zero1, tight),
+        package(inexact_dual, aff, cand, [-1.0], zero1, loose),
+        package(inexact_dual, aff, cand, [1.2], zero1, loose)])
+    accepts_exact = all([
+        package(inexact_primal, l1, graph_point_primal(l1, zero1, 1.0, np.array([2.0]), zero1),
+                [2.0], zero1, loose),
+        package(inexact_dual, aff, graph_point_dual(aff, zero1, 1.0, np.array([1.0]), zero1),
+                [1.0], zero1, loose)])
+    _finish("8 (inexact resolvent mode)", converged and ids_ok and rejects_six and accepts_exact,
+            f"n={res.iterations} resid={resid:.2e} accepted={used} ids={got + got_dual} "
+            f"package rejects the six={rejects_six} accepts exact={accepts_exact}")
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -88,6 +88,19 @@ def test_validate_schedule_violation(workdir, capsys):
     assert "violation" in out and "n=1" in out
 
 
+@pytest.mark.parametrize("flag, other", [("--m", "--p"), ("--p", "--m")])
+@pytest.mark.parametrize("count", ["-3", "0"])
+def test_validate_schedule_block_count_below_one_is_a_usage_error(workdir, capsys, flag, other,
+                                                                  count):
+    # it used to print an index-out-of-range violation and exit 3
+    fileio.write_schedule(ps.periodic(2, 2, group_size=1, horizon=16), workdir / "s.json")
+    code = main(["validate-schedule", "--schedule", str(workdir / "s.json"),
+                 flag, count, other, "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {flag} must be >= 1, got {count}\n"
+
+
 def test_check_kt(workdir, capsys):
     fileio.write_point(point([[0.0]], [[0.0]]), workdir / "good.json")
     code = main(["check-kt", "--problem", str(workdir / "problem.json"),

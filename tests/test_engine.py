@@ -77,10 +77,13 @@ def test_fixed_point_at_solution(l1_identity_problem):
 
 
 def test_nan_aborts_with_diagnostic(l1_identity_problem):
-    cfg = fejer_config(start=point([[math.nan]], [[0.0]]), max_iter=5)
-    res = ps.run(l1_identity_problem, cfg)
-    assert res.status == "inconsistent"
-    assert "non-finite" in res.message
+    # a non-finite start is a ConfigError (test_non_finite_start_is_a_config_error); an
+    # iterate that turns non-finite during the run, here set by hand, ends it "inconsistent"
+    state = EngineState.initial(l1_identity_problem, fejer_config(max_iter=5), synchronous(1, 1))
+    state.current.data[0] = math.nan  # the buffered iterate's x reads this array
+    status, _, message = advance(state)
+    assert status == "inconsistent"
+    assert "non-finite" in message
 
 
 # --- anchored best-approximation update -----------------------------------
@@ -363,6 +366,15 @@ def test_config_validation_bounds(l1_identity_problem):
 def test_bad_config_values_raise_config_error(l1_identity_problem, fields):
     with pytest.raises(ConfigError):
         ps.run(l1_identity_problem, fejer_config(**fields))
+
+
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+@pytest.mark.parametrize("start", [point([[math.nan]], [[0.0]]), point([[0.0]], [[math.inf]])],
+                         ids=["nan", "inf"])
+def test_non_finite_start_is_a_config_error(l1_identity_problem, mode, start):
+    # it used to reach iteration 0 and end "inconsistent", which the CLI reports as exit 4
+    with pytest.raises(ConfigError, match="start"):
+        ps.run(l1_identity_problem, ps.SolverConfig(mode=mode, start=start))
 
 
 @pytest.mark.parametrize("mode, relaxation", [("fejer", [1.2, 1.5, 0.9, 1.8]),

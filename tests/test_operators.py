@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit.errors import ConfigError
-from pdsplit.operators import (GraphPoint, InexactnessBudget, graph_point_dual,
-                               graph_point_primal, membership_residual, resolvent,
-                               stacked_parameters, stacked_resolvent, validate_inexact_dual,
-                               validate_inexact_primal)
+from pdsplit.operators import (InexactnessBudget, inexact_dual, inexact_primal,
+                               membership_residual, resolvent, stacked_parameters,
+                               stacked_resolvent)
 
 from conftest import KINDS, PROX_REPRESENTABLE, function_value, registry_op
-from oracle import grid_minimize
+from oracle import (GraphPoint, graph_point_dual, graph_point_primal, grid_minimize,
+                    validate_inexact_dual, validate_inexact_primal)
 
 
 def _registry_sample(rng, dim):
@@ -277,6 +277,57 @@ def test_inexact_dual_condition_ids():
     assert check.reason == "zeta-dual"
     exact = graph_point_dual(op, r, 1.0, np.array([1.0]), np.zeros(1))
     assert validate_inexact_dual(op, exact, np.array([1.0]), np.zeros(1), r, 1.0, BUDGET).accepted
+
+
+
+_SIDES = ((graph_point_primal, validate_inexact_primal, inexact_primal,
+           {"membership", "norm-bound", "sigma-dual", "sigma-primal"}),
+          (graph_point_dual, validate_inexact_dual, inexact_dual,
+           {"membership", "norm-bound", "zeta-primal", "zeta-dual"}))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grouped_inexact_check_matches_the_per_block_one_row_by_row(seed):
+    # groups of 12 rows of every kind: the oracle's per-block candidates, exact,
+    # perturbed at several scales or pushed off the graph, then the hand-built
+    # 1-D candidates above; the package's accept mask must be the oracle's
+    rng = np.random.default_rng(seed)
+    budget = InexactnessBudget(beta=1.0, sigma=0.3, delta=1.0, zeta=0.3)
+    groups = []
+    for kind in KINDS:
+        for dim in (1, 3):
+            ops = [registry_op(rng, kind, dim) for _ in range(12)]
+            steps, reads = rng.uniform(0.3, 3.0, 12), 2.0 * rng.normal(size=(2, 12, dim))
+            offsets = rng.normal(size=(12, dim))
+            for side, (point, _, _, _) in enumerate(_SIDES):
+                cands = []
+                for j, op in enumerate(ops):
+                    err = rng.normal(size=dim) * (0.0, 0.2, 1.0, 3.0)[j % 4]
+                    cand = point(op, offsets[j], steps[j], reads[0][j], reads[1][j], error=err)
+                    if j % 6 == 5:
+                        cand = GraphPoint(cand.point, cand.dual + rng.normal(size=dim))
+                    cands.append(cand)
+                groups.append((side, ops, cands, reads[0], reads[1], offsets, steps, budget))
+    cand = GraphPoint(np.array([1.0]), np.array([1.0]))
+    tight = InexactnessBudget(beta=1.0, sigma=0.5, delta=1.0, zeta=0.5)
+    for side, op, x_or_l in ((0, ps.l1_norm(1), (-3.0, 1.9, 4.0, 2.0)),
+                             (1, ps.affine_monotone([[1.0]]), (-3.0, -1.0, 1.2, 1.0))):
+        for check in (tight, BUDGET):
+            groups.append((side, [op] * 4, [cand] * 4, np.array(x_or_l)[:, None],
+                           np.array([[0.0], [1.0 - side], [0.0], [0.0]]), np.zeros((4, 1)),
+                           np.ones(4), check))
+    reasons = (set(), set())
+    for side, ops, cands, r0, r1, offsets, steps, check in groups:
+        _, oracle_check, package_check, _ = _SIDES[side]
+        want = [oracle_check(op, c, r0[j], r1[j], offsets[j], steps[j], check)
+                for j, (op, c) in enumerate(zip(ops, cands))]
+        got = package_check(ops[0].kind, stacked_parameters(ops, [1.0] * len(ops)),
+                            np.array([c.point for c in cands]), np.array([c.dual for c in cands]),
+                            r0, r1, np.repeat(steps[:, None], r0.shape[1], axis=1), offsets, check)
+        assert got.tolist() == [w.accepted for w in want]
+        reasons[side].update(w.reason for w in want)
+    for side, (_, _, _, conditions) in enumerate(_SIDES):
+        assert reasons[side] == conditions | {None}  # each condition rejects a row, some pass
 
 
 def test_budget_validation():

@@ -4,12 +4,13 @@ import pytest
 import pdsplit as ps
 from pdsplit.blockspace import pd_inner, pd_norm
 from pdsplit.errors import ConfigError, DimensionError
-from pdsplit.operators import GraphPoint, resolvent
+from pdsplit.operators import resolvent
 from pdsplit.separator import (build_projector, build_separator, detect_exact_solution,
                                halfspace_violation, kt_residual, project_halfspace)
 
 from conftest import (graph_table, make_lasso_problem, make_linear_primal_problem,
                       make_scalar_problem, point)
+from oracle import GraphPoint
 
 
 def scalar_problem():
