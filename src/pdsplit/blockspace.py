@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
@@ -151,22 +151,27 @@ class CouplingMap:
     `entries[(k, i)]` is a view into its stack.  The index tables are built
     here with the stacks and never change: per stack its keys and its
     entries' coordinates on each side, per direction the output coordinate
-    of each product, and per block its entries' keys.  A full forward or
+    of each product, per side, stack and block the rows whose entries read
+    that block, and per block its entries' keys.  A full forward or
     adjoint map is then a fixed handful of numpy calls whose summation
     order depends only on the keys.
     """
 
-    __slots__ = ("signature", "entries", "_stacks", "_keys", "_coords", "_at", "_per_block")
+    __slots__ = ("signature", "entries", "_stacks", "_keys", "_coords", "_at", "_rows",
+                 "_per_block")
 
     def __init__(self, signature: SpaceSignature, entries: Mapping[tuple[int, int], np.ndarray]):
         self.signature = sig = signature
+        p, m, ddims, pdims = sig.p, sig.m, sig.dual_dims, sig.primal_dims
         arrays: dict[tuple[int, int], np.ndarray] = {}
         for key, mat in entries.items():
             k, i = int(key[0]), int(key[1])
-            if not (0 <= k < signature.p and 0 <= i < signature.m):
+            if not (0 <= k < p and 0 <= i < m):
                 raise DimensionError(f"coupling entry ({k},{i}) outside signature range")
-            arr = np.atleast_2d(np.asarray(mat, dtype=float))
-            expected = (signature.dual_dims[k], signature.primal_dims[i])
+            arr = np.asarray(mat, dtype=float)
+            if arr.ndim != 2:
+                arr = np.atleast_2d(arr)
+            expected = (ddims[k], pdims[i])
             if arr.shape != expected:
                 raise DimensionError(
                     f"coupling entry ({k},{i}) has shape {arr.shape}, expected {expected}")
@@ -177,6 +182,10 @@ class CouplingMap:
             by_shape.setdefault(arrays[key].shape, []).append(key)
         self._keys = list(by_shape.values())  # per stack, its keys in order
         self._stacks = [np.array([arrays[key] for key in group]) for group in self._keys]
+        for group, stack in zip(self._keys, self._stacks):
+            if not np.isfinite(stack).all():
+                k, i = group[int(np.isfinite(stack).all(axis=(1, 2)).argmin())]
+                raise ConfigError(f"coupling entry ({k},{i}) has non-finite values")
         self.entries = dict(zip(itertools.chain(*self._keys), itertools.chain(*self._stacks)))
         # per side (primal, dual), per stack: its entries' coordinates on that side, one row each
         self._coords = tuple([_flat_index([slices[key[at]] for key in group])
@@ -184,8 +193,11 @@ class CouplingMap:
                              for slices, at in ((sig.primal_slices, 1), (sig.dual_slices, 0)))
         # per direction (forward, adjoint): each product's output coordinate, stack after stack
         self._at = (_flat(self._coords[1]), _flat(self._coords[0]))
+        # per side (primal, dual), per stack, per block of that side: the rows that read it
+        self._rows = tuple([block_rows([key[at] for key in group], count) for group in self._keys]
+                           for at, count in ((1, m), (0, p)))
         # per dual block its entries' (key, primal slice), per primal block their (key, dual slice)
-        self._per_block = [[] for _ in range(sig.p)], [[] for _ in range(sig.m)]
+        self._per_block = [[] for _ in range(p)], [[] for _ in range(m)]
         for k, i in keys:
             self._per_block[0][k].append(((k, i), sig.primal_slices[i]))
             self._per_block[1][i].append(((k, i), sig.dual_slices[k]))
@@ -254,12 +266,11 @@ class KeptImage:
     bitwise equal to forward(v) (adjoint(v)).
     """
 
-    __slots__ = ("coupling", "adjoint", "value", "_count", "_owners", "_flat", "_products")
+    __slots__ = ("coupling", "adjoint", "value", "_flat", "_products")
 
     def __init__(self, coupling: CouplingMap, adjoint: bool = False):
-        sig, out = coupling.signature, int(adjoint)  # out: the key index naming an output block
-        self.coupling, self.adjoint, self._count = coupling, adjoint, (sig.m, sig.p)[out]
-        self._owners = [np.array(g)[:, 1 - out] for g in coupling._keys]  # the block each reads
+        out = int(adjoint)  # the key index naming an output block
+        self.coupling, self.adjoint = coupling, adjoint
         writes, self._flat = coupling._coords[1 - out], np.zeros(coupling._at[out].size)
         ends = np.cumsum([w.size for w in writes]).tolist()
         self._products = [self._flat[end - w.size:end].reshape(w.shape)  # per stack, views
@@ -268,20 +279,30 @@ class KeptImage:
 
     def update(self, v: np.ndarray, changed) -> None:
         """Bring value up to date after the blocks `changed` (sorted, distinct) of v changed."""
-        picks = rows_owned(self._owners, changed, self._count)
+        picks = rows_owned(self.coupling._rows[self.adjoint], changed)
         for kept, fresh, pick in zip(self._products,
                                      self.coupling._products(v, self.adjoint, picks), picks):
             kept[pick] = fresh
         self.value = self.coupling._sum(self._flat, self.adjoint)
 
 
-def rows_owned(owners: list, active, count: int) -> list:
-    """Per stack, its rows whose owner is in active (distinct), in order; slice(None) if all are."""
-    if len(active) == count:
-        return [slice(None)] * len(owners)
-    on = np.zeros(count, bool)
-    on[list(active)] = True
-    return [on[owner].nonzero()[0] for owner in owners]
+def block_rows(owner: Iterable[int], count: int) -> list:
+    """Per block 0..count-1, the positions in owner (a block index each) that name it, ascending."""
+    rows: list[list[int]] = [[] for _ in range(count)]
+    for row, block in enumerate(owner):
+        rows[block].append(row)
+    return [np.array(r, dtype=np.intp) for r in rows]
+
+
+def rows_owned(table: list, active) -> list:
+    """Per stack, its rows owned by the blocks in active (distinct), from table (per stack, per
+    block, its rows, as block_rows gives them): slice(None) if every block is active, else the
+    active blocks' rows, block after block."""
+    if not table or len(active) == len(table[0]):
+        return [slice(None)] * len(table)
+    if len(active) == 1:
+        return [rows[active[0]] for rows in table]
+    return [np.concatenate([rows[j] for j in active]) for rows in table]
 
 
 # No package code calls the per-block applies; they stay here because perfbench's

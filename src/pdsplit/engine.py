@@ -11,7 +11,9 @@ intersection of two half-spaces.
 The decomposition phase is one batched pass per side: reads slice the
 L x and L* v* computed once per buffered iterate, and resolvents run once
 per operator group.  The coordination phase runs on flat arrays and builds
-one point, the new iterate.  `advance` runs one iteration, `run` loops over it.
+one point, the new iterate, unless the step does not move it (theta = 0):
+then the iterate and its buffered images carry over as they are.  `advance`
+runs one iteration, `run` loops over it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, flat_inner, rows_owned
+from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, block_rows,
+                         flat_inner, rows_owned)
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal, row_dots,
                         stacked_parameters, stacked_resolvent)
@@ -174,6 +177,7 @@ class _Side(NamedTuple):
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
     groups: list        # (kind, members, stacked parameters, member coordinates) per (kind, dim)
     owners: list        # per group, its members as an index array
+    rows: list          # per group, per block of the side, its row in the group (or none)
 
 
 def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
@@ -185,7 +189,8 @@ def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
               for (kind, dim), js in members.items()]
     return _Side(read, tuple(ops), slices, offset.data,
                  np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups,
-                 [np.array(js) for _, js, _, _ in groups])
+                 [np.array(js) for _, js, _, _ in groups],
+                 [block_rows(js, len(ops)) for _, js, _, _ in groups])
 
 
 def _buffered(coupling: CouplingMap, x: np.ndarray, v: np.ndarray) -> tuple:
@@ -343,16 +348,17 @@ def _decompose(state: EngineState, n: int) -> None:
             (state.dual, K_n, sched.lag_dual, graph_point_dual, (graph.b, graph.b_dual))):
         reads = _reads(state, side, active, [lag(j, n) for j in active])
         coef = None if perturb is None else perturb.draw(side, active)
-        for g, sel in enumerate(rows_owned(side.owners, active, len(side.ops))):
+        for g, sel in enumerate(rows_owned(side.rows, active)):
+            if isinstance(sel, np.ndarray) and not sel.size:  # no activated member
+                continue
             kind, _, params, coords = side.groups[g]
             at = coords[sel]
-            if at.size:
-                args = (kind, tuple(p[sel] for p in params), reads[0][at], reads[1][at],
-                        side.step[at], side.offset[at])
-                points = fresh(*args)
-                if coef is not None:
-                    points = perturb.apply(side, g, sel, coef, args, points)
-                table[0][at], table[1][at] = points
+            args = (kind, tuple(p[sel] for p in params), reads[0][at], reads[1][at],
+                    side.step[at], side.offset[at])
+            points = fresh(*args)
+            if coef is not None:
+                points = perturb.apply(side, g, sel, coef, args, points)
+            table[0][at], table[1][at] = points
     state.la.update(graph.a, I_n)
     state.lsb.update(graph.b_dual, K_n)
 
@@ -425,7 +431,8 @@ def advance(state: EngineState):
             nxt = flat_haugazeau(state.anchor.data, z, nxt, split)
         except InconsistencyError as exc:
             return "inconsistent", current, str(exc)
-    (_, lsv), (lx, _) = state.buffer.get(n)
+    images = state.buffer.get(n)
+    (_, lsv), (lx, _) = images
     record = iteration_record(n, theta, tau, violation, problem, current, lx, lsv, graph)
     state.last_record = record
     if n % config.trace_stride == 0:
@@ -439,8 +446,11 @@ def advance(state: EngineState):
         state.n, state.ended = n + 1, "exact_point"
         return ("exact_point", graph.pair(graph.a, graph.b_dual),
                 f"separator normal vanished at iteration {n}")
-    state.current = current._like(nxt)
-    state.buffer.push(n + 1, _buffered(problem.coupling, nxt[:split], nxt[split:]))
+    if nxt is z:  # theta = 0: iterate n + 1 is iterate n, and so are its images
+        state.buffer.push(n + 1, images)
+    else:
+        state.current = current._like(nxt)
+        state.buffer.push(n + 1, _buffered(problem.coupling, nxt[:split], nxt[split:]))
     state.n = n + 1
     if residual <= config.resid_tol * (1.0 + math.sqrt(flat_inner(z, z, split))):
         return "solved", current, ""

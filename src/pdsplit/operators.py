@@ -45,22 +45,34 @@ def finite_number(name: str, value, kind: str = "a number") -> float:
     return out
 
 
+def _finite_array(arr: np.ndarray, name: str) -> np.ndarray:
+    """arr itself; a ConfigError naming `name` if it holds NaN or an infinity."""
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{name} has non-finite values")
+    return arr
+
+
 def _as_bound(v, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise DimensionError(f"{name} has shape {arr.shape}, expected ({dim},)")
-    return arr
+    return _finite_array(arr, name)
+
+
+def _check_psd(S: np.ndarray, name: str) -> None:
+    """A ConfigError unless the symmetric S has no eigenvalue below the PSD floor."""
+    lo = float(np.linalg.eigvalsh(S).min())
+    if not lo >= PSD_EIGENVALUE_FLOOR:  # a NaN eigenvalue fails too
+        raise ConfigError(f"{name} has eigenvalue {lo:.3e} below the PSD floor")
 
 
 def _check_sym_psd(S: np.ndarray, name: str) -> None:
     scale = 1.0 + float(np.abs(S).max(initial=0.0))
     if float(np.abs(S - S.T).max(initial=0.0)) > 1e-10 * scale:
         raise ConfigError(f"{name} is not symmetric")
-    lo = float(np.linalg.eigvalsh(0.5 * (S + S.T)).min())
-    if lo < PSD_EIGENVALUE_FLOOR:
-        raise ConfigError(f"{name} has eigenvalue {lo:.3e} below the PSD floor")
+    _check_psd(0.5 * (S + S.T), name)
 
 
 def zero(dim: int) -> MonotoneOp:
@@ -70,7 +82,7 @@ def zero(dim: int) -> MonotoneOp:
 
 def l1_norm(dim: int, weight: float = 1.0) -> MonotoneOp:
     """Subdifferential of w * ||.||_1; resolvent is coordinatewise soft-thresholding."""
-    w = float(weight)
+    w = finite_number("l1_norm weight", weight)
     if w <= 0:
         raise ConfigError(f"l1_norm weight must be > 0, got {w}")
     return MonotoneOp("l1_norm", int(dim), {"weight": w})
@@ -78,8 +90,8 @@ def l1_norm(dim: int, weight: float = 1.0) -> MonotoneOp:
 
 def _box(kind: str, lo, hi) -> MonotoneOp:
     lo_arr = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi_arr = _as_bound(hi, lo_arr.shape[0], "hi")
-    lo_arr = _as_bound(lo_arr, lo_arr.shape[0], "lo")
+    hi_arr = _as_bound(hi, lo_arr.shape[0], f"{kind} hi")
+    lo_arr = _as_bound(lo_arr, lo_arr.shape[0], f"{kind} lo")
     if np.any(lo_arr > hi_arr):
         raise ConfigError("box bounds must satisfy lo <= hi coordinatewise")
     return MonotoneOp(kind, lo_arr.shape[0], {"lo": lo_arr, "hi": hi_arr})
@@ -100,9 +112,9 @@ def quadratic(Q, q=None) -> MonotoneOp:
     Q_arr = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q_arr.shape[0] != Q_arr.shape[1]:
         raise DimensionError(f"Q must be square, got {Q_arr.shape}")
-    _check_sym_psd(Q_arr, "quadratic Q")
+    _check_sym_psd(_finite_array(Q_arr, "quadratic Q"), "quadratic Q")
     d = Q_arr.shape[0]
-    q_arr = np.zeros(d) if q is None else _as_bound(q, d, "q")
+    q_arr = np.zeros(d) if q is None else _as_bound(q, d, "quadratic q")
     return MonotoneOp("quadratic", d, {"Q": Q_arr.copy(), "q": q_arr})
 
 
@@ -111,9 +123,10 @@ def affine_monotone(M, c=None) -> MonotoneOp:
     M_arr = np.atleast_2d(np.asarray(M, dtype=float))
     if M_arr.shape[0] != M_arr.shape[1]:
         raise DimensionError(f"M must be square, got {M_arr.shape}")
-    _check_sym_psd(M_arr + M_arr.T, "affine_monotone M + M'")
+    # M + M' is symmetric bit for bit, and halving its sum with its transpose is exact
+    _check_psd(_finite_array(M_arr, "affine_monotone M") + M_arr.T, "affine_monotone M + M'")
     d = M_arr.shape[0]
-    c_arr = np.zeros(d) if c is None else _as_bound(c, d, "c")
+    c_arr = np.zeros(d) if c is None else _as_bound(c, d, "affine_monotone c")
     return MonotoneOp("affine_monotone", d, {"M": M_arr.copy(), "c": c_arr})
 
 

@@ -81,6 +81,9 @@ class ControlSchedule:
 
 def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
     """Check a schedule against the certification conditions for (m, p) blocks."""
+    for name, count in (("m", m), ("p", p)):
+        if count < 1:
+            return CertResult(False, f"{name} must be >= 1, got {count}")
     if s.M < 1:
         return CertResult(False, f"M must be >= 1, got {s.M}")
     if s.D < 0:

@@ -169,11 +169,16 @@ class ProblemSpec:
             raise DimensionError(f"z_star dims {self.z_star.dims} != {sig.primal_dims}")
         if self.r.dims != sig.dual_dims:
             raise DimensionError(f"r dims {self.r.dims} != {sig.dual_dims}")
+        for name, offset in (("z_star", self.z_star), ("r", self.r)):
+            if not np.isfinite(offset.data).all():
+                raise ConfigError(f"{name} has non-finite values")
         self.projector = build_projector(self.subspace, sig, self.coupling)
         if self.subspace.variant == "linear_primal":  # build_projector checked m and A1's shape
             self._validate_linear_primal()
         for j, z in enumerate(self.known_Z_points):
             self.check_point(z, f"known_Z_points[{j}]")
+            if not np.isfinite(z.data).all():
+                raise ConfigError(f"known_Z_points[{j}] has non-finite values")
             res = kt_residual(self, z)
             if res.max > FIXTURE_KT_TOL:
                 raise ConfigError(

@@ -310,6 +310,19 @@ def lagged_reference_run(problem: ProblemSpec, config: SolverConfig, sched: Cont
     return records, iterates[-1], None if rng is None else tuple(counts)
 
 
+def rows_owned_by_mask(owners: list, active, count: int) -> list:
+    """Per stack, its rows whose owner is in active (distinct), ascending; slice(None) if all are.
+
+    owners gives per stack the block of each row.  This is the engine's row
+    selector as it was before its per-block tables: a mask over all count blocks.
+    """
+    if len(active) == count:
+        return [slice(None)] * len(owners)
+    on = np.zeros(count, bool)
+    on[list(active)] = True
+    return [on[owner].nonzero()[0] for owner in owners]
+
+
 def check_step(state: EngineState, before: PrimalDualPoint, n: int) -> None:
     """Raise InvariantViolation if step n, from `before` to state.current, broke a guarantee.
 

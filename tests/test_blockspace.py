@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import pdsplit as ps
 from pdsplit.blockspace import (BlockVector, CouplingMap, KeptImage, SpaceSignature,
                                 adjoint_block, forward_block, pd_inner, pd_norm_sq)
-from pdsplit.errors import DimensionError
+from pdsplit.errors import ConfigError, DimensionError
 
 
 def test_signature_validation():
@@ -50,6 +52,16 @@ def test_shape_mismatch_names_entry():
     sig = SpaceSignature((2,), (3,))
     with pytest.raises(DimensionError, match=r"\(0,0\)"):
         CouplingMap(sig, {(0, 0): np.eye(2)})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coupling_entry_is_rejected_by_name(bad):
+    # two block shapes: the entry is found within its own stack
+    sig = SpaceSignature((2, 1), (2,))
+    entry = np.ones((2, 1))
+    entry[1, 0] = bad
+    with pytest.raises(ConfigError, match=r"^coupling entry \(0,1\) has non-finite values"):
+        CouplingMap(sig, {(0, 0): np.eye(2), (0, 1): entry})
 
 
 def test_pd_inner_sums_the_primal_side_first():
@@ -168,7 +180,7 @@ def test_coupling_copy_owns_its_stacks():
     assert copy.entries[(1, 0)].base is copy.entries[(0, 0)].base
     # the index tables never change, so the copy shares them
     assert all(getattr(copy, name) is getattr(L, name) for name in ("_keys", "_coords", "_at",
-                                                                      "_per_block"))
+                                                                      "_rows", "_per_block"))
 
 
 def test_coupling_blocks_are_views_into_one_stack_per_shape():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit.blockspace import pd_norm
+from pdsplit.blockspace import pd_norm, rows_owned
 from pdsplit.engine import EngineState, advance, haugazeau_update
 from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
 from pdsplit.schedule import synchronous
@@ -12,7 +12,7 @@ from pdsplit.schedule import synchronous
 from conftest import (make_lasso_problem, make_linear_primal_problem, point,
                       random_blocksparse_problem, random_problem)
 from oracle import (checked_run, fejer_reference_trace, lagged_reference_run,
-                    project_intersection_two_halfspaces)
+                    project_intersection_two_halfspaces, rows_owned_by_mask)
 
 
 def start_20():
@@ -486,6 +486,31 @@ def test_operator_groups_split_by_kind_and_dim():
         ("l1_norm", [0, 2]), ("l1_norm", [1])]
 
 
+def test_row_tables_pick_the_rows_the_mask_picks():
+    # random activated sets on mixed block shapes, for the coupling stacks of both kept
+    # images and for the operator groups of both sides; the tables may order rows by block
+    rng, shapes = np.random.default_rng(0), 0
+    for seed in range(40):
+        problem = random_problem(seed)
+        L, sig = problem.coupling, problem.signature
+        state = EngineState.initial(problem, ps.SolverConfig(), synchronous(sig.m, sig.p))
+        shapes = max(shapes, len(L._stacks))
+        cases = [(L._rows[side], [np.array(keys)[:, 1 - side] for keys in L._keys], count)
+                 for side, count in ((0, sig.m), (1, sig.p))]
+        cases += [(side.rows, side.owners, len(side.ops)) for side in (state.primal, state.dual)]
+        for table, owners, count in cases:
+            for _ in range(8):
+                active = tuple(sorted(rng.choice(count, rng.integers(1, count + 1), False)))
+                got, want = rows_owned(table, active), rows_owned_by_mask(owners, active, count)
+                assert len(got) == len(want) == len(owners)
+                for picked, rows in zip(got, want):
+                    if isinstance(rows, slice):
+                        assert picked == slice(None)
+                    else:
+                        assert sorted(picked.tolist()) == rows.tolist()
+    assert shapes > 1
+
+
 def test_synchronous_iteration_calls_each_resolvent_group_once(monkeypatch):
     import pdsplit.engine
     import pdsplit.operators
@@ -574,6 +599,35 @@ def test_iteration_cost_follows_the_activated_blocks(monkeypatch):
         # kept images recompute only the entries that read the activated
         # blocks, 2 per side on the ring whatever m is
         assert {row for row in rows[1:]} == {(0, 2, 4, 2)}
+
+
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+def test_an_iterate_that_does_not_move_costs_no_full_apply(monkeypatch, mode):
+    # a theta = 0 step keeps the iterate, and iterate n + 1 reuses the buffered L x and
+    # L* v* of iterate n; any other step applies L and L* to the new iterate once each
+    prob = random_blocksparse_problem(3)
+    sched = _SCHEDULES["round-robin"](prob.m, prob.p)
+    cfg = ps.SolverConfig(mode=mode, max_iter=60, resid_tol=0.0, exact_tol=-1.0)
+    full, products = [0], ps.CouplingMap._products
+
+    def counted_products(cmap, v, adjoint, picks=None):
+        full[0] += picks is None or all(isinstance(pick, slice) for pick in picks)
+        return products(cmap, v, adjoint, picks)
+    monkeypatch.setattr(ps.CouplingMap, "_products", counted_products)
+    state, still = EngineState.initial(prob, cfg, sched), 0
+    for n in range(cfg.max_iter):
+        before, current = full[0], state.current
+        assert advance(state) is None
+        moved = state.last_record.theta != 0.0
+        # iteration 0 activates every block, so the kept images take a full apply each
+        assert full[0] - before == (2 if n == 0 else 0) + (2 if moved else 0)
+        assert (state.current is current) == (not moved)
+        still += not moved
+    assert still > 0
+    monkeypatch.undo()
+    ref, final, _ = lagged_reference_run(prob, cfg, sched, cfg.max_iter)
+    assert state.trace == ref
+    assert np.array_equal(state.current.data, final.data)
 
 
 def test_a_negative_exact_tol_skips_the_exact_point_test(monkeypatch):

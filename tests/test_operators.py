@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit.errors import ConfigError
-from pdsplit.operators import (InexactnessBudget, inexact_dual, inexact_primal,
+from pdsplit.operators import (InexactnessBudget, _check_sym_psd, inexact_dual, inexact_primal,
                                membership_residual, resolvent, stacked_parameters,
                                stacked_resolvent)
 
@@ -66,6 +68,31 @@ def test_psd_validation():
         ps.affine_monotone([[-1.0]])
     # asymmetric but monotone (skew part) is fine
     ps.affine_monotone([[1.0, 2.0], [-2.0, 1.0]])
+
+
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: ps.l1_norm(1, math.nan), "l1_norm weight", id="l1-weight-nan"),
+    pytest.param(lambda: ps.l1_norm(1, math.inf), "l1_norm weight", id="l1-weight-inf"),
+    pytest.param(lambda: ps.box_indicator([math.nan], [1.0]), "box_indicator lo", id="box-lo"),
+    pytest.param(lambda: ps.box_indicator([0.0], [math.inf]), "box_indicator hi", id="box-hi"),
+    pytest.param(lambda: ps.normal_cone_box([-math.inf, 0.0], 1.0), "normal_cone_box lo",
+                 id="cone-lo"),
+    pytest.param(lambda: ps.normal_cone_box([0.0], math.nan), "normal_cone_box hi", id="cone-hi"),
+    pytest.param(lambda: ps.quadratic([[1.0, math.nan], [math.nan, 1.0]]), "quadratic Q",
+                 id="quadratic-Q"),
+    pytest.param(lambda: ps.quadratic([[1.0]], [math.inf]), "quadratic q", id="quadratic-q"),
+    pytest.param(lambda: ps.affine_monotone([[math.inf]]), "affine_monotone M", id="affine-M"),
+    pytest.param(lambda: ps.affine_monotone([[1.0]], [math.nan]), "affine_monotone c",
+                 id="affine-c")])
+def test_constructors_reject_non_finite_data(build, field):
+    # such data made run end "inconsistent", the meaning of exit 4, for a malformed input
+    with pytest.raises(ConfigError, match=f"^{field} (has|is) non-finite"):
+        build()
+
+
+def test_psd_check_rejects_a_nan_eigenvalue():
+    with pytest.raises(ConfigError, match="eigenvalue nan below the PSD floor"):
+        _check_sym_psd(np.array([[1.0, math.nan], [math.nan, 1.0]]), "S")
 
 
 @settings(max_examples=40, deadline=None)

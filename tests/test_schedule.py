@@ -15,6 +15,14 @@ def test_validate_synchronous():
     assert validate(s, 2, 1).certified
 
 
+@pytest.mark.parametrize("m, p, reason", [(0, 1, "m must be >= 1, got 0"),
+                                           (2, -3, "p must be >= 1, got -3")])
+def test_validate_names_a_block_count_below_one(m, p, reason):
+    # it said "primal index out of range in (0, 1)", which names neither count
+    s = ControlSchedule(4, [(0, 1)] * 4, [(0,)] * 4, M=1, D=0)
+    assert validate(s, m, p) == ps.schedule.CertResult(False, reason)
+
+
 def test_validate_periodic_sweep():
     # full at 0, then one block at a time with period 3
     I_seq = [(0, 1, 2)] + [((n - 1) % 3,) for n in range(1, 10)]

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,19 @@ def test_problem_rejects_bad_fixture():
     with pytest.raises(ConfigError, match="known_Z_points"):
         make_scalar_problem(ps.l1_norm(1), ps.affine_monotone([[1.0]]),
                             z_fixtures=[(1.0, 1.0)])
+
+
+@pytest.mark.parametrize("name", ["z_star", "r", "known_Z_points[0]"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_problem_rejects_non_finite_offsets_and_fixtures(name, bad):
+    lasso = make_lasso_problem()
+    fields = {"z_star": lasso.z_star, "r": lasso.r, "known_Z_points[0]": lasso.known_Z_points[0]}
+    data = fields[name].data.copy()
+    data[1] = bad
+    fields[name] = fields[name]._like(data) if name.startswith("known") else ps.BlockVector([data])
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} has non-finite values"):
+        ps.ProblemSpec(lasso.signature, lasso.A_ops, lasso.B_ops, lasso.coupling,
+                       fields["z_star"], fields["r"], known_Z_points=[fields["known_Z_points[0]"]])
 
 
 def test_problem_rejects_mismatched_ops():
