@@ -40,8 +40,8 @@ def _cmd_run(args) -> int:
     problem = fileio.parse_problem(args.problem)
     config = fileio.parse_config(args.config)
     sched = fileio.parse_schedule(args.schedule) if args.schedule else None
-    result = run(problem, config, sched)
-    fileio.write_trace(result.trace, args.trace, len(problem.known_Z_points))
+    with fileio.TraceWriter(args.trace, len(problem.known_Z_points)) as trace:
+        result = run(problem, config, sched, trace)  # rows are written as they are made
     summary = {"status": result.status, "iterations": result.iterations,
                "message": result.message, "metadata": result.metadata,
                "final": fileio.point_to_dict(result.final)}

@@ -205,8 +205,10 @@ class EngineState:
     `advance` reads all its inputs here: copies of the problem's offsets,
     coupling and fixtures, of sched and of config (the caller's may change
     later), the rules config.validate returned and the two sides, whose
-    operator groups fix the operators' parameters.  ended names the terminal
-    status after which the run cannot go on.
+    operator groups fix the operators' parameters.  trace receives the
+    records of the traced iterations: a list unless another destination with
+    an `append` was given.  ended names the terminal status after which the
+    run cannot go on.
     """
 
     problem: ProblemSpec
@@ -223,14 +225,16 @@ class EngineState:
     la: KeptImage   # L a and L* b* of the graph points
     lsb: KeptImage
     perturb: Optional[_PerturbState] = None
-    trace: list[IterationRecord] = field(default_factory=list)
+    trace: list[IterationRecord] = field(default_factory=list)  # or any object with append
     last_record: Optional[IterationRecord] = None
     ended: Optional[str] = None
 
     @classmethod
-    def initial(cls, problem: ProblemSpec, config: SolverConfig,
-                sched: ControlSchedule) -> "EngineState":
-        """The state before iteration 0, once the config is validated and the schedule certified."""
+    def initial(cls, problem: ProblemSpec, config: SolverConfig, sched: ControlSchedule,
+                trace=None) -> "EngineState":
+        """The state before iteration 0, once the config is validated and the schedule certified.
+
+        trace is the destination of the records (default: a new list)."""
         rules = config.validate(problem)
         sched = replace(sched, c=dict(sched.c), d=dict(sched.d))  # __post_init__ copies the rest
         cert = validate(sched, problem.m, problem.p)
@@ -250,14 +254,15 @@ class EngineState:
                    buffer=LagBuffer(sched.D, _buffered(L, current.x.data, current.v_star.data)),
                    primal=sides[0], dual=sides[1], la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
                    perturb=None if config.perturbation is None
-                   else _PerturbState(config.perturbation, config.inexact, sides))
+                   else _PerturbState(config.perturbation, config.inexact, sides),
+                   trace=[] if trace is None else trace)
 
 
 @dataclass
 class RunResult:
     status: str  # "solved" | "max_iter" | "exact_point" | "inconsistent"
     final: PrimalDualPoint
-    trace: list[IterationRecord]
+    trace: list[IterationRecord]  # a new list, or the destination given to run
     iterations: int
     message: str = ""
     metadata: dict = field(default_factory=dict)
@@ -464,15 +469,17 @@ def _describe_rule(rule, per: str = "per-block", default: Optional[float] = None
 
 
 def run(problem: ProblemSpec, config: SolverConfig,
-        sched: Optional[ControlSchedule] = None) -> RunResult:
+        sched: Optional[ControlSchedule] = None, trace=None) -> RunResult:
     """Iterate until the residual test, an exact solution, or the budget.
 
     Stops when the sum of the four residuals drops below
-    resid_tol * (1 + norm of the iterate they were measured at).
+    resid_tol * (1 + norm of the iterate they were measured at).  The
+    records of the traced iterations go to trace.append, as they are made;
+    the default destination is a new list, RunResult.trace.
     """
     if sched is None:
         sched = synchronous(problem.m, problem.p)
-    state = EngineState.initial(problem, config, sched)
+    state = EngineState.initial(problem, config, sched, trace)
     metadata = {
         "mode": config.mode,
         "epsilon": config.epsilon,

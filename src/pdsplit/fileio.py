@@ -342,16 +342,49 @@ TRACE_COLUMNS = ("n", "theta", "tau", "violation",
                  "res_primal", "res_dualmap", "res_coupling", "res_dual")
 
 
+class TraceWriter:
+    """The iteration trace as deterministic CSV (17 significant digits), one row per append.
+
+    A context manager, and a trace destination for `run`.  The file is
+    opened at the first row, or on a clean exit when no row came, so a run
+    that fails before its first row leaves no file; a run interrupted later
+    leaves the rows written so far.  fixture_count sets the dist_z columns;
+    None takes it from the first record (0 if there is none).
+    """
+
+    def __init__(self, path: PathLike, fixture_count: int = None):
+        self.path, self.fixture_count = path, fixture_count
+        self._file = None
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def _open(self, fixture_count: int) -> None:
+        self._file = open(self.path, "w", encoding="utf-8", newline="\n")
+        self._file.write(",".join(TRACE_COLUMNS + tuple(f"dist_z{j}"
+                                                        for j in range(fixture_count))) + "\n")
+        # %.17g is f"{v:.17g}"
+        self._row = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1 + fixture_count) + "\n"
+
+    def append(self, rec: IterationRecord) -> None:
+        if self._file is None:
+            self._open(len(rec.dists) if self.fixture_count is None else self.fixture_count)
+        self._file.write(self._row % (rec.n, rec.theta, rec.tau, rec.violation, rec.res_primal,
+                                      rec.res_dualmap, rec.res_coupling, rec.res_dual, *rec.dists))
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if self._file is None and kind is None:
+            self._open(self.fixture_count or 0)
+        if self._file is not None:
+            self._file.close()
+
+
 def write_trace(records: list[IterationRecord], path: PathLike,
                 fixture_count: int = None) -> None:
     """Write the iteration trace as deterministic CSV (17 significant digits)."""
-    if fixture_count is None:
-        fixture_count = len(records[0].dists) if records else 0
-    lines = [",".join(TRACE_COLUMNS + tuple(f"dist_z{j}" for j in range(fixture_count)))]
-    row = "%d" + ",%.17g" * (len(TRACE_COLUMNS) - 1 + fixture_count)  # %.17g is f"{v:.17g}"
-    lines.extend(row % (rec.n, rec.theta, rec.tau, rec.violation, rec.res_primal, rec.res_dualmap,
-                        rec.res_coupling, rec.res_dual, *rec.dists) for rec in records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with TraceWriter(path, fixture_count) as trace:
+        for rec in records:
+            trace.append(rec)
 
 
 def read_trace(path: PathLike) -> tuple[list[str], list[list[float]]]:

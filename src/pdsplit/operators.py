@@ -68,11 +68,23 @@ def _check_psd(S: np.ndarray, name: str) -> None:
         raise ConfigError(f"{name} has eigenvalue {lo:.3e} below the PSD floor")
 
 
+def _plus_transpose(S: np.ndarray, name: str) -> np.ndarray:
+    """S + S'; a ConfigError naming `name` if an entry overflows."""
+    try:
+        with np.errstate(over="raise"):
+            return S + S.T
+    except FloatingPointError:
+        raise ConfigError(f"{name} has entries too large: its sum with its transpose "
+                          "overflows") from None
+
+
 def _check_sym_psd(S: np.ndarray, name: str) -> None:
     scale = 1.0 + float(np.abs(S).max(initial=0.0))
-    if float(np.abs(S - S.T).max(initial=0.0)) > 1e-10 * scale:
+    with np.errstate(over="ignore"):  # a difference too large for a float is asymmetric too
+        asymmetry = float(np.abs(S - S.T).max(initial=0.0))
+    if asymmetry > 1e-10 * scale:
         raise ConfigError(f"{name} is not symmetric")
-    _check_psd(0.5 * (S + S.T), name)
+    _check_psd(0.5 * _plus_transpose(S, name), name)
 
 
 def zero(dim: int) -> MonotoneOp:
@@ -124,7 +136,8 @@ def affine_monotone(M, c=None) -> MonotoneOp:
     if M_arr.shape[0] != M_arr.shape[1]:
         raise DimensionError(f"M must be square, got {M_arr.shape}")
     # M + M' is symmetric bit for bit, and halving its sum with its transpose is exact
-    _check_psd(_finite_array(M_arr, "affine_monotone M") + M_arr.T, "affine_monotone M + M'")
+    _check_psd(_plus_transpose(_finite_array(M_arr, "affine_monotone M"), "affine_monotone M"),
+               "affine_monotone M + M'")
     d = M_arr.shape[0]
     c_arr = np.zeros(d) if c is None else _as_bound(c, d, "affine_monotone c")
     return MonotoneOp("affine_monotone", d, {"M": M_arr.copy(), "c": c_arr})

@@ -49,7 +49,10 @@ class SubspaceSpec:
         if name is not None:  # the variant's matrix, stored as a 2-D float array
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.variant} subspace requires the matrix {name}")
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), float)))
+            matrix = np.atleast_2d(np.asarray(getattr(self, name), float))
+            if not np.isfinite(matrix).all():  # NaN fails the SVD; inf gives rank 0, no constraint
+                raise ConfigError(f"{self.variant} subspace matrix {name} has non-finite values")
+            object.__setattr__(self, name, matrix)
 
 
 @dataclass(eq=False)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit import fileio
+from pdsplit import engine, fileio
 from pdsplit.cli import main
 
 from conftest import make_lasso_problem, make_scalar_problem, point
@@ -363,3 +363,101 @@ def test_compare_undecodable_trace_is_a_schema_error(workdir, capsys):
                  "--trace-b", str(workdir / "bad.csv"), "--tol", "1e-6"])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and "bad.csv" in err
+
+
+# --- the streamed trace -------------------------------------------------------
+
+def _inconsistent_problem():
+    """A = 0, B = the constant 1, L = 1 on the line x + 2 v* = 0: no KT point there, and the
+    anchored engine reports an empty outer approximation at iteration 4."""
+    sig = ps.SpaceSignature((1,), (1,))
+    return ps.ProblemSpec(sig, [ps.zero(1)], [ps.affine_monotone([[0.0]], [1.0])],
+                          ps.CouplingMap(sig, {(0, 0): [[1.0]]}),
+                          ps.BlockVector([[0.0]]), ps.BlockVector([[0.0]]),
+                          ps.SubspaceSpec("nullspace", C=[[1.0, 2.0]]))
+
+
+_LASSO = dict(mode="haugazeau", max_iter=10000, resid_tol=3e-6)
+_STREAMED_RUNS = {
+    "solved": (make_lasso_problem, _LASSO, None, 0),
+    "stride-1000": (make_lasso_problem, dict(_LASSO, trace_stride=1000), None, 0),
+    "max-iter-0": (make_lasso_problem, dict(_LASSO, max_iter=0), None, 2),
+    "inconsistent": (_inconsistent_problem, dict(mode="haugazeau", max_iter=500), None, 4),
+    "perturbed-random": (
+        make_lasso_problem,
+        dict(mode="fejer", max_iter=5000, resid_tol=1e-6,
+             inexact=ps.InexactnessBudget(beta=1.0, sigma=0.3, delta=1.0, zeta=0.3),
+             perturbation=ps.PerturbationRule(seed=3, scale=0.5)),
+        lambda: ps.random_admissible(1, 1, M=3, D=5, horizon=512, seed=1), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_STREAMED_RUNS))
+def test_the_streamed_trace_is_the_written_trace_of_the_run(tmp_path, capsys, name):
+    make_problem, config, make_sched, code = _STREAMED_RUNS[name]
+    fileio.write_problem(make_problem(), tmp_path / "problem.json")
+    fileio.write_config(ps.SolverConfig(**config), tmp_path / "config.json")
+    argv = ["run", "--problem", str(tmp_path / "problem.json"),
+            "--config", str(tmp_path / "config.json"), "--trace", str(tmp_path / "cli.csv")]
+    if make_sched is not None:
+        fileio.write_schedule(make_sched(), tmp_path / "schedule.json")
+        argv += ["--schedule", str(tmp_path / "schedule.json")]
+    assert main(argv) == code
+    problem = fileio.parse_problem(tmp_path / "problem.json")
+    sched = fileio.parse_schedule(tmp_path / "schedule.json") if make_sched else None
+    res = ps.run(problem, fileio.parse_config(tmp_path / "config.json"), sched)
+    fileio.write_trace(res.trace, tmp_path / "ref.csv", len(problem.known_Z_points))
+    assert json.loads(capsys.readouterr().out)["status"] == res.status
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(("config", {"perturbation": {"seed": -1, "scale": 0.1}}), id="config"),
+    pytest.param(("schedule", ps.periodic(2, 1, group_size=1, horizon=8)), id="schedule")])
+def test_an_input_error_leaves_no_trace_file(workdir, tmp_path, capsys, edit):
+    config = json.loads((workdir / "config.json").read_text())
+    argv = ["run", "--problem", str(workdir / "problem.json"),
+            "--config", str(tmp_path / "config.json"), "--trace", str(tmp_path / "out.csv")]
+    if edit[0] == "config":
+        config.update(edit[1])
+    else:  # a schedule for two primal blocks, on a one-block problem
+        fileio.write_schedule(edit[1], tmp_path / "schedule.json")
+        argv += ["--schedule", str(tmp_path / "schedule.json")]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _counting_advance(monkeypatch, stop_after=None):
+    """Count engine.advance calls; after stop_after of them, interrupt the run."""
+    calls, advance = [], engine.advance
+
+    def counted(state):
+        if len(calls) == stop_after:
+            raise KeyboardInterrupt
+        calls.append(state.n)
+        return advance(state)
+    monkeypatch.setattr(engine, "advance", counted)
+    return calls
+
+
+def test_an_unwritable_trace_path_fails_at_the_first_row(workdir, tmp_path, capsys, monkeypatch):
+    # the trace used to be written after the whole solve, so the error came only then
+    calls = _counting_advance(monkeypatch)
+    code = main(["run", "--problem", str(workdir / "problem.json"),
+                 "--config", str(workdir / "config.json"),
+                 "--trace", str(tmp_path / "missing" / "t.csv")])
+    assert code == 1 and len(calls) <= 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "t.csv" in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_an_interrupted_run_keeps_the_rows_written_so_far(workdir, tmp_path, monkeypatch):
+    _counting_advance(monkeypatch, stop_after=3)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--problem", str(workdir / "problem.json"),
+              "--config", str(workdir / "config.json"), "--trace", str(tmp_path / "t.csv")])
+    header, rows = fileio.read_trace(tmp_path / "t.csv")
+    assert header[-1] == "dist_z0" and [row[0] for row in rows] == [0, 1, 2]

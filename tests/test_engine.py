@@ -398,6 +398,35 @@ def test_stepwise_advance_matches_run(mode, relaxation):
     assert state.perturb.rejected == res.metadata["perturb_rejected"]
 
 
+class _Sink:
+    """A trace destination that is not a list: it keeps what append was given."""
+
+    def __init__(self):
+        self.got = []
+
+    def append(self, record):
+        self.got.append(record)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_a_trace_destination_gets_the_records_the_default_list_gets(stride):
+    problem = random_problem(5)
+    sched = ps.random_admissible(problem.m, problem.p, M=3, D=4, horizon=256, seed=5)
+    cfg = ps.SolverConfig(max_iter=60, resid_tol=0.0, trace_stride=stride,
+                          inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
+                          perturbation=ps.PerturbationRule(seed=5, scale=0.25))
+    res = ps.run(problem, cfg, sched)
+    sink = _Sink()
+    streamed = ps.run(problem, cfg, sched, trace=sink)
+    assert streamed.trace is sink and sink.got == res.trace and len(res.trace) == -(-60 // stride)
+    assert np.array_equal(streamed.final.data, res.final.data)
+    stepwise = _Sink()
+    state = EngineState.initial(problem, cfg, sched, trace=stepwise)
+    for _ in range(cfg.max_iter):
+        advance(state)
+    assert state.trace is stepwise and stepwise.got == res.trace
+
+
 def test_state_keeps_the_config_it_validated(l1_identity_problem):
     cfg = fejer_config(relaxation=1.9)
     state = EngineState.initial(l1_identity_problem, cfg, synchronous(1, 1))

@@ -90,6 +90,17 @@ def test_constructors_reject_non_finite_data(build, field):
         build()
 
 
+@pytest.mark.parametrize("build, field", [
+    pytest.param(ps.quadratic, "quadratic Q", id="quadratic"),
+    pytest.param(ps.affine_monotone, "affine_monotone M", id="affine_monotone")])
+def test_a_matrix_whose_symmetric_part_overflows_is_a_config_error(build, field):
+    # finite entries near the float limit: symmetrizing overflowed and raised a RuntimeWarning
+    # under -W error::RuntimeWarning, before the NaN eigenvalue check could reject the matrix
+    with pytest.raises(ConfigError, match=f"^{field} has entries too large"):
+        build([[1e308, 0.0], [0.0, 1e308]])
+    build([[8e307, 0.0], [0.0, 8e307]])  # whose sum with its transpose is finite
+
+
 def test_psd_check_rejects_a_nan_eigenvalue():
     with pytest.raises(ConfigError, match="eigenvalue nan below the PSD floor"):
         _check_sym_psd(np.array([[1.0, math.nan], [math.nan, 1.0]]), "S")

@@ -103,6 +103,15 @@ def test_linear_primal_requires_structure():
                        ps.SubspaceSpec("linear_primal", A1=[[1.0]]))
 
 
+@pytest.mark.parametrize("variant, name", [("nullspace", "C"), ("linear_primal", "A1")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_subspace_rejects_a_non_finite_matrix(variant, name, bad):
+    # NaN made the SVD raise an uncaught LinAlgError; inf gave rank 0 and dropped the
+    # constraint, so a run reported exact_point at iteration 0
+    with pytest.raises(ConfigError, match=f"^{variant} subspace matrix {name} has non-finite"):
+        ps.SubspaceSpec(variant, **{name: [[bad, 0.0]]})
+
+
 def test_linear_primal_contains_solution():
     prob = make_linear_primal_problem("linear_primal")
     assert prob.projector.residual(prob.known_Z_points[0]) <= 1e-10
