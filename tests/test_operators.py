@@ -101,6 +101,12 @@ def test_a_matrix_whose_symmetric_part_overflows_is_a_config_error(build, field)
     build([[8e307, 0.0], [0.0, 8e307]])  # whose sum with its transpose is finite
 
 
+def test_a_quadratic_whose_asymmetry_overflows_is_not_symmetric():
+    # Q - Q' overflows to inf, which is asymmetric too; it used to warn, not raise
+    with pytest.raises(ConfigError, match="^quadratic Q is not symmetric"):
+        ps.quadratic([[0.0, 1e308], [-1e308, 0.0]])
+
+
 def test_psd_check_rejects_a_nan_eigenvalue():
     with pytest.raises(ConfigError, match="eigenvalue nan below the PSD floor"):
         _check_sym_psd(np.array([[1.0, math.nan], [math.nan, 1.0]]), "S")
