@@ -8,15 +8,14 @@ driven by deterministic, certifiable schedules, so every run is replayable.
 
 from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, pd_norm
 from .engine import (EngineState, IterationRecord, PerturbationRule, Rules, RunResult,
-                     SolverConfig, advance, haugazeau_update, run)
+                     SolverConfig, advance, run)
 from .errors import (ConfigError, DimensionError, InconsistencyError,
                      InvariantViolation, NumericalError, PdsplitError, SchemaError)
 from .operators import (InexactnessBudget, MonotoneOp, affine_monotone, box_indicator, l1_norm,
                         normal_cone_box, quadratic, resolvent, zero)
 from .schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,
                        synchronous, validate)
-from .separator import (GraphTable, KTResidual, ProblemSpec, Separator, SubspaceSpec,
-                        build_projector, build_separator, detect_exact_solution,
-                        kt_residual, project_halfspace)
+from .separator import (GraphTable, KTResidual, ProblemSpec, SubspaceSpec, build_projector,
+                        kt_residual)
 
 __version__ = "0.1.0"

@@ -129,17 +129,9 @@ def flat_inner(u: np.ndarray, w: np.ndarray, split: int) -> float:
     return float(u[:split].dot(w[:split])) + float(u[split:].dot(w[split:]))
 
 
-def pd_inner(u: PrimalDualPoint, v: PrimalDualPoint) -> float:
-    """Inner product on the primal-dual product space (flat_inner of the points' arrays)."""
-    return flat_inner(u.data, v.data, u.x.data.shape[0])
-
-
-def pd_norm_sq(u: PrimalDualPoint) -> float:
-    return pd_inner(u, u)
-
-
 def pd_norm(u: PrimalDualPoint) -> float:
-    return math.sqrt(pd_norm_sq(u))
+    """Norm on the primal-dual product space: sqrt of flat_inner of u's array with itself."""
+    return math.sqrt(flat_inner(u.data, u.data, u.x.data.shape[0]))
 
 
 class CouplingMap:

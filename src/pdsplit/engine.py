@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -31,9 +30,9 @@ from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, b
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal, row_dots,
                         stacked_parameters, stacked_resolvent)
-from .schedule import ControlSchedule, LagBuffer, synchronous, validate
-from .separator import (GraphTable, ProblemSpec, flat_projection, flat_separator, flat_violation,
-                        normal_vanishes)
+from .schedule import ControlSchedule, LagBuffer, at_least, synchronous, validate
+from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
+                        halfspace_violation, project_halfspace)
 
 Rule = Union[float, Sequence[float]]
 
@@ -91,11 +90,8 @@ class SolverConfig:
         for name, value in (("resid_tol", self.resid_tol), ("tau_zero_tol", self.tau_zero_tol),
                             ("exact_tol", self.exact_tol), ("perturbation.scale", perturb.scale)):
             finite_number(name, value)
-        for name, value, low in (("max_iter", self.max_iter, 0),
-                                 ("trace_stride", self.trace_stride, 1),
-                                 ("perturbation.seed", perturb.seed, 0)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        at_least(("max_iter", self.max_iter, 0), ("trace_stride", self.trace_stride, 1),
+                 ("perturbation.seed", perturb.seed, 0))
         eps, fejer = self.epsilon, self.mode == "fejer"
         prox = (self.eps_prox, 1.0 / self.eps_prox)
         relaxation = (1.9 if fejer else 1.0) if self.relaxation is None else self.relaxation
@@ -380,8 +376,8 @@ def iteration_record(n: int, theta: float, tau: float, violation: float,
                            *(math.sqrt(float(w.dot(w))) for w in res), dists)
 
 
-def flat_haugazeau(anchor: np.ndarray, current: np.ndarray, candidate: np.ndarray,
-                   split: int) -> np.ndarray:
+def haugazeau_update(anchor: np.ndarray, current: np.ndarray, candidate: np.ndarray,
+                     split: int) -> np.ndarray:
     """Project the flat anchor onto the intersection of the two bracketing half-spaces.
 
     The three-case closed form branches on chi = <anchor-current,
@@ -405,13 +401,6 @@ def flat_haugazeau(anchor: np.ndarray, current: np.ndarray, candidate: np.ndarra
     return current + (nu / rho) * (chi * diff_ay + mu * (candidate - current))
 
 
-def haugazeau_update(anchor: PrimalDualPoint, current: PrimalDualPoint,
-                     candidate: PrimalDualPoint) -> PrimalDualPoint:
-    """flat_haugazeau on points; returns candidate itself in the first case."""
-    out = flat_haugazeau(anchor.data, current.data, candidate.data, current.x.data.shape[0])
-    return candidate if out is candidate.data else current._like(out)
-
-
 def advance(state: EngineState):
     """One iteration of the engine state.config.mode names, on a state made by EngineState.initial.
 
@@ -427,13 +416,13 @@ def advance(state: EngineState):
                            f"{n - 1}; build a new state to run again")
     _decompose(state, n)
     z, split = current.data, graph.a.size
-    normal, level, tau, raw = flat_separator(graph, problem, (state.lsb.value, state.la.value))
-    violation = flat_violation(z, normal, level, split)
-    theta, nxt = flat_projection(z, normal, level, tau, violation, state.rules.lam(n),
-                                 config.tau_zero_tol)
+    normal, level, tau, raw = build_separator(graph, problem, (state.lsb.value, state.la.value))
+    violation = halfspace_violation(z, normal, level, split)
+    theta, nxt = project_halfspace(z, normal, level, tau, violation, state.rules.lam(n),
+                                   config.tau_zero_tol)
     if config.mode == "haugazeau":
         try:
-            nxt = flat_haugazeau(state.anchor.data, z, nxt, split)
+            nxt = haugazeau_update(state.anchor.data, z, nxt, split)
         except InconsistencyError as exc:
             return "inconsistent", current, str(exc)
     images = state.buffer.get(n)
@@ -445,7 +434,7 @@ def advance(state: EngineState):
     residual = record.residual_sum()
     if not (math.isfinite(residual) and math.isfinite(theta) and np.isfinite(nxt).all()):
         return "inconsistent", current, f"non-finite values at iteration {n}"
-    if config.exact_tol >= 0.0 and normal_vanishes(  # raw is normal on the full space
+    if config.exact_tol >= 0.0 and detect_exact_solution(  # raw is normal on the full space
             tau if normal is raw else flat_inner(raw, raw, split),
             float(graph.a.dot(graph.a)) + float(graph.b_dual.dot(graph.b_dual)), config.exact_tol):
         state.n, state.ended = n + 1, "exact_point"

@@ -229,10 +229,6 @@ def parse_point(path: PathLike) -> PrimalDualPoint:
     return _point_from_dict(_load_json(path), where=str(path))
 
 
-def write_point(point: PrimalDualPoint, path: PathLike) -> None:
-    _write_json(point_to_dict(point), path)
-
-
 # ----------------------------------------------------------------- schedule
 
 def schedule_to_dict(s: ControlSchedule) -> dict:

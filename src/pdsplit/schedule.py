@@ -132,8 +132,11 @@ def synchronous(m: int, p: int) -> ControlSchedule:
 
 
 def at_least(*checks) -> None:
-    """ConfigError for the first (name, value, low) whose value is below low."""
+    """ConfigError for the first (name, value, low) whose value is a bool, not an integer or
+    below low."""
     for name, value, low in checks:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         if value < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 

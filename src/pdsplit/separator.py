@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, flat_inner,
-                         pd_norm, pd_norm_sq)
+                         pd_norm)
 from .errors import ConfigError, DimensionError
 from .operators import MonotoneOp, membership_residual
 
@@ -183,7 +183,7 @@ class ProblemSpec:
             if not np.isfinite(z.data).all():
                 raise ConfigError(f"known_Z_points[{j}] has non-finite values")
             res = kt_residual(self, z)
-            if res.max > FIXTURE_KT_TOL:
+            if not res.max <= FIXTURE_KT_TOL:  # a NaN residual fails too
                 raise ConfigError(
                     f"known_Z_points[{j}] fails the solution conditions: "
                     f"max residual {res.max:.3e} ({res.describe_worst()})")
@@ -246,21 +246,8 @@ class GraphTable:
                                BlockVector._wrap(dual, self.signature.dual_dims))
 
 
-@dataclass(frozen=True)
-class Separator:
-    """Affine half-space {u : <u, normal> <= level} containing the solution set.
-
-    normal is the subspace-projected normal vector; norm_sq caches its
-    squared norm, the denominator of the projection step.
-    """
-
-    normal: PrimalDualPoint
-    level: float       # eta: sum of <a_i, a*_i> + <b_k, b*_k>
-    norm_sq: float     # tau: ||normal||^2
-
-
-def flat_separator(graph: GraphTable, problem: ProblemSpec,
-                   images: Optional[tuple] = None) -> tuple[np.ndarray, float, float, np.ndarray]:
+def build_separator(graph: GraphTable, problem: ProblemSpec,
+                    images: Optional[tuple] = None) -> tuple[np.ndarray, float, float, np.ndarray]:
     """Flat (normal, level, norm_sq, raw) of one graph point per operator; normal is raw projected
     (raw itself where that cannot move it).  images: (L* b_dual, L a) if kept, else L is applied."""
     L = problem.coupling
@@ -271,37 +258,19 @@ def flat_separator(graph: GraphTable, problem: ProblemSpec,
     return normal, level, flat_inner(normal, normal, graph.a.size), raw
 
 
-def build_separator(graph: GraphTable, problem: ProblemSpec,
-                    images: Optional[tuple] = None) -> tuple[Separator, PrimalDualPoint]:
-    """flat_separator's half-space as a Separator, and its raw normal as a point."""
-    normal, level, norm_sq, raw = flat_separator(graph, problem, images)
-    raw_point = graph.pair(raw[:graph.a.size], raw[graph.a.size:])
-    return Separator(raw_point._like(normal), level, norm_sq), raw_point
-
-
-def normal_vanishes(raw_sq: float, candidate_sq: float, tol: float) -> bool:
+def detect_exact_solution(raw_sq: float, candidate_sq: float, tol: float) -> bool:
     """Whether the raw normal vanishes next to the candidate (a, b*), which then solves exactly."""
     return math.sqrt(raw_sq) <= tol * (1.0 + math.sqrt(candidate_sq))
 
 
-def detect_exact_solution(s_star_raw: PrimalDualPoint, candidate: PrimalDualPoint,
-                          tol: float) -> Optional[PrimalDualPoint]:
-    """The candidate solution pair if the raw normal vanishes (normal_vanishes), else None."""
-    exact = normal_vanishes(pd_norm_sq(s_star_raw), pd_norm_sq(candidate), tol)
-    return candidate if exact else None
-
-
-def flat_violation(z: np.ndarray, normal: np.ndarray, level: float, split: int) -> float:
+def halfspace_violation(z: np.ndarray, normal: np.ndarray, level: float, split: int) -> float:
     """Nonnegative amount by which a flat point violates the half-space {<u, normal> <= level}."""
     return max(0.0, flat_inner(z, normal, split) - level)
 
 
-def halfspace_violation(current: PrimalDualPoint, sep: Separator) -> float:
-    return flat_violation(current.data, sep.normal.data, sep.level, current.x.data.shape[0])
-
-
-def flat_projection(z: np.ndarray, normal: np.ndarray, level: float, norm_sq: float,
-                    violation: float, lam: float, tau_zero_tol: float) -> tuple[float, np.ndarray]:
+def project_halfspace(z: np.ndarray, normal: np.ndarray, level: float, norm_sq: float,
+                      violation: float, lam: float,
+                      tau_zero_tol: float) -> tuple[float, np.ndarray]:
     """Relaxed projection (theta, next) of a flat point z that violates the half-space by violation;
     theta is 0 and next is z itself if z is inside or the normal is numerically 0 (scaled by
     1 + level^2).  SolverConfig.validate bounds lam."""
@@ -309,14 +278,6 @@ def flat_projection(z: np.ndarray, normal: np.ndarray, level: float, norm_sq: fl
         return 0.0, z
     theta = lam * violation / norm_sq
     return theta, z - theta * normal
-
-
-def project_halfspace(current: PrimalDualPoint, sep: Separator, lam: float,
-                      tau_zero_tol: float = 1e-14) -> tuple[float, PrimalDualPoint]:
-    """flat_projection of a point; next is current itself when theta is 0."""
-    theta, z = flat_projection(current.data, sep.normal.data, sep.level, sep.norm_sq,
-                               halfspace_violation(current, sep), lam, tau_zero_tol)
-    return theta, current if z is current.data else current._like(z)
 
 
 @dataclass(frozen=True)
@@ -328,10 +289,12 @@ class KTResidual:
 
     @property
     def max(self) -> float:
-        return max(self.primal + self.dual)
+        """The first NaN residual (which Python's max can pass over), else the largest one."""
+        values = self.primal + self.dual
+        return next(filter(math.isnan, values), max(values))
 
     def describe_worst(self) -> str:
-        j = (self.primal + self.dual).index(self.max)
+        j = (self.primal + self.dual).index(self.max)  # by identity, so a NaN is found too
         m = len(self.primal)
         return f"primal condition {j}" if j < m else f"dual condition {j - m}"
 
@@ -347,9 +310,10 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     problem.check_point(point, "point")
     L, sig = problem.coupling, problem.signature
     x, v = point.x.data, point.v_star.data
-    lsv, lx = L.adjoint(v), L.forward(x)
-    primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl] - lsv[sl])
-                   for op, sl in zip(problem.A_ops, sig.primal_slices))
-    dual = tuple(membership_residual(op, lx[sl] - problem.r.data[sl], v[sl])
-                 for op, sl in zip(problem.B_ops, sig.dual_slices))
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is reported, not warned
+        lsv, lx = L.adjoint(v), L.forward(x)
+        primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl] - lsv[sl])
+                       for op, sl in zip(problem.A_ops, sig.primal_slices))
+        dual = tuple(membership_residual(op, lx[sl] - problem.r.data[sl], v[sl])
+                     for op, sl in zip(problem.B_ops, sig.dual_slices))
     return KTResidual(primal, dual)

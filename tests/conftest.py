@@ -74,6 +74,22 @@ def make_lasso_problem():
                           known_Z_points=[zfix])
 
 
+def make_overflow_problem(known_Z_points=()):
+    """Primal dims (1, 1), dual dim 1, zero operators, L = [1 1] and zero offsets.
+
+    At OVERFLOW_POINT, L x overflows to inf and the dual condition's residual
+    is inf - inf = NaN, while both primal residuals are 0.
+    """
+    sig = ps.SpaceSignature((1, 1), (1,))
+    return ps.ProblemSpec(sig, [ps.zero(1), ps.zero(1)], [ps.zero(1)],
+                          ps.CouplingMap(sig, {(0, 0): [[1.0]], (0, 1): [[1.0]]}),
+                          ps.BlockVector([[0.0], [0.0]]), ps.BlockVector([[0.0]]),
+                          known_Z_points=known_Z_points)
+
+
+OVERFLOW_POINT = ps.PrimalDualPoint(ps.BlockVector([[1e308], [1e308]]), ps.BlockVector([[0.0]]))
+
+
 @pytest.fixture
 def lasso_problem():
     return make_lasso_problem()

@@ -1,11 +1,15 @@
 """Independent verification machinery: brute-force minimizers, closed-form
-projections, the per-block graph points and inexactness checks, buffer-free
-reference iterations, and the per-step invariant checker.
+projections, the per-block graph points and inexactness checks, the
+coordination step written from the paper's formulas, buffer-free reference
+iterations, and the per-step invariant checker.
 
 The tests use it as an independent reference; the package itself does not.
 The per-block graph points and budget checks share no arithmetic with the
 engine's per-group routines: they evaluate one block at a time through the
-registry's resolvent and membership_residual.
+registry's resolvent and membership_residual.  The half-space, its
+violation, the relaxed projection, the anchored update and the diagnostics
+row are this module's own, summed in the documented order (one dot per side,
+primal side first), so that they match the engine bit for bit.
 """
 
 from __future__ import annotations
@@ -18,20 +22,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from pdsplit import engine
-from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_inner, pd_norm
-from pdsplit.engine import (EngineState, IterationRecord, RunResult, SolverConfig,
-                            haugazeau_update, iteration_record)
+from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_norm
+from pdsplit.engine import EngineState, IterationRecord, RunResult, SolverConfig
 from pdsplit.errors import ConfigError, InconsistencyError, InvariantViolation
 from pdsplit.operators import (MEMBERSHIP_TOL, InexactnessBudget, MonotoneOp,
                                membership_residual, resolvent)
 from pdsplit.schedule import ControlSchedule, synchronous
-from pdsplit.separator import (GraphTable, ProblemSpec, build_separator, halfspace_violation,
-                               project_halfspace)
+from pdsplit.separator import GraphTable, ProblemSpec
 
 FEJER_TOL = 1e-10
 ANCHOR_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
 SUBSPACE_ITERATE_TOL = 1e-9
+RHO_TOL = 1e-12  # the anchored update's Gram determinant counts as 0 below RHO_TOL * mu * nu
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -240,6 +243,74 @@ def validate_inexact_dual(op: MonotoneOp, candidate: GraphPoint,
     return InexactCheck(True)
 
 
+def _inner(u: np.ndarray, w: np.ndarray, split: int) -> float:
+    """<u, w> of flat primal-dual arrays with `split` primal entries, one dot per side, primal
+    side first."""
+    return float(u[:split].dot(w[:split])) + float(u[split:].dot(w[split:]))
+
+
+def reference_halfspace(graph: GraphTable, problem: ProblemSpec) -> tuple[np.ndarray, float]:
+    """The half-space {u : <u, s*> <= eta} that one graph point per operator gives, as (s*, eta).
+
+    s* = P_V(a* + L* b*, b - L a), with P_V the projection onto the problem's
+    subspace, and eta = sum_i <a_i, a*_i> + sum_k <b_k, b*_k>.
+    """
+    L = problem.coupling
+    raw = np.concatenate((graph.a_dual + L.adjoint(graph.b_dual), graph.b - L.forward(graph.a)))
+    level = float(graph.a.dot(graph.a_dual)) + float(graph.b.dot(graph.b_dual))
+    return problem.projector.project_flat(raw), level
+
+
+def reference_projection(z: np.ndarray, normal: np.ndarray, level: float, lam: float,
+                         tau_zero_tol: float, split: int) -> tuple[float, float, float, np.ndarray]:
+    """(violation, tau, theta, next) of the relaxed projection of z onto {<u, normal> <= level}.
+
+    violation = max(0, <z, normal> - level) and tau = ||normal||^2; theta =
+    lam * violation / tau and next = z - theta * normal, except that nothing
+    moves (theta = 0) when z is inside or tau <= tau_zero_tol * (1 + level^2).
+    """
+    tau = _inner(normal, normal, split)
+    violation = max(0.0, _inner(z, normal, split) - level)
+    if violation <= 0.0 or tau <= tau_zero_tol * (1.0 + level ** 2):
+        return violation, tau, 0.0, z
+    theta = lam * violation / tau
+    return violation, tau, theta, z - theta * normal
+
+
+def reference_haugazeau(x0: np.ndarray, y: np.ndarray, z: np.ndarray, split: int) -> np.ndarray:
+    """Haugazeau's Q(x0, y, z): the projection of x0 onto the intersection of the half-spaces
+    {u : <u - y, x0 - y> <= 0} and {u : <u - z, y - z> <= 0}.
+
+    With chi = <x0 - y, y - z>, mu = ||x0 - y||^2, nu = ||y - z||^2 and
+    rho = mu nu - chi^2, the closed form is z if rho = 0 and chi >= 0,
+    x0 + (1 + chi/nu)(z - y) if rho > 0 and chi nu >= rho, and
+    y + (nu/rho)(chi (x0 - y) + mu (z - y)) if rho > 0 and chi nu < rho.
+    rho counts as 0 up to RHO_TOL; chi < 0 there means an empty intersection.
+    """
+    ay, yz = x0 - y, y - z
+    chi, mu, nu = _inner(ay, yz, split), _inner(ay, ay, split), _inner(yz, yz, split)
+    rho = max(mu * nu - chi * chi, 0.0)
+    if rho <= RHO_TOL * mu * nu:
+        if chi < -RHO_TOL * (mu + nu):
+            raise InconsistencyError(f"empty intersection of the two half-spaces (chi={chi:.3e})")
+        return z
+    if chi * nu >= rho:
+        return x0 + (1.0 + chi / nu) * (z - y)
+    return y + (nu / rho) * (chi * ay + mu * (z - y))
+
+
+def reference_record(n: int, theta: float, tau: float, violation: float, problem: ProblemSpec,
+                     current: PrimalDualPoint, graph: GraphTable) -> IterationRecord:
+    """The diagnostics row of the step from current: ||x - a||, ||a* + L* v*||, ||L x - b||,
+    ||b* - v*|| and the distance to each fixture solution."""
+    L, x, v = problem.coupling, current.x.data, current.v_star.data
+    res = (x - graph.a, graph.a_dual + L.adjoint(v), L.forward(x) - graph.b, graph.b_dual - v)
+    dists = tuple(math.sqrt(_inner(d, d, x.size))
+                  for d in (current.data - z.data for z in problem.known_Z_points))
+    return IterationRecord(n, theta, tau, violation, *(math.sqrt(float(w.dot(w))) for w in res),
+                           dists)
+
+
 def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
                           n_iters: int) -> tuple[list[IterationRecord], PrimalDualPoint]:
     """Straight-line synchronous run of the relaxed-projection iteration.
@@ -264,8 +335,9 @@ def lagged_reference_run(problem: ProblemSpec, config: SolverConfig, sched: Cont
     adjoint_block and gets its point from graph_point_*.  In inexact mode
     each one, in activation order and primal blocks first, draws a seeded
     error toward its first read, capped at 0.95 times the budget's bound,
-    and keeps the perturbed point if the budget accepts it.  Returns the
-    records, the last iterate and the inexact (accepted, rejected) counts.
+    and keeps the perturbed point if the budget accepts it.  The coordination
+    step and the diagnostics row are the reference_* formulas above.  Returns
+    the records, the last iterate and the inexact (accepted, rejected) counts.
     """
     rules = config.validate(problem)
     sig, L, budget, rule = problem.signature, problem.coupling, config.inexact, config.perturbation
@@ -297,16 +369,14 @@ def lagged_reference_run(problem: ProblemSpec, config: SolverConfig, sched: Cont
                     counts[0 if accepted else 1] += 1
                     gp = candidate if accepted else gp
                 getattr(graph, table)[sl], getattr(graph, f"{table}_dual")[sl] = gp.point, gp.dual
-        current = iterates[n]
-        sep, _ = build_separator(graph, problem)
-        violation = halfspace_violation(current, sep)
-        theta, nxt = project_halfspace(current, sep, rules.lam(n), config.tau_zero_tol)
+        current, split = iterates[n], graph.a.size
+        normal, level = reference_halfspace(graph, problem)
+        violation, tau, theta, nxt = reference_projection(current.data, normal, level,
+                                                          rules.lam(n), config.tau_zero_tol, split)
         if config.mode == "haugazeau":
-            nxt = haugazeau_update(iterates[0], current, nxt)
-        records.append(iteration_record(
-            n, theta, sep.norm_sq, violation, problem, current,
-            L.forward(current.x.data), L.adjoint(current.v_star.data), graph))
-        iterates.append(nxt)
+            nxt = reference_haugazeau(iterates[0].data, current.data, nxt, split)
+        records.append(reference_record(n, theta, tau, violation, problem, current, graph))
+        iterates.append(graph.pair(nxt[:split], nxt[split:]))
     return records, iterates[-1], None if rng is None else tuple(counts)
 
 
@@ -342,9 +412,9 @@ def check_step(state: EngineState, before: PrimalDualPoint, n: int) -> None:
             if res > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(points[sl]))):
                 raise InvariantViolation(
                     f"{side} graph point {idx} off its graph at n={n}: {res:.3e}")
-    sep, _ = build_separator(graph, problem)
+    normal, level = reference_halfspace(graph, problem)
     for j, z in enumerate(problem.known_Z_points):
-        gap = pd_inner(z, sep.normal) - sep.level
+        gap = _inner(z.data, normal, graph.a.size) - level
         if gap > HALFSPACE_TOL:
             raise InvariantViolation(
                 f"half-space at n={n} cuts off fixture solution {j} by {gap:.3e}")

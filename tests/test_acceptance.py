@@ -11,7 +11,7 @@ import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.blockspace import pd_norm
 from pdsplit.cli import main
-from pdsplit.engine import EngineState, advance
+from pdsplit.engine import EngineState, advance, haugazeau_update
 from pdsplit.operators import (InexactnessBudget, inexact_dual, inexact_primal,
                                stacked_parameters)
 from pdsplit.schedule import synchronous
@@ -150,16 +150,14 @@ def test_criterion_5_anchored_update_vs_projection_oracle():
         d = int(rng.integers(2, 7))
         split = max(1, d // 2)
         x0, y, z = rng.normal(size=(3, d))
-        as_pt = lambda v: point([v[:split]], [v[split:]])
-        q = ps.haugazeau_update(as_pt(x0), as_pt(y), as_pt(z))
-        got = q.data
+        got = haugazeau_update(x0, y, z, split)
         ref = project_intersection_two_halfspaces(
             x0, (x0 - y, float(np.dot(y, x0 - y))), (y - z, float(np.dot(z, y - z))))
         worst = max(worst, float(np.linalg.norm(got - ref)))
-    y = point([[1.0, 2.0]], [[0.5]])
-    z = point([[0.0, 1.0]], [[2.0]])
-    degenerate_ok = (ps.haugazeau_update(point([[0.0, 0.0]], [[0.0]]), y, y) is y
-                     and ps.haugazeau_update(y, y, z) is z)
+    y = np.array([1.0, 2.0, 0.5])
+    z = np.array([0.0, 1.0, 2.0])
+    degenerate_ok = (haugazeau_update(np.zeros(3), y, y, 2) is y
+                     and haugazeau_update(y, y, z, 2) is z)
     _finish("5 (anchored update vs projection oracle)",
             worst <= 1e-9 and degenerate_ok,
             f"max_err={worst:.2e} degenerate={degenerate_ok}")

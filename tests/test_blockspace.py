@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit.blockspace import (BlockVector, CouplingMap, KeptImage, SpaceSignature,
-                                adjoint_block, forward_block, pd_inner, pd_norm_sq)
+                                adjoint_block, flat_inner, forward_block, pd_norm)
 from pdsplit.errors import ConfigError, DimensionError
 
 
@@ -70,13 +70,13 @@ def test_pd_inner_sums_the_primal_side_first():
     u, v = (ps.PrimalDualPoint(BlockVector([rng.normal(size=3), rng.normal(size=2)]),
                                BlockVector([rng.normal(size=4)])) for _ in range(2))
     primal, dual = float(np.dot(u.x.data, v.x.data)), float(np.dot(u.v_star.data, v.v_star.data))
-    assert pd_inner(u, v) == primal + dual
-    assert pd_norm_sq(u) == float(np.dot(u.x.data, u.x.data)) + float(
-        np.dot(u.v_star.data, u.v_star.data))
+    assert flat_inner(u.data, v.data, 5) == primal + dual
+    norm_sq = float(np.dot(u.x.data, u.x.data)) + float(np.dot(u.v_star.data, u.v_star.data))
+    assert flat_inner(u.data, u.data, 5) == norm_sq and pd_norm(u) == math.sqrt(norm_sq)
     # one left-to-right sum over (1e16, 1, 1) would round to 1e16
     big = ps.PrimalDualPoint(BlockVector([[1e16]]), BlockVector([[1.0, 1.0]]))
     ones = ps.PrimalDualPoint(BlockVector([[1.0]]), BlockVector([[1.0, 1.0]]))
-    assert pd_inner(big, ones) == 1e16 + 2.0
+    assert flat_inner(big.data, ones.data, 1) == 1e16 + 2.0
 
 
 def _random_setup(seed):

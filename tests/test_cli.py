@@ -8,7 +8,8 @@ import pdsplit as ps
 from pdsplit import engine, fileio
 from pdsplit.cli import main
 
-from conftest import make_lasso_problem, make_scalar_problem, point
+from conftest import (OVERFLOW_POINT, make_lasso_problem, make_overflow_problem,
+                      make_scalar_problem, point)
 
 
 @pytest.fixture
@@ -102,11 +103,11 @@ def test_validate_schedule_block_count_below_one_is_a_usage_error(workdir, capsy
 
 
 def test_check_kt(workdir, capsys):
-    fileio.write_point(point([[0.0]], [[0.0]]), workdir / "good.json")
+    (workdir / "good.json").write_text(json.dumps(fileio.point_to_dict(point([[0.0]], [[0.0]]))))
     code = main(["check-kt", "--problem", str(workdir / "problem.json"),
                  "--point", str(workdir / "good.json"), "--tol", "1e-8"])
     assert code == 0
-    fileio.write_point(point([[1.0]], [[0.0]]), workdir / "bad.json")
+    (workdir / "bad.json").write_text(json.dumps(fileio.point_to_dict(point([[1.0]], [[0.0]]))))
     code = main(["check-kt", "--problem", str(workdir / "problem.json"),
                  "--point", str(workdir / "bad.json"), "--tol", "1e-8"])
     assert code == 3
@@ -117,6 +118,17 @@ def test_check_kt(workdir, capsys):
         assert code == 1  # nan and -1 used to fail every point (exit 3), inf to pass any
         err = capsys.readouterr().err
         assert err.startswith("error: --tol") and "Traceback" not in err
+
+
+def test_check_kt_rejects_a_nan_residual(tmp_path, capsys):
+    # the max skipped the NaN: it printed "max: 0.000000e+00" and exited 0
+    fileio.write_problem(make_overflow_problem(), tmp_path / "problem.json")
+    (tmp_path / "point.json").write_text(json.dumps(fileio.point_to_dict(OVERFLOW_POINT)))
+    code = main(["check-kt", "--problem", str(tmp_path / "problem.json"),
+                 "--point", str(tmp_path / "point.json"), "--tol", "1e-8"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "dual[0]: nan" in out and "max: nan (tol" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -89,28 +89,28 @@ def test_nan_aborts_with_diagnostic(l1_identity_problem):
 # --- anchored best-approximation update -----------------------------------
 
 def test_haugazeau_degenerate_branches():
-    x0 = point([[0.0]], [[0.0]])
-    y = point([[1.0]], [[0.5]])
-    assert haugazeau_update(x0, y, y) is y          # candidate equals current
-    z = point([[2.0]], [[0.0]])
-    assert haugazeau_update(y, y, z) is z           # anchor equals current
+    x0 = np.array([0.0, 0.0])
+    y = np.array([1.0, 0.5])
+    assert haugazeau_update(x0, y, y, 1) is y          # candidate equals current
+    z = np.array([2.0, 0.0])
+    assert haugazeau_update(y, y, z, 1) is z           # anchor equals current
 
 
 def test_haugazeau_example_triple():
-    x0 = point([[0.0]], [[0.0]])
-    y = point([[1.0]], [[0.0]])
-    z = point([[1.0]], [[-1.0]])
-    out = haugazeau_update(x0, y, z)
-    assert out.x.blocks[0][0] == 1.0 and out.v_star.blocks[0][0] == -1.0
+    x0 = np.array([0.0, 0.0])
+    y = np.array([1.0, 0.0])
+    z = np.array([1.0, -1.0])
+    out = haugazeau_update(x0, y, z, 1)
+    assert out[0] == 1.0 and out[1] == -1.0
 
 
 def test_haugazeau_inconsistency_signal():
     # collinear, opposed directions: the two half-spaces miss each other
-    x0 = point([[0.0]], [[0.0]])
-    y = point([[1.0]], [[0.0]])
-    z = point([[0.5]], [[0.0]])
+    x0 = np.array([0.0, 0.0])
+    y = np.array([1.0, 0.0])
+    z = np.array([0.5, 0.0])
     with pytest.raises(InconsistencyError):
-        haugazeau_update(x0, y, z)
+        haugazeau_update(x0, y, z, 1)
 
 
 def test_haugazeau_matches_projection_oracle():
@@ -120,9 +120,7 @@ def test_haugazeau_matches_projection_oracle():
         d = int(rng.integers(2, 7))
         split = max(1, d // 2)
         x0, y, z = rng.normal(size=(3, d))
-        as_pt = lambda v: point([v[:split]], [v[split:]])
-        q = haugazeau_update(as_pt(x0), as_pt(y), as_pt(z))
-        got = q.data
+        got = haugazeau_update(x0, y, z, split)
         n1, o1 = x0 - y, float(np.dot(y, x0 - y))
         n2, o2 = y - z, float(np.dot(z, y - z))
         ref = project_intersection_two_halfspaces(x0, (n1, o1), (n2, o2))
@@ -663,7 +661,7 @@ def test_a_negative_exact_tol_skips_the_exact_point_test(monkeypatch):
     # no norm can pass it, so neither the candidate pair nor its norms are built
     def exact_point_test(*args):
         raise AssertionError("the exact-point test ran")
-    monkeypatch.setattr(ps.engine, "normal_vanishes", exact_point_test)
+    monkeypatch.setattr(ps.engine, "detect_exact_solution", exact_point_test)
     result = ps.run(random_problem(3), ps.SolverConfig(max_iter=5, resid_tol=0.0, exact_tol=-1.0))
     assert (result.status, result.iterations) == ("max_iter", 5)
     with pytest.raises(AssertionError, match="exact-point test"):

@@ -7,9 +7,10 @@ from pdsplit.errors import InconsistencyError, InvariantViolation
 from pdsplit.operators import resolvent
 from pdsplit.schedule import synchronous
 
-from conftest import (PROX_REPRESENTABLE, function_value, make_linear_primal_problem,
-                      make_scalar_problem, point, random_registry_op)
-from oracle import (check_step, closed_form_Z_box, grid_minimize,
+from conftest import (PROX_REPRESENTABLE, function_value, make_lasso_problem,
+                      make_linear_primal_problem, make_scalar_problem, point,
+                      random_blocksparse_problem, random_registry_op)
+from oracle import (check_step, closed_form_Z_box, grid_minimize, lagged_reference_run,
                     project_intersection_two_halfspaces)
 
 
@@ -179,3 +180,38 @@ def test_check_step_catches_each_broken_guarantee(make, mode, start, corrupt, me
     check_step(state, before, 0)
     with pytest.raises(InvariantViolation, match=message):
         check_step(state, corrupt(state, before), 0)
+
+
+def _scaled_theta(project):
+    def mutant(z, normal, *args):
+        theta, nxt = project(z, normal, *args)
+        theta *= 1.0 + 1e-13
+        return theta, z if nxt is z else z - theta * normal
+    return mutant
+
+
+def _scaled_level(build):
+    def mutant(*args):
+        normal, level, tau, raw = build(*args)
+        return normal, level * (1.0 + 1e-13), tau, raw
+    return mutant
+
+
+@pytest.mark.parametrize("case", ["lasso-haugazeau", "lagged-fejer"])
+def test_the_reference_catches_a_last_bit_change_in_the_coordination_step(monkeypatch, case):
+    # the reference computes the half-space, the projection and the anchored update itself;
+    # while it called the engine's own routines, these mutations passed every comparison
+    if case == "lasso-haugazeau":
+        prob, mode, sched = make_lasso_problem(), "haugazeau", synchronous(1, 1)
+    else:
+        prob, mode = random_blocksparse_problem(3), "fejer"
+        sched = ps.random_admissible(prob.m, prob.p, M=3, D=4, horizon=64, seed=3)
+    cfg = ps.SolverConfig(mode=mode, max_iter=60, resid_tol=0.0, exact_tol=-1.0)
+    ref, final, _ = lagged_reference_run(prob, cfg, sched, cfg.max_iter)
+    res = ps.run(prob, cfg, sched)
+    assert res.trace == ref and np.array_equal(res.final.data, final.data)
+    for name, mutate in (("project_halfspace", _scaled_theta),
+                         ("build_separator", _scaled_level)):
+        with monkeypatch.context() as patch:
+            patch.setattr(ps.engine, name, mutate(getattr(ps.engine, name)))
+            assert ps.run(prob, cfg, sched).trace != ref, name

@@ -86,6 +86,21 @@ def test_periodic_sawtooth_lags():
     assert max(lags) == 3
 
 
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: periodic(2, 2, 1.5, 10), "group_size must be an integer, got 1.5",
+                 id="periodic-float"),  # was a bare TypeError
+    pytest.param(lambda: periodic(2, 2, 1, True), "horizon must be an integer, got True",
+                 id="periodic-bool"),
+    pytest.param(lambda: random_admissible(2, 2, 2.5, 1, 10, 0), "M must be an integer, got 2.5",
+                 id="random-float"),  # was an AssertionError that blamed the generator
+    pytest.param(lambda: random_admissible(2, 2, 2, False, 10, 0),
+                 "D must be an integer, got False", id="random-bool"),
+])
+def test_generators_name_a_count_that_is_not_an_integer(make, message):
+    with pytest.raises(ps.ConfigError, match=f"^{message}$"):
+        make()
+
+
 def test_random_admissible_deterministic():
     a = random_admissible(3, 2, M=3, D=4, horizon=64, seed=11)
     b = random_admissible(3, 2, M=3, D=4, horizon=64, seed=11)

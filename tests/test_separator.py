@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit.blockspace import pd_inner, pd_norm
+from pdsplit.blockspace import flat_inner, pd_norm
 from pdsplit.errors import ConfigError, DimensionError
 from pdsplit.operators import resolvent
 from pdsplit.separator import (build_projector, build_separator, detect_exact_solution,
                                halfspace_violation, kt_residual, project_halfspace)
 
-from conftest import (graph_table, make_lasso_problem, make_linear_primal_problem,
-                      make_scalar_problem, point)
+from conftest import (OVERFLOW_POINT, graph_table, make_lasso_problem, make_linear_primal_problem,
+                      make_overflow_problem, make_scalar_problem, point)
 from oracle import GraphPoint
 
 
@@ -84,7 +84,8 @@ def test_projection_properties(proj, sig):
         u, v = sample(), sample()
         pu, pv = proj.project(u), proj.project(v)
         assert pd_norm(proj.project(pu) - pu) <= 1e-10
-        assert abs(pd_inner(pu, v) - pd_inner(u, pv)) <= 1e-10
+        split = pu.x.data.size
+        assert abs(flat_inner(pu.data, v.data, split) - flat_inner(u.data, pv.data, split)) <= 1e-10
         assert pd_norm(pu) <= pd_norm(u) + 1e-10
 
 
@@ -124,17 +125,17 @@ def test_build_separator_hand_example():
     prob = scalar_problem()
     a = [GraphPoint(np.zeros(1), np.zeros(1))]
     b = [GraphPoint(np.array([1.0]), np.array([1.0]))]
-    sep, raw = build_separator(graph_table(a, b), prob)
-    assert raw.x.blocks[0][0] == 1.0 and raw.v_star.blocks[0][0] == 1.0
-    assert sep.level == 1.0 and sep.norm_sq == 2.0
+    _, level, norm_sq, raw = build_separator(graph_table(a, b), prob)
+    assert raw[0] == 1.0 and raw[1] == 1.0
+    assert level == 1.0 and norm_sq == 2.0
 
 
 def test_build_separator_zero_points():
     prob = scalar_problem()
     gp = [GraphPoint(np.zeros(1), np.zeros(1))]
-    sep, raw = build_separator(graph_table(gp, gp), prob)
-    assert sep.level == 0.0 and sep.norm_sq == 0.0
-    assert pd_norm(raw) == 0.0
+    _, level, norm_sq, raw = build_separator(graph_table(gp, gp), prob)
+    assert level == 0.0 and norm_sq == 0.0
+    assert flat_inner(raw, raw, 1) == 0.0
 
 
 def test_separator_never_cuts_fixture():
@@ -148,8 +149,8 @@ def test_separator_never_cuts_fixture():
         a = [GraphPoint(a_pt, np.array([ua]) - a_pt)]
         b_pt = resolvent(prob.B_ops[0], 1.0, np.array([ub]))
         b = [GraphPoint(b_pt, np.array([ub]) - b_pt)]
-        sep, _ = build_separator(graph_table(a, b), prob)
-        gap = pd_inner(z, sep.normal) - sep.level
+        normal, level, _, _ = build_separator(graph_table(a, b), prob)
+        gap = flat_inner(z.data, normal, 1) - level
         assert gap <= 1e-10
 
 
@@ -161,18 +162,20 @@ def test_separator_normal_lies_on_subspace():
         ub = rng.normal(size=2) * 3
         a_pt = resolvent(prob.A_ops[0], 1.0, ua)
         b_pt = resolvent(prob.B_ops[0], 1.0, ub)
-        sep, _ = build_separator(graph_table([GraphPoint(a_pt, ua - a_pt)],
-                                             [GraphPoint(b_pt, ub - b_pt)]), prob)
-        assert prob.projector.residual(sep.normal) <= 1e-10
-        assert abs(sep.norm_sq - pd_norm(sep.normal) ** 2) <= 1e-12 * (1 + sep.norm_sq)
+        graph = graph_table([GraphPoint(a_pt, ua - a_pt)], [GraphPoint(b_pt, ub - b_pt)])
+        normal, _, norm_sq, _ = build_separator(graph, prob)
+        normal = graph.pair(normal[:graph.a.size], normal[graph.a.size:])
+        assert prob.projector.residual(normal) <= 1e-10
+        assert abs(norm_sq - pd_norm(normal) ** 2) <= 1e-12 * (1 + norm_sq)
 
 
 def test_detect_exact_solution():
+    # its arguments are the squared norms of the raw normal and of the candidate
     zero_pt = point([[0.0]], [[0.0]])
     candidate = point([[0.0]], [[0.0]])
-    assert detect_exact_solution(zero_pt, candidate, 1e-14) is candidate
+    assert detect_exact_solution(pd_norm(zero_pt) ** 2, pd_norm(candidate) ** 2, 1e-14) is True
     one = point([[1.0]], [[0.0]])
-    assert detect_exact_solution(one, candidate, 1e-9) is None
+    assert detect_exact_solution(pd_norm(one) ** 2, pd_norm(candidate) ** 2, 1e-9) is False
     # on the scalar fixture, zero graph points certify the solution (0, 0)
     prob = scalar_problem()
     res = kt_residual(prob, candidate)
@@ -182,48 +185,55 @@ def test_detect_exact_solution():
 # --- half-space projection -------------------------------------------------
 
 def _sep(tstar, t, level, norm_sq):
-    return ps.Separator(point([[tstar]], [[t]]), level, norm_sq)
+    """A half-space {<u, normal> <= level} of the scalar space, as build_separator gives it."""
+    return np.array([tstar, t]), level, norm_sq
+
+
+def _project(cur, sep, lam):
+    normal, level, norm_sq = sep
+    violation = halfspace_violation(cur.data, normal, level, 1)
+    return project_halfspace(cur.data, normal, level, norm_sq, violation, lam, 1e-14)
 
 
 def test_project_halfspace_no_violation():
     sep = _sep(1.0, 1.0, 10.0, 2.0)
     cur = point([[1.0]], [[1.0]])
-    theta, nxt = project_halfspace(cur, sep, 1.0)
-    assert theta == 0.0 and nxt is cur
+    theta, nxt = _project(cur, sep, 1.0)
+    assert theta == 0.0 and nxt is cur.data
 
 
 def test_project_halfspace_example():
     sep = _sep(1.0, 1.0, 1.0, 2.0)
     cur = point([[2.0]], [[0.0]])
-    theta, nxt = project_halfspace(cur, sep, 1.0)
+    theta, nxt = _project(cur, sep, 1.0)
     assert theta == 0.5
-    assert nxt.x.blocks[0][0] == 1.5 and nxt.v_star.blocks[0][0] == -0.5
+    assert nxt[0] == 1.5 and nxt[1] == -0.5
     # lam = 1 lands exactly on the boundary
-    boundary = pd_inner(nxt, sep.normal)
-    assert abs(boundary - sep.level) <= 1e-9 * (1 + abs(sep.level))
+    boundary = flat_inner(nxt, sep[0], 1)
+    assert abs(boundary - sep[1]) <= 1e-9 * (1 + abs(sep[1]))
 
 
 def test_project_halfspace_overshoot():
     sep = _sep(1.0, 1.0, 1.0, 2.0)
     cur = point([[2.0]], [[0.0]])
-    theta, nxt = project_halfspace(cur, sep, 2.0)
+    theta, nxt = _project(cur, sep, 2.0)
     assert theta == 1.0
-    assert nxt.x.blocks[0][0] == 1.0 and nxt.v_star.blocks[0][0] == -1.0
-    inside = pd_inner(nxt, sep.normal)
-    assert inside < sep.level  # reflection lands strictly inside
+    assert nxt[0] == 1.0 and nxt[1] == -1.0
+    inside = flat_inner(nxt, sep[0], 1)
+    assert inside < sep[1]  # reflection lands strictly inside
 
 
 def test_project_halfspace_zero_normal():
     sep = _sep(0.0, 0.0, 0.0, 0.0)
     cur = point([[5.0]], [[5.0]])
-    theta, nxt = project_halfspace(cur, sep, 1.9)
-    assert theta == 0.0 and nxt is cur
+    theta, nxt = _project(cur, sep, 1.9)
+    assert theta == 0.0 and nxt is cur.data
 
 
 def test_halfspace_violation_value():
-    sep = _sep(1.0, 1.0, 1.0, 2.0)
-    assert halfspace_violation(point([[2.0]], [[0.0]]), sep) == 1.0
-    assert halfspace_violation(point([[0.0]], [[0.0]]), sep) == 0.0
+    normal, level, _ = _sep(1.0, 1.0, 1.0, 2.0)
+    assert halfspace_violation(point([[2.0]], [[0.0]]).data, normal, level, 1) == 1.0
+    assert halfspace_violation(point([[0.0]], [[0.0]]).data, normal, level, 1) == 0.0
 
 
 # --- solution residuals ----------------------------------------------------
@@ -245,6 +255,22 @@ def test_kt_residual_lasso_solution():
     prob = make_lasso_problem()
     res = kt_residual(prob, point([[1.0, 0.0]], [[-1.0, -1.0]]))
     assert res.max <= 1e-12
+
+
+def test_a_nan_kt_residual_is_the_max_and_the_worst():
+    # Python's max drops a NaN that is not first, so the max read 0.0 here
+    res = kt_residual(make_overflow_problem(), OVERFLOW_POINT)
+    assert res.primal == (0.0, 0.0) and math.isnan(res.dual[0])
+    assert math.isnan(res.max) and res.describe_worst() == "dual condition 0"
+    res = ps.KTResidual((0.5, math.nan), (math.nan, 2.0))
+    assert math.isnan(res.max) and res.describe_worst() == "primal condition 1"
+    assert ps.KTResidual((0.5,), (2.0, 1.0)).describe_worst() == "dual condition 0"
+
+
+def test_a_fixture_with_a_nan_kt_residual_is_rejected():
+    with pytest.raises(ConfigError, match=r"^known_Z_points\[0\] fails the solution conditions: "
+                                          r"max residual nan \(dual condition 0\)$"):
+        make_overflow_problem(known_Z_points=[OVERFLOW_POINT])
 
 
 # --- problem validation ------------------------------------------------------
