@@ -28,8 +28,8 @@ import numpy as np
 from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, block_rows,
                          flat_inner, rows_owned)
 from .errors import ConfigError, InconsistencyError, PdsplitError
-from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal, row_dots,
-                        stacked_parameters, stacked_resolvent)
+from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal,
+                        operator_groups, row_dots, stacked_resolvent)
 from .schedule import ControlSchedule, LagBuffer, at_least, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
@@ -177,12 +177,7 @@ class _Side(NamedTuple):
 
 
 def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
-    members: dict[tuple[str, int], list[int]] = {}
-    for j, op in enumerate(ops):
-        members.setdefault((op.kind, op.dim), []).append(j)
-    groups = [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]),
-               np.add.outer([slices[j].start for j in js], np.arange(dim)))
-              for (kind, dim), js in members.items()]
+    groups = operator_groups(ops, slices, steps)
     return _Side(read, tuple(ops), slices, offset.data,
                  np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups,
                  [np.array(js) for _, js, _, _ in groups],
@@ -271,8 +266,8 @@ class _PerturbState:
 
     def __init__(self, rule: PerturbationRule, budget: InexactnessBudget, sides: tuple):
         self.rng, self.scale, self.budget = np.random.default_rng(rule.seed), rule.scale, budget
-        self.unit = [[stacked_parameters([side.ops[j] for j in js], [1.0] * len(js))
-                      for _, js, _, _ in side.groups] for side in sides]
+        self.unit = [[unit for _, _, unit, _ in operator_groups(side.ops, side.slices)]
+                     for side in sides]
         self.accepted = self.rejected = 0
 
     def draw(self, side: _Side, active: Sequence[int]) -> np.ndarray:

@@ -162,6 +162,19 @@ def stacked_parameters(ops, gammas) -> tuple:
     return tuple(map(np.array, zip(*map(_parameters, ops, gammas))))
 
 
+def operator_groups(ops, slices, steps=None) -> list:
+    """The operators grouped by (kind, dim), in order of first appearance: per group its kind,
+    its members' indices, their stacked parameters at their steps (at 1 if steps is None), and
+    their coordinates in a flat array that slices cut into blocks, one row per member."""
+    members: dict[tuple[str, int], list[int]] = {}
+    for j, op in enumerate(ops):
+        members.setdefault((op.kind, op.dim), []).append(j)
+    return [(kind, js, stacked_parameters([ops[j] for j in js],
+                                          [1.0 if steps is None else steps[j] for j in js]),
+             np.add.outer([slices[j].start for j in js], np.arange(dim)))
+            for (kind, dim), js in members.items()]
+
+
 def stacked_resolvent(kind: str, params: tuple, u: np.ndarray) -> np.ndarray:
     """Row j of u through the resolvent with row j of params (one resolvent if unstacked)."""
     if kind == "zero":
@@ -177,6 +190,8 @@ def stacked_resolvent(kind: str, params: tuple, u: np.ndarray) -> np.ndarray:
         raise NumericalError(f"resolvent solve failed for kind {kind!r}: {exc}") from exc
 
 
+# No package code calls the per-block resolvent.  It stays as documented API, and because
+# perfbench's problem generator imports it and its tracer patches it.
 def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
     """Evaluate (Id + gamma*Op)^{-1} at u.
 
@@ -188,15 +203,6 @@ def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
     if u.shape != (op.dim,):
         raise DimensionError(f"resolvent input has shape {u.shape}, expected ({op.dim},)")
     return stacked_resolvent(op.kind, _parameters(op, gamma), u)
-
-
-def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> float:
-    """Distance of (point, dual) from the operator graph, via the resolvent test.
-
-    dual in Op(point) iff point = resolvent(op, 1, point + dual).
-    """
-    d = point - resolvent(op, 1.0, point + dual)
-    return math.sqrt(float(d @ d))  # what np.linalg.norm computes, without its overhead
 
 
 @dataclass(frozen=True)
@@ -229,12 +235,11 @@ def row_dots(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(u[:, None, :], w[:, :, None])[:, 0, 0]
 
 
-def _off_graph(kind: str, unit: tuple, point: np.ndarray, dual: np.ndarray,
-               size: np.ndarray) -> np.ndarray:
-    """Per row: the resolvent test puts (point, dual) farther from the graph than
-    MEMBERSHIP_TOL * (1 + the norm of size's row); unit holds the step-1 parameters."""
+def graph_distance(kind: str, unit: tuple, point: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """Per row, the distance of (point, dual) from the group's operator graph by the resolvent
+    test: dual in Op(point) iff point = J(point + dual), J's parameters at step 1 in unit."""
     d = point - stacked_resolvent(kind, unit, point + dual)
-    return np.sqrt(row_dots(d, d)) > MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dots(size, size)))
+    return np.sqrt(row_dots(d, d))
 
 
 def inexact_primal(kind: str, unit: tuple, a: np.ndarray, a_dual: np.ndarray, x: np.ndarray,
@@ -249,7 +254,8 @@ def inexact_primal(kind: str, unit: tuple, a: np.ndarray, a_dual: np.ndarray, x:
       sigma-primal <x - a, e>  >= -sigma * ||x - a||^2
     """
     e, w, d = a + gamma * (a_dual + lstar) - x, a_dual + lstar, x - a
-    return ~(_off_graph(kind, unit, a, a_dual + z_star, a)
+    return ~((graph_distance(kind, unit, a, a_dual + z_star)
+              > MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dots(a, a))))
              | (np.sqrt(row_dots(e, e)) > budget.beta)
              | (row_dots(e, w) > budget.sigma * gamma[:, 0] * row_dots(w, w))
              | (row_dots(d, e) < -budget.sigma * row_dots(d, d)))
@@ -266,7 +272,8 @@ def inexact_dual(kind: str, unit: tuple, b: np.ndarray, b_dual: np.ndarray, l_k:
       zeta-dual    <f, b* - v*> <= zeta * mu * ||b* - v*||^2
     """
     f, d, w = b + mu * b_dual - l_k - mu * v_lag, l_k - b, b_dual - v_lag
-    return ~(_off_graph(kind, unit, b - r, b_dual, b)
+    return ~((graph_distance(kind, unit, b - r, b_dual)
+              > MEMBERSHIP_TOL * (1.0 + np.sqrt(row_dots(b, b))))
              | (np.sqrt(row_dots(f, f)) > budget.delta)
              | (row_dots(d, f) < -budget.zeta * row_dots(d, d))
              | (row_dots(f, w) > budget.zeta * mu[:, 0] * row_dots(w, w)))

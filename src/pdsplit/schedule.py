@@ -142,8 +142,6 @@ def at_least(*checks) -> None:
 
 
 def _lag_value(pattern: tuple, n: int) -> int:
-    if pattern[0] == "zero":
-        return n
     if pattern[0] == "constant":
         return max(0, n - pattern[1])
     return max(0, n - (n % (pattern[1] + 1)))  # sawtooth

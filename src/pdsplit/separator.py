@@ -18,7 +18,7 @@ import numpy as np
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, flat_inner,
                          pd_norm)
 from .errors import ConfigError, DimensionError
-from .operators import MonotoneOp, membership_residual
+from .operators import MonotoneOp, graph_distance, operator_groups
 
 SUBSPACE_VARIANTS = ("full", "nullspace", "linear_primal", "zero_sum_dual")
 
@@ -310,10 +310,14 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     problem.check_point(point, "point")
     L, sig = problem.coupling, problem.signature
     x, v = point.x.data, point.v_star.data
+    sides = []
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is reported, not warned
         lsv, lx = L.adjoint(v), L.forward(x)
-        primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl] - lsv[sl])
-                       for op, sl in zip(problem.A_ops, sig.primal_slices))
-        dual = tuple(membership_residual(op, lx[sl] - problem.r.data[sl], v[sl])
-                     for op, sl in zip(problem.B_ops, sig.dual_slices))
-    return KTResidual(primal, dual)
+        for ops, slices, args, duals in ((problem.A_ops, sig.primal_slices, x,
+                                          problem.z_star.data - lsv),
+                                         (problem.B_ops, sig.dual_slices, lx - problem.r.data, v)):
+            out = np.empty(len(ops))  # per operator, its blocks' distance from its graph
+            for kind, js, unit, at in operator_groups(ops, slices):
+                out[js] = graph_distance(kind, unit, args[at], duals[at])
+            sides.append(tuple(out.tolist()))
+    return KTResidual(*sides)

@@ -1,12 +1,13 @@
 """Independent verification machinery: brute-force minimizers, closed-form
-projections, the per-block graph points and inexactness checks, the
-coordination step written from the paper's formulas, buffer-free reference
-iterations, and the per-step invariant checker.
+projections, the per-block graph points, membership test, KT residual and
+inexactness checks, the coordination step written from the paper's formulas,
+buffer-free reference iterations, and the per-step invariant checker.
 
 The tests use it as an independent reference; the package itself does not.
-The per-block graph points and budget checks share no arithmetic with the
-engine's per-group routines: they evaluate one block at a time through the
-registry's resolvent and membership_residual.  The half-space, its
+The per-block graph points, membership test and budget checks share no
+arithmetic with the engine's and kt_residual's per-group routines: they
+evaluate one block at a time through the registry's resolvent, and the
+membership test is this module's own.  The half-space, its
 violation, the relaxed projection, the anchored update and the diagnostics
 row are this module's own, summed in the documented order (one dot per side,
 primal side first), so that they match the engine bit for bit.
@@ -25,10 +26,9 @@ from pdsplit import engine
 from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_norm
 from pdsplit.engine import EngineState, IterationRecord, RunResult, SolverConfig
 from pdsplit.errors import ConfigError, InconsistencyError, InvariantViolation
-from pdsplit.operators import (MEMBERSHIP_TOL, InexactnessBudget, MonotoneOp,
-                               membership_residual, resolvent)
+from pdsplit.operators import MEMBERSHIP_TOL, InexactnessBudget, MonotoneOp, resolvent
 from pdsplit.schedule import ControlSchedule, synchronous
-from pdsplit.separator import GraphTable, ProblemSpec
+from pdsplit.separator import GraphTable, KTResidual, ProblemSpec
 
 FEJER_TOL = 1e-10
 ANCHOR_TOL = 1e-10
@@ -138,6 +138,31 @@ class GraphPoint:
 
     point: np.ndarray
     dual: np.ndarray
+
+
+def membership_residual(op: MonotoneOp, point: np.ndarray, dual: np.ndarray) -> float:
+    """Distance of (point, dual) from the operator graph by the resolvent test, one block.
+
+    dual in Op(point) iff point = resolvent(op, 1, point + dual); the
+    distance is the norm of their difference, sqrt of its dot with itself.
+    """
+    d = point - resolvent(op, 1.0, point + dual)
+    return math.sqrt(float(d @ d))
+
+
+def reference_kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
+    """kt_residual block by block: membership_residual of (x_i, z*_i - (L* v*)_i) for each
+    primal operator and of ((L x)_k - r_k, v*_k) for each dual one, with L x and L* v* from the
+    coupling's full applies.  A NaN or infinite residual is returned, not warned."""
+    L, sig = problem.coupling, problem.signature
+    x, v = point.x.data, point.v_star.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        lsv, lx = L.adjoint(v), L.forward(x)
+        primal = tuple(membership_residual(op, x[sl], problem.z_star.data[sl] - lsv[sl])
+                       for op, sl in zip(problem.A_ops, sig.primal_slices))
+        dual = tuple(membership_residual(op, lx[sl] - problem.r.data[sl], v[sl])
+                     for op, sl in zip(problem.B_ops, sig.dual_slices))
+    return KTResidual(primal, dual)
 
 
 def graph_point_primal(op: MonotoneOp, z_star: np.ndarray, gamma: float,

@@ -20,6 +20,15 @@ def test_signature_validation():
         SpaceSignature((2, 0), (1,))
 
 
+@pytest.mark.parametrize("blocks, message", [
+    pytest.param([], "a block vector needs at least one block", id="no-blocks"),
+    pytest.param([[0.0, 1.0], [[1.0]]], r"block 1 is not a vector \(ndim=2\)", id="matrix-block"),
+])
+def test_block_vector_rejects_a_malformed_family(blocks, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        BlockVector(blocks)
+
+
 def test_forward_zero_map():
     sig = SpaceSignature((2,), (3,))
     L = CouplingMap(sig, {})
@@ -180,7 +189,7 @@ def test_coupling_copy_owns_its_stacks():
     assert copy.entries[(1, 0)].base is copy.entries[(0, 0)].base
     # the index tables never change, so the copy shares them
     assert all(getattr(copy, name) is getattr(L, name) for name in ("_keys", "_coords", "_at",
-                                                                      "_rows", "_per_block"))
+                                                                      "_rows"))
 
 
 def test_coupling_blocks_are_views_into_one_stack_per_shape():

@@ -316,6 +316,59 @@ def test_run_rejects_non_finite_problem_data(workdir, tmp_path, capsys, path, ba
     assert "non-finite" in err and "Traceback" not in err
 
 
+def _fields(**fields):
+    def edit(data):
+        data.update(fields)
+    return edit
+
+
+_TWO_PRIMAL = {"primal_dims": [1, 1], "dual_dims": [1]}
+
+
+@pytest.mark.parametrize("problem, config, message", [
+    pytest.param(_fields(subspace={"variant": "nullspace", "C": [[1.0]]}), None,
+                 "nullspace matrix has 1 columns, expected 2", id="nullspace-columns"),
+    pytest.param(_fields(signature=_TWO_PRIMAL, A_ops=[{"kind": "zero", "dim": 1}] * 2,
+                         z_star=[[0.0], [0.0]], known_Z_points=[],
+                         subspace={"variant": "linear_primal", "A1": [[1.0]]}), None,
+                 "linear_primal subspace requires a single primal block", id="linear-two-blocks"),
+    pytest.param(_fields(subspace={"variant": "linear_primal", "A1": [[1.0, 0.0], [0.0, 1.0]]}),
+                 None, "A1 has shape (2, 2), expected (1, 1)", id="A1-shape"),
+    pytest.param(_fields(A_ops=[{"kind": "quadratic", "Q": [[1.0]]}],
+                         subspace={"variant": "linear_primal", "A1": [[2.0]]}), None,
+                 "subspace matrix A1 does not match the primal operator", id="A1-mismatch"),
+    pytest.param(_fields(A_ops=[{"kind": "l1_norm", "dim": 1}] * 2), None,
+                 "2 primal operators for 1 blocks", id="operator-count"),
+    pytest.param(_fields(z_star=[[0.0, 0.0]]), None, "z_star dims (2,) != (1,)", id="z_star-dims"),
+    pytest.param(_fields(r=[[0.0], [0.0]]), None, "r dims (1, 1) != (1,)", id="r-dims"),
+    pytest.param(_fields(A_ops=[{"kind": "zero", "dim": 1}],
+                         B_ops=[{"kind": "normal_cone_box", "lo": [-1.0], "hi": [1.0]}],
+                         known_Z_points=[{"x": [[0.5]], "v_star": [[0.0]]}],
+                         subspace={"variant": "nullspace", "C": [[1.0, 0.0]]}), None,
+                 "known_Z_points[0] lies off the subspace (residual 5.000e-01)",
+                 id="fixture-off-subspace"),
+    pytest.param(_fields(A_ops=[{"kind": "box_indicator", "lo": [0.0, 0.0], "hi": [1.0]}]), None,
+                 "box_indicator hi has shape (1,), expected (2,)", id="box-bound-shape"),
+    pytest.param(_fields(B_ops=[{"kind": "normal_cone_box", "lo": [1.0], "hi": [0.0]}]), None,
+                 "box bounds must satisfy lo <= hi coordinatewise", id="box-lo-above-hi"),
+    pytest.param(_fields(A_ops=[{"kind": "quadratic", "Q": [[1.0, 0.0]]}]), None,
+                 "Q must be square, got (1, 2)", id="quadratic-not-square"),
+    pytest.param(_fields(B_ops=[{"kind": "affine_monotone", "M": [[1.0, 0.0]]}]), None,
+                 "M must be square, got (1, 2)", id="affine-not-square"),
+    pytest.param(_fields(z_star=[]), None, "a block vector needs at least one block",
+                 id="no-blocks"),
+    pytest.param(None, _fields(perturbation={"seed": 1, "scale": 0.25}),
+                 "perturbation injection requires an inexactness budget",
+                 id="perturbation-without-budget"),
+])
+def test_run_rejects_invalid_problem_or_config_data(workdir, tmp_path, capsys, problem, config,
+                                                    message):
+    assert _run_with(workdir, tmp_path, problem, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f" {message}\n") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("path, bad", [
     (("start", "x"), [[math.nan]]),
     (("start", "v_star"), [[math.inf]]),
@@ -377,6 +430,47 @@ def test_compare_undecodable_trace_is_a_schema_error(workdir, capsys):
                  "--trace-b", str(workdir / "bad.csv"), "--tol", "1e-6"])
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and "bad.csv" in err
+
+
+def _compare(a, b, tol):
+    return main(["compare", "--trace-a", str(a), "--trace-b", str(b), "--tol", tol])
+
+
+def test_compare_reports_length_and_header_mismatches(workdir, capsys):
+    from pdsplit.engine import IterationRecord
+    recs = [IterationRecord(n, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, (0.25,)) for n in range(3)]
+    fileio.write_trace(recs, workdir / "a.csv")
+    text = (workdir / "a.csv").read_bytes()
+    (workdir / "a_blank.csv").write_bytes(text + b"\n")  # one trailing empty line more
+    fileio.write_trace(recs[:2], workdir / "short.csv")
+    fileio.write_trace([IterationRecord(n, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())
+                        for n in range(3)], workdir / "no_dist.csv")
+    capsys.readouterr()
+    assert _compare(workdir / "a.csv", workdir / "a_blank.csv", "0") == 3
+    assert capsys.readouterr().out == "diverges at row 5: length mismatch\n"  # header, 3 rows, ""
+    assert _compare(workdir / "a.csv", workdir / "a_blank.csv", "1e-9") == 0  # no row is empty
+    capsys.readouterr()
+    assert _compare(workdir / "a.csv", workdir / "no_dist.csv", "1e-9") == 3
+    assert capsys.readouterr().out == "diverges at row 0: header mismatch\n"
+    assert _compare(workdir / "a.csv", workdir / "short.csv", "1e-9") == 3
+    assert capsys.readouterr().out == "diverges at row 3: length mismatch\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"", "empty trace file", id="empty"),
+    pytest.param(b"n,theta\n0,0.5\n1\n", "row 2 has 1 cells, header has 2", id="ragged-row"),
+    pytest.param(b"n,theta\n0,x\n", "row 1: could not convert string to float: 'x'",
+                 id="non-number-cell"),
+])
+def test_compare_a_malformed_trace_exits_one_at_a_tolerance_and_three_at_zero(workdir, capsys,
+                                                                             content, message):
+    (workdir / "good.csv").write_bytes(b"n,theta\n0,0.5\n")
+    (workdir / "bad.csv").write_bytes(content)
+    assert _compare(workdir / "good.csv", workdir / "bad.csv", "1e-6") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {workdir / 'bad.csv'}: {message}\n"
+    assert _compare(workdir / "good.csv", workdir / "bad.csv", "0") == 3  # any byte difference
+    assert capsys.readouterr().out.startswith("diverges at row ")
 
 
 # --- the streamed trace -------------------------------------------------------

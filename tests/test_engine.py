@@ -360,6 +360,8 @@ def test_config_validation_bounds(l1_identity_problem):
     pytest.param(dict(inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
                       perturbation=ps.PerturbationRule(seed=1, scale=math.nan)),
                  id="nan-perturbation-scale"),
+    pytest.param(dict(perturbation=ps.PerturbationRule(seed=1, scale=0.25)),
+                 id="perturbation-without-budget"),
 ])
 def test_bad_config_values_raise_config_error(l1_identity_problem, fields):
     with pytest.raises(ConfigError):

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdsplit as ps
-from pdsplit.errors import ConfigError
-from pdsplit.operators import (InexactnessBudget, _check_sym_psd, inexact_dual, inexact_primal,
-                               membership_residual, resolvent, stacked_parameters,
-                               stacked_resolvent)
+from pdsplit.errors import ConfigError, DimensionError
+from pdsplit.operators import (InexactnessBudget, MonotoneOp, _check_sym_psd, inexact_dual,
+                               inexact_primal, resolvent, stacked_parameters, stacked_resolvent)
 
 from conftest import KINDS, PROX_REPRESENTABLE, function_value, registry_op
 from oracle import (GraphPoint, graph_point_dual, graph_point_primal, grid_minimize,
-                    validate_inexact_dual, validate_inexact_primal)
+                    membership_residual, validate_inexact_dual, validate_inexact_primal)
 
 
 def _registry_sample(rng, dim):
@@ -105,6 +104,25 @@ def test_a_quadratic_whose_asymmetry_overflows_is_not_symmetric():
     # Q - Q' overflows to inf, which is asymmetric too; it used to warn, not raise
     with pytest.raises(ConfigError, match="^quadratic Q is not symmetric"):
         ps.quadratic([[0.0, 1e308], [-1e308, 0.0]])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: ps.box_indicator([0.0, 0.0], [1.0]), DimensionError,
+                 r"box_indicator hi has shape \(1,\), expected \(2,\)", id="box-bound-shape"),
+    pytest.param(lambda: ps.normal_cone_box([1.0], [0.0]), ConfigError,
+                 "box bounds must satisfy lo <= hi coordinatewise", id="box-lo-above-hi"),
+    pytest.param(lambda: ps.quadratic([[1.0, 0.0]]), DimensionError,
+                 r"Q must be square, got \(1, 2\)", id="quadratic-not-square"),
+    pytest.param(lambda: ps.affine_monotone([[1.0, 0.0]]), DimensionError,
+                 r"M must be square, got \(1, 2\)", id="affine-not-square"),
+    pytest.param(lambda: resolvent(MonotoneOp("cubic", 1, {}), 1.0, np.zeros(1)), ConfigError,
+                 "unknown operator kind 'cubic'", id="unknown-kind"),
+    pytest.param(lambda: resolvent(ps.zero(2), 1.0, np.zeros(3)), DimensionError,
+                 r"resolvent input has shape \(3,\), expected \(2,\)", id="resolvent-input"),
+])
+def test_operator_rejections_name_their_error(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 def test_psd_check_rejects_a_nan_eigenvalue():

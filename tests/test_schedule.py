@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdsplit as ps
-from pdsplit.schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,
+from pdsplit import fileio
+from pdsplit.cli import main
+from pdsplit.schedule import (CertResult, ControlSchedule, LagBuffer, periodic, random_admissible,
                               synchronous, validate)
 
 from conftest import point
@@ -187,6 +191,19 @@ def test_lag_buffer_window():
         buf.get(10)
 
 
+def test_lag_buffer_rejects_a_negative_depth():
+    with pytest.raises(ps.ConfigError, match=r"^buffer depth must be >= 0, got -1$"):
+        LagBuffer(-1, point([[0.0]], [[0.0]]))
+
+
+@pytest.mark.parametrize("pattern", [("constant",), ("sawtooth", 1, 2), ("linear", 1), (),
+                                     "zero", None])
+def test_periodic_rejects_a_malformed_lag_pattern(pattern):
+    with pytest.raises(ps.ConfigError,
+                       match=rf"^unknown or malformed lag pattern {re.escape(repr(pattern))}$"):
+        periodic(2, 2, group_size=1, horizon=8, lag_pattern=pattern)
+
+
 def test_lag_buffer_push_order():
     buf = LagBuffer(2, point([[0.0]], [[0.0]]))
     with pytest.raises(ps.ConfigError):
@@ -280,3 +297,27 @@ def test_validate_reports_the_first_window_and_primal_first():
     cert = validate(s, 2, 2)
     assert cert == _validate_by_windows(s, 2, 2)
     assert (cert.reason, cert.at) == ("window of 3 misses dual blocks", 1)
+
+
+@pytest.mark.parametrize("fields, reason, at", [
+    pytest.param(dict(M=0), "M must be >= 1, got 0", None, id="M-below-one"),
+    pytest.param(dict(I_seq=[(0, 1)] * 3), "activation sequences do not match the horizon", None,
+                 id="short-I_seq"),
+    pytest.param(dict(K_seq=[(0,)] * 5), "activation sequences do not match the horizon", None,
+                 id="long-K_seq"),
+    pytest.param(dict(c={(2, 1): 1}), "primal lag entry (2,1) out of range", 1,
+                 id="lag-block-out-of-range"),
+    pytest.param(dict(d={(0, 4): 4}), "dual lag entry (0,4) out of range", 4,
+                 id="lag-past-the-horizon"),
+    pytest.param(dict(c={(1, 2): 3}, D=1), "lag points into the future", 2,
+                 id="lag-reads-a-later-iterate"),
+])
+def test_validate_rejects_malformed_schedules_in_python_and_from_a_file(tmp_path, capsys, fields,
+                                                                        reason, at):
+    s = ControlSchedule(**{**dict(horizon=4, I_seq=[(0, 1)] * 4, K_seq=[(0,)] * 4), **fields})
+    assert validate(s, 2, 1) == _validate_by_windows(s, 2, 1) == CertResult(False, reason, at)
+    fileio.write_schedule(s, tmp_path / "s.json")
+    code = main(["validate-schedule", "--schedule", str(tmp_path / "s.json"), "--m", "2",
+                 "--p", "1"])
+    where = "" if at is None else f" at n={at}"
+    assert code == 3 and capsys.readouterr().out == f"violation: {reason}{where}\n"

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from pdsplit.separator import (build_projector, build_separator, detect_exact_so
                                halfspace_violation, kt_residual, project_halfspace)
 
 from conftest import (OVERFLOW_POINT, graph_table, make_lasso_problem, make_linear_primal_problem,
-                      make_overflow_problem, make_scalar_problem, point)
-from oracle import GraphPoint
+                      make_overflow_problem, make_scalar_problem, point, random_blocksparse_problem,
+                      random_problem)
+from oracle import GraphPoint, reference_kt_residual
 
 
 def scalar_problem():
@@ -267,6 +269,39 @@ def test_a_nan_kt_residual_is_the_max_and_the_worst():
     assert ps.KTResidual((0.5,), (2.0, 1.0)).describe_worst() == "dual condition 0"
 
 
+def _kt_inputs():
+    """(problem, point) pairs: each fixture of random_problem seeds 0-39 and of a block-sparse
+    problem with several operator kinds per side, and seeded perturbations of each fixture at
+    three scales."""
+    rng = np.random.default_rng(18)
+    for prob in [random_problem(seed) for seed in range(40)] + [random_blocksparse_problem(5)]:
+        z = prob.known_Z_points[0]
+        yield prob, z
+        for scale in (1e-9, 1e-3, 1.0):
+            yield prob, z._like(z.data + scale * rng.normal(size=z.data.size))
+
+
+def _bits(res):
+    return np.array(res.primal).tobytes(), np.array(res.dual).tobytes()
+
+
+def test_kt_residual_matches_the_per_block_reference_bitwise():
+    kinds = set()
+    for prob, z in _kt_inputs():
+        got = kt_residual(prob, z)
+        assert _bits(got) == _bits(reference_kt_residual(prob, z))
+        assert all(type(value) is float for value in got.primal + got.dual)
+        kinds.update((side, op.kind) for side, ops in (("A", prob.A_ops), ("B", prob.B_ops))
+                     for op in ops)
+    assert len(kinds) == 5 + 6  # every kind random_problem draws, on each side
+    overflow = make_overflow_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NaN residual is reported, not warned
+        res = kt_residual(overflow, OVERFLOW_POINT)
+    assert _bits(res) == _bits(reference_kt_residual(overflow, OVERFLOW_POINT))
+    assert math.isnan(res.max) and all(type(v) is float for v in res.primal + res.dual)
+
+
 def test_a_fixture_with_a_nan_kt_residual_is_rejected():
     with pytest.raises(ConfigError, match=r"^known_Z_points\[0\] fails the solution conditions: "
                                           r"max residual nan \(dual condition 0\)$"):
@@ -292,6 +327,69 @@ def test_problem_rejects_non_finite_offsets_and_fixtures(name, bad):
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} has non-finite values"):
         ps.ProblemSpec(lasso.signature, lasso.A_ops, lasso.B_ops, lasso.coupling,
                        fields["z_star"], fields["r"], known_Z_points=[fields["known_Z_points[0]"]])
+
+
+def _scalar_fields(**changes):
+    """ProblemSpec's arguments for an l1 primal operator, the identity as the dual one, L = 1 and
+    zero offsets, with the given ones replaced."""
+    sig = ps.SpaceSignature((1,), (1,))
+    return {**dict(signature=sig, A_ops=[ps.l1_norm(1)], B_ops=[ps.affine_monotone([[1.0]])],
+                   coupling=ps.CouplingMap(sig, {(0, 0): [[1.0]]}), z_star=ps.BlockVector([[0.0]]),
+                   r=ps.BlockVector([[0.0]])), **changes}
+
+
+_TWO_PRIMAL = ps.SpaceSignature((1, 1), (1,))
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    pytest.param(dict(subspace=ps.SubspaceSpec("nullspace", C=[[1.0]])), DimensionError,
+                 "nullspace matrix has 1 columns, expected 2", id="nullspace-columns"),
+    pytest.param(dict(signature=_TWO_PRIMAL, A_ops=[ps.zero(1)] * 2,
+                      coupling=ps.CouplingMap(_TWO_PRIMAL, {(0, 0): [[1.0]]}),
+                      z_star=ps.BlockVector([[0.0], [0.0]]),
+                      subspace=ps.SubspaceSpec("linear_primal", A1=[[1.0]])), ConfigError,
+                 "linear_primal subspace requires a single primal block", id="linear-two-blocks"),
+    pytest.param(dict(subspace=ps.SubspaceSpec("linear_primal", A1=np.eye(2))), DimensionError,
+                 r"A1 has shape \(2, 2\), expected \(1, 1\)", id="A1-shape"),
+    pytest.param(dict(A_ops=[ps.quadratic([[1.0]])],
+                      subspace=ps.SubspaceSpec("linear_primal", A1=[[2.0]])), ConfigError,
+                 "subspace matrix A1 does not match the primal operator", id="A1-mismatch"),
+    pytest.param(dict(A_ops=[ps.l1_norm(1)] * 2), DimensionError,
+                 "2 primal operators for 1 blocks", id="operator-count"),
+    pytest.param(dict(coupling=ps.CouplingMap(_TWO_PRIMAL, {})), DimensionError,
+                 "coupling map signature differs from the problem signature", id="coupling"),
+    pytest.param(dict(z_star=ps.BlockVector([[0.0, 0.0]])), DimensionError,
+                 r"z_star dims \(2,\) != \(1,\)", id="z_star-dims"),
+    pytest.param(dict(r=ps.BlockVector([[0.0], [0.0]])), DimensionError,
+                 r"r dims \(1, 1\) != \(1,\)", id="r-dims"),
+    pytest.param(dict(A_ops=[ps.zero(1)], B_ops=[ps.normal_cone_box([-1.0], [1.0])],
+                      subspace=ps.SubspaceSpec("nullspace", C=[[1.0, 0.0]]),
+                      known_Z_points=[point([[0.5]], [[0.0]])]), ConfigError,
+                 r"known_Z_points\[0\] lies off the subspace \(residual 5.000e-01\)",
+                 id="fixture-off-subspace"),
+])
+def test_problem_rejections_name_their_error(changes, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        ps.ProblemSpec(**_scalar_fields(**changes))
+
+
+def test_linear_primal_requires_the_coupling_map():
+    with pytest.raises(ConfigError, match="^linear_primal subspace requires the coupling map$"):
+        build_projector(ps.SubspaceSpec("linear_primal", A1=[[1.0]]), ps.SpaceSignature((1,), (1,)))
+
+
+@pytest.mark.parametrize("A_op, A1", [
+    pytest.param(ps.zero(2), np.zeros((2, 2)), id="zero"),
+    pytest.param(ps.affine_monotone([[1.0, 2.0], [-2.0, 1.0]]), [[1.0, 2.0], [-2.0, 1.0]],
+                 id="affine_monotone"),
+])
+def test_linear_primal_accepts_a_zero_or_affine_linear_operator(A_op, A1):
+    sig = ps.SpaceSignature((2,), (2,))
+    prob = ps.ProblemSpec(**_scalar_fields(
+        signature=sig, A_ops=[A_op], B_ops=[ps.zero(2)],
+        coupling=ps.CouplingMap(sig, {(0, 0): np.eye(2)}), z_star=ps.BlockVector([[0.0, 0.0]]),
+        r=ps.BlockVector([[0.0, 0.0]]), subspace=ps.SubspaceSpec("linear_primal", A1=A1)))
+    assert prob.projector.variant == "linear_primal" and prob.projector.rowspace.shape == (2, 4)
 
 
 def test_problem_rejects_mismatched_ops():
