@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, integer, is_integer
 
 
 def _block_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
@@ -34,8 +34,9 @@ class SpaceSignature:
     dual_slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "primal_dims", tuple(map(int, self.primal_dims)))
-        object.__setattr__(self, "dual_dims", tuple(map(int, self.dual_dims)))
+        for name in ("primal_dims", "dual_dims"):
+            object.__setattr__(self, name, tuple(integer(f"{name}[{j}]", dim, DimensionError)
+                                                 for j, dim in enumerate(getattr(self, name))))
         if not self.primal_dims or not self.dual_dims:
             raise DimensionError("signature needs at least one primal and one dual block")
         if any(d < 1 for d in self.primal_dims + self.dual_dims):
@@ -156,6 +157,8 @@ class CouplingMap:
         p, m, ddims, pdims = sig.p, sig.m, sig.dual_dims, sig.primal_dims
         arrays: dict[tuple[int, int], np.ndarray] = {}
         for key, mat in entries.items():
+            if not (is_integer(key[0]) and is_integer(key[1])):
+                raise DimensionError(f"coupling entry {key!r}: its indices must be integers")
             k, i = int(key[0]), int(key[1])
             if not (0 <= k < p and 0 <= i < m):
                 raise DimensionError(f"coupling entry ({k},{i}) outside signature range")

@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import fileio
 from .engine import run
-from .errors import ConfigError, InconsistencyError, PdsplitError
-from .schedule import at_least, periodic, random_admissible, validate
+from .errors import ConfigError, PdsplitError
+from .schedule import LAG_PATTERNS, at_least, periodic, random_admissible, validate
 from .separator import kt_residual
 
 EXIT_OK = 0
@@ -112,7 +112,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gen_schedule(args) -> int:
     if args.type == "periodic":
-        lag = ("zero",) if args.lag_pattern == "zero" else (args.lag_pattern, args.lag_value)
+        lag = (args.lag_pattern, args.lag_value)[:2 if LAG_PATTERNS[args.lag_pattern][0] else 1]
         sched = periodic(args.m, args.p, args.group_size, args.horizon, lag)
     else:
         sched = random_admissible(args.m, args.p, args.M, args.D, args.horizon, args.seed)
@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p", type=int, required=True)
     p_gen.add_argument("--horizon", type=int, default=256)
     p_gen.add_argument("--group-size", type=int, default=1)
-    p_gen.add_argument("--lag-pattern", choices=("zero", "constant", "sawtooth"),
-                       default="zero")
+    p_gen.add_argument("--lag-pattern", choices=tuple(LAG_PATTERNS), default="zero")
     p_gen.add_argument("--lag-value", type=int, default=0)
     p_gen.add_argument("--M", type=int, default=1)
     p_gen.add_argument("--D", type=int, default=0)
@@ -184,9 +183,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InconsistencyError as exc:
-        print(f"inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
     except (PdsplitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

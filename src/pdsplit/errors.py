@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule that many of them enforce."""
+
+import numbers
 
 
 class PdsplitError(Exception):
@@ -27,3 +29,15 @@ class InconsistencyError(PdsplitError):
 
 class InvariantViolation(PdsplitError):
     """A per-step invariant check failed (raised by check_step in tests/oracle.py)."""
+
+
+def is_integer(value) -> bool:
+    """The integer rule for counts and indices: an integer, not a bool; numpy integers pass."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def integer(name: str, value, error: type = ConfigError) -> int:
+    """value as an int; an `error` naming `name` unless it follows the integer rule."""
+    if not is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -21,7 +21,7 @@ from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, SpaceSignatur
 from .engine import IterationRecord, PerturbationRule, SolverConfig
 from .errors import PdsplitError, SchemaError
 from .operators import InexactnessBudget, MonotoneOp
-from .schedule import ControlSchedule, periodic, random_admissible
+from .schedule import LAG_PATTERNS, ControlSchedule, periodic, random_admissible
 from .separator import ProblemSpec, SubspaceSpec
 
 PathLike = Union[str, Path]
@@ -50,9 +50,14 @@ def _write_json(obj, path: PathLike) -> None:
     Path(path).write_text(json.dumps(obj, indent=1) + "\n", encoding="utf-8")
 
 
-def _object(obj, where: str) -> dict:
+def _object(obj, where: str, fields=None, label: str = "", note: str = "") -> dict:
+    """obj once it is an object without a field outside `fields` (None: keys are data, as in a
+    lag table).  Every object of an input file is read through here, so a misspelt field fails."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = () if fields is None else obj.keys() - fields
+    if unknown:
+        raise SchemaError(f"{where}: unknown {label}fields {sorted(unknown)}{note}")
     return obj
 
 
@@ -140,9 +145,7 @@ def _op_from_dict(d: dict, where: str) -> MonotoneOp:
     if not isinstance(kind, str) or kind not in _OP_KINDS:
         raise SchemaError(f"{where}: unknown operator kind {kind!r}")
     make, required, optional = _OP_KINDS[kind]
-    unknown = set(d) - {"kind", "dim", *required, *optional}
-    if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)} for kind {kind!r}")
+    _object(d, where, ("kind", "dim", *required, *optional), note=f" for kind {kind!r}")
     with _parsing(where):
         if "dim" in d:
             _integer(d["dim"], where, "dim")
@@ -170,6 +173,7 @@ def _vector(data: dict, name: str, where: str) -> BlockVector:
 
 
 def _point_from_dict(d: dict, where: str) -> PrimalDualPoint:
+    _object(d, where, ("x", "v_star"))
     return PrimalDualPoint(_vector(d, "x", where), _vector(d, "v_star", where))
 
 
@@ -192,10 +196,12 @@ def problem_to_dict(spec: ProblemSpec) -> dict:
 
 
 def problem_from_dict(data: dict, where: str = "problem") -> ProblemSpec:
-    sig_d, loc = _need(data, "signature", where), f"{where}.signature"
+    _object(data, where, ("signature", "A_ops", "B_ops", "coupling", "z_star", "r", "subspace",
+                          "known_Z_points"))
+    loc, keys = f"{where}.signature", ("primal_dims", "dual_dims")
+    sig_d = _object(_need(data, "signature", where), loc, keys)
     with _parsing(loc):
-        signature = SpaceSignature(*(_ints(_need(sig_d, key, loc), loc, key)
-                                     for key in ("primal_dims", "dual_dims")))
+        signature = SpaceSignature(*(_ints(_need(sig_d, key, loc), loc, key) for key in keys))
     with _parsing(where):
         A_ops, B_ops = ([_op_from_dict(d, f"{where}.{side}[{j}]")
                          for j, d in enumerate(_need(data, side, where))]
@@ -204,9 +210,11 @@ def problem_from_dict(data: dict, where: str = "problem") -> ProblemSpec:
         for j, ent in enumerate(_need(data, "coupling", where)):
             loc = f"{where}.coupling[{j}]"
             with _parsing(loc):
+                _object(ent, loc, ("k", "i", "matrix"))
                 entries[(_int_field(ent, "k", loc), _int_field(ent, "i", loc))] = \
                     _finite(_need(ent, "matrix", loc), loc, "matrix")
-        sub_d = _object(data.get("subspace", {"variant": "full"}), f"{where}.subspace")
+        sub_d = _object(data.get("subspace", {"variant": "full"}), f"{where}.subspace",
+                        ("variant", "C", "A1"))
         subspace = SubspaceSpec(_need(sub_d, "variant", f"{where}.subspace"),
                                 **{key: _finite(sub_d[key], f"{where}.subspace", key)
                                    for key in ("C", "A1") if sub_d.get(key) is not None})
@@ -258,26 +266,27 @@ def _index(key: str, where: str) -> int:
     return int(key)
 
 
-_LAG_FIELDS = {"zero": None, "constant": "value", "sawtooth": "max"}
-
-
 def schedule_from_dict(data: dict, where: str = "schedule") -> ControlSchedule:
     gen = _object(data, where).get("type")
     with _parsing(where):
         if gen == "periodic":
+            keys = ("m", "p", "group_size", "horizon")
+            _object(data, where, ("type", "lag", *keys))
             pattern, loc = data.get("lag", {"pattern": "zero"}), f"{where}.lag"
             name = _need(pattern, "pattern", loc)
-            if name not in _LAG_FIELDS:
+            if name not in LAG_PATTERNS:
                 raise SchemaError(f"{loc}: unknown pattern {name!r}")
-            lag = (name,) if _LAG_FIELDS[name] is None \
-                else (name, _int_field(pattern, _LAG_FIELDS[name], loc))
-            return periodic(*(_int_field(data, key, where)
-                              for key in ("m", "p", "group_size", "horizon")), lag)
+            lag_key = LAG_PATTERNS[name][0]  # None for the zero pattern, and no field is None
+            _object(pattern, loc, ("pattern", lag_key))
+            lag = (name,) if lag_key is None else (name, _int_field(pattern, lag_key, loc))
+            return periodic(*(_int_field(data, key, where) for key in keys), lag)
         if gen == "random":
-            return random_admissible(*(_int_field(data, key, where)
-                                       for key in ("m", "p", "M", "D", "horizon", "seed")))
+            keys = ("m", "p", "M", "D", "horizon", "seed")
+            _object(data, where, ("type", *keys))
+            return random_admissible(*(_int_field(data, key, where) for key in keys))
         if gen is not None:
             raise SchemaError(f"{where}: unknown generator type {gen!r}")
+        _object(data, where, ("horizon", "I_seq", "K_seq", "c", "d", "M", "D"))
         return ControlSchedule(
             horizon=_int_field(data, "horizon", where),
             **{key: [_ints(s, where, f"{key}[{n}]") for n, s in enumerate(_need(data, key, where))]
@@ -301,18 +310,15 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 def config_from_dict(data: dict, where: str = "config") -> SolverConfig:
     """The config a file describes; its values are checked by SolverConfig.validate."""
-    unknown = set(_object(data, where)) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"{where}: unknown config fields {sorted(unknown)}")
-    kwargs = dict(data)
+    kwargs = dict(_object(data, where, _CONFIG_KEYS, label="config "))
     if data.get("start") is not None:
         kwargs["start"] = _point_from_dict(data["start"], f"{where}.start")
     for key, make in (("inexact", InexactnessBudget), ("perturbation", PerturbationRule)):
         if data.get(key) is not None:
-            loc = f"{where}.{key}"
+            loc, names = f"{where}.{key}", [f.name for f in dataclasses.fields(make)]
+            fields = _object(data[key], loc, names)
             with _parsing(loc):
-                kwargs[key] = make(*(_need(data[key], f.name, loc)
-                                     for f in dataclasses.fields(make)))
+                kwargs[key] = make(*(_need(fields, name, loc) for name in names))
     return SolverConfig(**kwargs)
 
 

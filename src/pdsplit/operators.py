@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalError
+from .errors import ConfigError, DimensionError, NumericalError, integer
 
 PSD_EIGENVALUE_FLOOR = -1e-10
 MEMBERSHIP_TOL = 1e-9  # a graph point is accepted within this times (1 + its norm)
@@ -89,7 +89,7 @@ def _check_sym_psd(S: np.ndarray, name: str) -> None:
 
 def zero(dim: int) -> MonotoneOp:
     """The zero operator; its resolvent is the identity."""
-    return MonotoneOp("zero", int(dim), {})
+    return MonotoneOp("zero", integer("zero dim", dim), {})
 
 
 def l1_norm(dim: int, weight: float = 1.0) -> MonotoneOp:
@@ -97,7 +97,7 @@ def l1_norm(dim: int, weight: float = 1.0) -> MonotoneOp:
     w = finite_number("l1_norm weight", weight)
     if w <= 0:
         raise ConfigError(f"l1_norm weight must be > 0, got {w}")
-    return MonotoneOp("l1_norm", int(dim), {"weight": w})
+    return MonotoneOp("l1_norm", integer("l1_norm dim", dim), {"weight": w})
 
 
 def _box(kind: str, lo, hi) -> MonotoneOp:

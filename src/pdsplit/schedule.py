@@ -14,13 +14,12 @@ window, which preserves certification.  Block indices are 0-based.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer, is_integer
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,10 @@ class ControlSchedule:
     D: int = 0
 
     def __post_init__(self) -> None:
-        self.I_seq = [tuple(sorted({int(i) for i in s})) for s in self.I_seq]
-        self.K_seq = [tuple(sorted({int(k) for k in s})) for s in self.K_seq]
+        self.I_seq, self.K_seq = (
+            [tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i) for i in s}))
+             for n, s in enumerate(seq)]  # a plain int skips the call
+            for name, seq in (("I_seq", self.I_seq), ("K_seq", self.K_seq)))
 
     def _tail_source(self, n: int) -> int:
         """Map an iteration beyond the horizon to its source in the tail window."""
@@ -81,15 +82,10 @@ class ControlSchedule:
 
 def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
     """Check a schedule against the certification conditions for (m, p) blocks."""
-    for name, count in (("m", m), ("p", p)):
-        if count < 1:
-            return CertResult(False, f"{name} must be >= 1, got {count}")
-    if s.M < 1:
-        return CertResult(False, f"M must be >= 1, got {s.M}")
-    if s.D < 0:
-        return CertResult(False, f"D must be >= 0, got {s.D}")
-    if s.horizon < 1:
-        return CertResult(False, f"horizon must be >= 1, got {s.horizon}")
+    try:
+        at_least(("m", m, 1), ("p", p, 1), ("M", s.M, 1), ("D", s.D, 0), ("horizon", s.horizon, 1))
+    except ConfigError as exc:
+        return CertResult(False, str(exc))
     if len(s.I_seq) != s.horizon or len(s.K_seq) != s.horizon:
         return CertResult(False, "activation sequences do not match the horizon")
     # Window coverage in one pass: a block idle for M or more iterations in a
@@ -117,6 +113,9 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
         return CertResult(False, f"window of {s.M} misses {('primal', 'dual')[side]} blocks", at)
     for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
         for (idx, n), val in table.items():
+            if not (type(idx) is type(n) is type(val) is int  # plain ints are cheap to check
+                    or all(map(is_integer, (idx, n, val)))):
+                return CertResult(False, f"{side} lag entry ({idx},{n}): {val!r} not an integer")
             if not (0 <= idx < count) or not (0 <= n < s.horizon):
                 return CertResult(False, f"{side} lag entry ({idx},{n}) out of range", n)
             if val > n:
@@ -132,30 +131,41 @@ def synchronous(m: int, p: int) -> ControlSchedule:
 
 
 def at_least(*checks) -> None:
-    """ConfigError for the first (name, value, low) whose value is a bool, not an integer or
-    below low."""
+    """ConfigError for the first (name, value, low) that breaks the integer rule or is below low."""
     for name, value, low in checks:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < low:
+        if integer(name, value) < low:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-def _lag_value(pattern: tuple, n: int) -> int:
-    if pattern[0] == "constant":
-        return max(0, n - pattern[1])
-    return max(0, n - (n % (pattern[1] + 1)))  # sawtooth
+# pattern: (the generator-spec field that holds its lag d, the read iteration at n); zero has none
+LAG_PATTERNS = {"zero": (None, None), "constant": ("value", lambda n, d: max(0, n - d)),
+                "sawtooth": ("max", lambda n, d: n - n % (d + 1))}
 
 
 def _pattern_depth(pattern) -> int:
     """The read lag bound D of a lag pattern, once its shape and value are checked."""
     shape = (pattern[0], len(pattern)) if isinstance(pattern, (tuple, list)) and pattern else None
-    if shape not in (("zero", 1), ("constant", 2), ("sawtooth", 2)):
+    if shape not in [(name, 1 + (key is not None)) for name, (key, _) in LAG_PATTERNS.items()]:
         raise ConfigError(f"unknown or malformed lag pattern {pattern!r}")
-    depth = 0 if shape[0] == "zero" else pattern[1]
-    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral) or depth < 0:
+    depth = pattern[1] if len(pattern) == 2 else 0
+    if not is_integer(depth) or depth < 0:
         raise ConfigError(f"lag pattern {pattern!r}: the lag must be an integer >= 0")
     return int(depth)
+
+
+def _certified(kind: str, m: int, p: int, I_seq: list, K_seq: list, lag, M: int,
+               D: int) -> ControlSchedule:
+    """A generator's schedule once it is certified.  lag(n), called once per block activated at
+    n (primal blocks first, iteration by iteration), gives its read iteration; None, no tables."""
+    c, d = {}, {}  # filled in the order lag is called
+    for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq) if lag is not None else ()):
+        for table, active in ((c, I_n), (d, K_n)):
+            for idx in active:
+                table[(idx, n)] = lag(n)
+    out = ControlSchedule(len(I_seq), I_seq, K_seq, c, d, M=M, D=D)
+    if not (cert := validate(out, m, p)).certified:  # a generator bug, not a user error
+        raise AssertionError(f"{kind} generator produced an invalid schedule: {cert}")
+    return out
 
 
 def periodic(m: int, p: int, group_size: int, horizon: int,
@@ -168,32 +178,16 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
     ("sawtooth", D).
     """
     at_least(("m", m, 1), ("p", p, 1), ("group_size", group_size, 1), ("horizon", horizon, 1))
-    D = _pattern_depth(lag_pattern)
+    D, rule = _pattern_depth(lag_pattern), LAG_PATTERNS[lag_pattern[0]][1]
 
-    def sweep(count: int) -> list[tuple[int, ...]]:
+    def sweep(count: int) -> list[tuple[int, ...]]:  # from n = 1, chunk n - 1 of size gs
         gs = min(group_size, count)
-        seq = [tuple(range(count))]
-        for n in range(1, horizon):
-            start = ((n - 1) * gs) % count
-            seq.append(tuple(sorted((start + j) % count for j in range(gs))))
-        return seq
+        return [tuple(range(count))] + [tuple(sorted(((n - 1) * gs + j) % count for j in range(gs)))
+                                        for n in range(1, horizon)]
 
     M = max(-(-m // min(group_size, m)), -(-p // min(group_size, p)))
-    c = {}
-    d = {}
-    I_seq = sweep(m)
-    K_seq = sweep(p)
-    if lag_pattern[0] != "zero":
-        for n in range(horizon):
-            for i in I_seq[n]:
-                c[(i, n)] = _lag_value(lag_pattern, n)
-            for k in K_seq[n]:
-                d[(k, n)] = _lag_value(lag_pattern, n)
-    out = ControlSchedule(horizon, I_seq, K_seq, c, d, M=M, D=D)
-    cert = validate(out, m, p)
-    if not cert.certified:  # generator bug, not user error
-        raise AssertionError(f"periodic generator produced an invalid schedule: {cert}")
-    return out
+    return _certified("periodic", m, p, sweep(m), sweep(p),
+                      None if rule is None else (lambda n: rule(n, D)), M, D)
 
 
 def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
@@ -217,26 +211,12 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
             chosen.update(i for i in range(count) if n - last[i] >= M)
             if not chosen:
                 chosen.add(int(rng.integers(count)))
-            for i in chosen:
-                last[i] = n
+            last.update(dict.fromkeys(chosen, n))
             seq.append(tuple(sorted(chosen)))
         return seq
 
-    I_seq = draw(m)
-    K_seq = draw(p)
-    c = {}
-    d = {}
-    for n in range(horizon):
-        lo = max(0, n - D)
-        for i in I_seq[n]:
-            c[(i, n)] = int(rng.integers(lo, n + 1))
-        for k in K_seq[n]:
-            d[(k, n)] = int(rng.integers(lo, n + 1))
-    out = ControlSchedule(horizon, I_seq, K_seq, c, d, M=M, D=D)
-    cert = validate(out, m, p)
-    if not cert.certified:
-        raise AssertionError(f"random generator produced an invalid schedule: {cert}")
-    return out
+    return _certified("random", m, p, draw(m), draw(p),  # the sets are drawn before the lags
+                      lambda n: int(rng.integers(max(0, n - D), n + 1)), M, D)
 
 
 class LagBuffer:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,30 @@ def test_signature_validation():
         SpaceSignature((), (1,))
     with pytest.raises(DimensionError):
         SpaceSignature((2, 0), (1,))
+
+
+@pytest.mark.parametrize("dims, message", [
+    pytest.param(((2.7,), (1,)), "primal_dims[0] must be an integer, got 2.7", id="fraction"),
+    pytest.param(((2,), (1, True)), "dual_dims[1] must be an integer, got True", id="boolean"),
+    pytest.param((("2",), (1,)), "primal_dims[0] must be an integer, got '2'", id="string"),
+])
+def test_signature_dims_follow_the_integer_rule(dims, message):
+    # 2.7 was truncated to 2, True read as 1 and "2" as 2
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        SpaceSignature(*dims)
+    sig = SpaceSignature((np.int64(2),), (np.int32(1),))
+    assert sig.primal_dims == (2,) and sig.dual_dims == (1,) and type(sig.primal_dims[0]) is int
+
+
+@pytest.mark.parametrize("key", [(0.9, 0.2), (0, 0.0), (True, 0), ("0", 0)], ids=str)
+def test_coupling_indices_follow_the_integer_rule(key):
+    # (0.9, 0.2) was stored as entry (0, 0)
+    sig = SpaceSignature((1,), (1,))
+    message = f"coupling entry {key!r}: its indices must be integers"
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        CouplingMap(sig, {key: [[1.0]]})
+    cmap = CouplingMap(sig, {(np.int64(0), np.int16(0)): [[1.0]]})
+    assert [tuple(map(type, key)) for key in cmap.entries] == [(int, int)]
 
 
 @pytest.mark.parametrize("blocks, message", [

@@ -562,3 +562,97 @@ def test_an_interrupted_run_keeps_the_rows_written_so_far(workdir, tmp_path, mon
               "--config", str(workdir / "config.json"), "--trace", str(tmp_path / "t.csv")])
     header, rows = fileio.read_trace(tmp_path / "t.csv")
     assert header[-1] == "dist_z0" and [row[0] for row in rows] == [0, 1, 2]
+
+
+_BUDGET = {"beta": 1.0, "sigma": 0.3, "delta": 1.0, "zeta": 0.3}
+_PERIODIC = {"type": "periodic", "m": 1, "p": 1, "group_size": 1, "horizon": 4}
+
+
+def _spec(**fields):
+    """An edit that replaces a schedule file's data with a generator spec."""
+    def edit(data):
+        data.clear()
+        data.update(fields)
+    return edit
+
+
+# (file, edit of its data, the object's place after the file name, the stray field)
+_STRAY_FIELDS = [
+    ("problem", lambda d: d.update(subpsace=d.pop("subspace")), "", "subpsace"),
+    ("problem", lambda d: d["signature"].update(primal_dimz=[1]), ".signature", "primal_dimz"),
+    ("problem", lambda d: d["coupling"][0].update(scale=2.0), ".coupling[0]", "scale"),
+    ("problem", lambda d: d["subspace"].update(CC=[[1.0, 0.0]]), ".subspace", "CC"),
+    ("problem", lambda d: d["known_Z_points"][0].update(v=[[0.0]]), ".known_Z_points[0]", "v"),
+    ("config", lambda d: d["start"].update(y=[[0.0]]), ".start", "y"),
+    ("config", lambda d: d.update(inexact={**_BUDGET, "betta": 1.0}), ".inexact", "betta"),
+    ("config", lambda d: d.update(inexact=_BUDGET,
+                                  perturbation={"seed": 1, "scale": 0.1, "sead": 2}),
+     ".perturbation", "sead"),
+    ("schedule", lambda d: d.update(type_=None), "", "type_"),
+    ("schedule", _spec(**_PERIODIC, laag={"pattern": "sawtooth", "max": 2}), "", "laag"),
+    ("schedule", _spec(**_PERIODIC, lag={"pattern": "zero", "value": 2}), ".lag", "value"),
+    ("schedule", _spec(**_PERIODIC, lag={"pattern": "constant", "value": 1, "max": 1}), ".lag",
+     "max"),
+    ("schedule", _spec(type="random", m=1, p=1, M=1, D=0, horizon=4, seed=0, sed=1), "", "sed"),
+]
+
+
+@pytest.mark.parametrize("name, edit, place, field", _STRAY_FIELDS,
+                         ids=[f"{name}{place}-{field}" for name, _, place, field in _STRAY_FIELDS])
+def test_run_rejects_an_unknown_field_in_every_object(workdir, tmp_path, capsys, name, edit, place,
+                                                      field):
+    # each loaded and ran: a misspelt subspace ran unconfined and a misspelt lag with lag 0
+    fileio.write_schedule(ps.synchronous(1, 1), workdir / "schedule.json")
+    paths = {key: workdir / f"{key}.json" for key in ("problem", "config", "schedule")}
+    argv = ["run", *(arg for key, path in paths.items() for arg in (f"--{key}", str(path))),
+            "--trace", str(tmp_path / "out.csv")]
+    assert main(argv) == 0  # the files as written load and solve
+    capsys.readouterr()
+    (tmp_path / "out.csv").unlink()
+    data = json.loads(paths[name].read_text())
+    edit(data)
+    paths[name].write_text(json.dumps(data))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {paths[name]}{place}: unknown fields [{field!r}]\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["point", "problem"])
+def test_check_kt_rejects_an_unknown_field(workdir, capsys, name):
+    files = {"problem": workdir / "problem.json", "point": workdir / "point.json"}
+    files["point"].write_text(json.dumps(fileio.point_to_dict(point([[0.0]], [[0.0]]))))
+    argv = ["check-kt", "--problem", str(files["problem"]), "--point", str(files["point"]),
+            "--tol", "1e-8"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    files[name].write_text(json.dumps({**json.loads(files[name].read_text()), "extra": 0}))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {files[name]}: unknown fields ['extra']\n"
+
+
+def test_the_messages_for_unknown_operator_and_config_fields_stay(workdir, tmp_path, capsys):
+    assert _run_with(workdir, tmp_path, problem=_set(("A_ops", 0, "wieght"), 5.0)) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'edited_problem.json'}.A_ops[0]: "
+                                       "unknown fields ['wieght'] for kind 'l1_norm'\n")
+    assert _run_with(workdir, tmp_path, config=_set(("lambda",), 1.9)) == 1
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'edited_config.json'}: unknown config fields ['lambda']\n"
+
+
+@pytest.mark.parametrize("pattern, lag_value, lag", [
+    (("zero",), "5", {"pattern": "zero"}),  # the zero pattern ignores --lag-value
+    (("constant", 2), "2", {"pattern": "constant", "value": 2}),
+    (("sawtooth", 3), "3", {"pattern": "sawtooth", "max": 3}),
+], ids=["zero", "constant", "sawtooth"])
+def test_gen_schedule_and_spec_files_give_the_generated_schedule(tmp_path, pattern, lag_value,
+                                                                 lag):
+    # the CLI's --lag-pattern, a spec file's lag object and periodic read one pattern table
+    expected = fileio.schedule_to_dict(ps.periodic(3, 2, 1, 12, pattern))
+    assert main(["gen-schedule", "--type", "periodic", "--m", "3", "--p", "2", "--horizon", "12",
+                 "--lag-pattern", pattern[0], "--lag-value", lag_value,
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert json.loads((tmp_path / "s.json").read_text()) == expected
+    spec = {"type": "periodic", "m": 3, "p": 2, "group_size": 1, "horizon": 12, "lag": lag}
+    assert fileio.schedule_to_dict(fileio.schedule_from_dict(spec)) == expected

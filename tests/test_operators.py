@@ -125,6 +125,16 @@ def test_operator_rejections_name_their_error(build, error, message):
         build()
 
 
+@pytest.mark.parametrize("build, name", [(ps.zero, "zero"), (ps.l1_norm, "l1_norm")])
+@pytest.mark.parametrize("dim", [1.5, 2.9, True, "2"], ids=str)
+def test_operator_dims_follow_the_integer_rule(build, name, dim):
+    # zero(1.5) had dim 1 and l1_norm(2.9) dim 2
+    with pytest.raises(ConfigError, match=rf"^{name} dim must be an integer, got {dim!r}$"):
+        build(dim)
+    op = build(np.int64(3))
+    assert op.dim == 3 and type(op.dim) is int
+
+
 def test_psd_check_rejects_a_nan_eigenvalue():
     with pytest.raises(ConfigError, match="eigenvalue nan below the PSD floor"):
         _check_sym_psd(np.array([[1.0, math.nan], [math.nan, 1.0]]), "S")

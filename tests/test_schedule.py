@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -88,6 +90,59 @@ def test_periodic_sawtooth_lags():
     assert validate(s, 2, 2).certified
     lags = [n - s.lag_primal(i, n) for n in range(16) for i in s.I_seq[n]]
     assert max(lags) == 3
+
+
+_PATTERN_LAGS = {"constant": lambda n, d: max(0, n - d), "sawtooth": lambda n, D: n - n % (D + 1)}
+
+
+@pytest.mark.parametrize("m, p, group_size, horizon", [(1, 1, 1, 5), (3, 2, 1, 12), (5, 4, 2, 20),
+                                                       (4, 7, 3, 25), (6, 6, 6, 10), (2, 9, 4, 17)])
+@pytest.mark.parametrize("pattern", [("zero",), ("constant", 0), ("constant", 3), ("sawtooth", 0),
+                                     ("sawtooth", 2)], ids=str)
+def test_periodic_matches_its_closed_forms(m, p, group_size, horizon, pattern):
+    s = periodic(m, p, group_size, horizon, pattern)
+    for seq, count in ((s.I_seq, m), (s.K_seq, p)):
+        gs = min(group_size, count)
+        assert seq == [tuple(range(count))] + [
+            tuple(sorted(((n - 1) * gs + j) % count for j in range(gs))) for n in range(1, horizon)]
+    assert s.M == max(-(-m // min(group_size, m)), -(-p // min(group_size, p)))
+    assert (s.horizon, s.D) == (horizon, 0 if pattern == ("zero",) else pattern[1])
+    for table, seq in ((s.c, s.I_seq), (s.d, s.K_seq)):
+        assert table == ({} if pattern == ("zero",) else
+                         {(idx, n): _PATTERN_LAGS[pattern[0]](n, pattern[1])
+                          for n in range(horizon) for idx in seq[n]})
+
+
+# (generator, arguments, SHA-256 of its schedule_to_dict as sorted-key JSON)
+_SCHEDULE_PINS = [
+    (periodic, (3, 2, 1, 12, ("zero",)),
+     "65987b4d080057bb1e3a34f233dd43f9c0638a6597545c99ccce5f2aa0de3d06"),
+    (periodic, (5, 4, 2, 20, ("constant", 3)),
+     "ec70c8a7cb0af88f42463063957632b4815df8049457c551728bfa35b9ed1019"),
+    (periodic, (6, 6, 6, 10, ("constant", 0)),
+     "f2e6f093813e0599144a47f3903284fdb859e12b8581c5f74101893c59f533ad"),
+    (periodic, (4, 7, 3, 25, ("sawtooth", 2)),
+     "abb220e362474d355ed3d7c2f9b2a62daf100a829b61d395b38c1ac19ba59432"),
+    (periodic, (7, 3, 2, 30, ("sawtooth", 0)),
+     "4ea33e2b77f32d445b88767aaa31473dbadc4f973f66d155d3fe6bf0c8e907a0"),
+    (periodic, (50, 50, 1, 200, ("sawtooth", 3)),
+     "02b22f96508feb7cee19daaf755918257fe5638714c2331611421aadaee582b0"),
+    (random_admissible, (3, 2, 3, 4, 64, 11),
+     "6a12f2a415d969f50f45cbd50aaa62f5d3ed7cb1d07578c2864d07973084716e"),
+    (random_admissible, (5, 7, 2, 0, 40, 3),
+     "7eac07a953200d0157659d63705f9ac6ef6b416de6b48832b53269a8398dfcb5"),
+    (random_admissible, (1, 4, 1, 2, 16, 0),
+     "6fbb4a5ac2ce6b27a8715fa8e8fcdf615ba79117f1c117b18f1113bf4c9a756f"),
+    (random_admissible, (50, 50, 4, 3, 200, 1),
+     "97db74165b03bc06652eb8b04fb3da9dd663d42ecec8e184f8b48fcb12ad9a49"),
+]
+
+
+@pytest.mark.parametrize("make, args, digest", _SCHEDULE_PINS,
+                         ids=[f"{make.__name__}{args}" for make, args, _ in _SCHEDULE_PINS])
+def test_generated_schedules_keep_their_bits(make, args, digest):
+    blob = json.dumps(fileio.schedule_to_dict(make(*args)), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 @pytest.mark.parametrize("make, message", [
@@ -321,3 +376,37 @@ def test_validate_rejects_malformed_schedules_in_python_and_from_a_file(tmp_path
                  "--p", "1"])
     where = "" if at is None else f" at n={at}"
     assert code == 3 and capsys.readouterr().out == f"violation: {reason}{where}\n"
+
+
+@pytest.mark.parametrize("fields, reason", [
+    pytest.param(dict(M=1.5), "M must be an integer, got 1.5", id="fractional-M"),
+    pytest.param(dict(D=True), "D must be an integer, got True", id="boolean-D"),
+    pytest.param(dict(horizon="2"), "horizon must be an integer, got '2'", id="string-horizon"),
+    pytest.param(dict(c={(0, 1): 0.5}, D=1), "primal lag entry (0,1): 0.5 not an integer",
+                 id="fractional-lag"),
+    pytest.param(dict(d={(0, 1.0): 0}, D=1), "dual lag entry (0,1.0): 0 not an integer",
+                 id="fractional-lag-iteration"),
+])
+def test_python_built_counts_and_lags_follow_the_integer_rule(fields, reason):
+    # each was certified, and run then raised "TypeError: list indices must be integers"
+    s = ControlSchedule(**{**dict(horizon=2, I_seq=[(0,), (0,)], K_seq=[(0,), (0,)]), **fields})
+    assert validate(s, 1, 1) == CertResult(False, reason)
+    problem = ps.ProblemSpec(ps.SpaceSignature((1,), (1,)), [ps.zero(1)], [ps.zero(1)],
+                             ps.CouplingMap(ps.SpaceSignature((1,), (1,)), {(0, 0): [[1.0]]}),
+                             ps.BlockVector([[0.0]]), ps.BlockVector([[0.0]]))
+    with pytest.raises(ps.ConfigError, match=f"^schedule not certified: {re.escape(reason)}"):
+        ps.run(problem, ps.SolverConfig(max_iter=3), s)
+
+
+@pytest.mark.parametrize("side", ["I_seq", "K_seq"])
+@pytest.mark.parametrize("bad", [0.7, True, "0"], ids=["fraction", "boolean", "string"])
+def test_activation_indices_follow_the_integer_rule(side, bad):
+    # 0.7 was truncated to block 0, True read as block 1 and "0" as block 0
+    seqs = dict(I_seq=[(0,), (0,)], K_seq=[(0,), (0,)])
+    seqs[side] = [(0,), (0, bad)]
+    with pytest.raises(ps.ConfigError, match=rf"^{side}\[1\] entry must be an integer, "
+                                             rf"got {re.escape(repr(bad))}$"):
+        ControlSchedule(2, **seqs)
+    s = ControlSchedule(2, [(np.int64(0),), (np.int32(0),)], [(0,), (np.uint8(0),)])
+    assert s.I_seq == s.K_seq == [(0,), (0,)]
+    assert all(type(i) is int for seq in (s.I_seq, s.K_seq) for t in seq for i in t)
