@@ -9,8 +9,8 @@ driven by deterministic, certifiable schedules, so every run is replayable.
 from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, pd_norm
 from .engine import (EngineState, IterationRecord, PerturbationRule, Rules, RunResult,
                      SolverConfig, advance, run)
-from .errors import (ConfigError, DimensionError, InconsistencyError,
-                     InvariantViolation, NumericalError, PdsplitError, SchemaError)
+from .errors import (ConfigError, DimensionError, InconsistencyError, NumericalError,
+                     PdsplitError, SchemaError)
 from .operators import (InexactnessBudget, MonotoneOp, affine_monotone, box_indicator, l1_norm,
                         normal_cone_box, quadratic, resolvent, zero)
 from .schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,

@@ -78,35 +78,33 @@ def _cmd_check_kt(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    """Both tolerances walk the same lines: a file's bytes split at each newline."""
     tol = _tolerance(args.tol)
-    if tol == 0.0:
-        with open(args.trace_a, "rb") as fa, open(args.trace_b, "rb") as fb:
-            lines_a = fa.read().split(b"\n")
-            lines_b = fb.read().split(b"\n")
-        for row, (la, lb) in enumerate(zip(lines_a, lines_b)):
-            if la != lb:
-                print(f"diverges at row {row}")
-                return EXIT_INVALID
-        if len(lines_a) != len(lines_b):
-            print(f"diverges at row {min(len(lines_a), len(lines_b))}: length mismatch")
+    if tol > 0.0:  # the numbers are read first, so a malformed trace is an error (exit 1)
+        (header, rows_a), (header_b, rows_b) = map(fileio.read_trace, (args.trace_a, args.trace_b))
+        if header != header_b:
+            print("diverges at row 0: header mismatch")
             return EXIT_INVALID
-        print("identical")
-        return EXIT_OK
-    header_a, rows_a = fileio.read_trace(args.trace_a)
-    header_b, rows_b = fileio.read_trace(args.trace_b)
-    if header_a != header_b:
-        print("diverges at row 0: header mismatch")
+    with open(args.trace_a, "rb") as fa, open(args.trace_b, "rb") as fb:
+        lines = fa.read().split(b"\n"), fb.read().split(b"\n")
+    for row, (la, lb) in enumerate(zip(*lines)):
+        if la == lb:
+            continue
+        if tol > 0.0 and la and lb:  # two rows of numbers: the headers are equal
+            for col, (va, vb) in enumerate(zip(rows_a[row - 1], rows_b[row - 1])):
+                if not (va == vb or abs(va - vb) <= tol or math.isnan(va) and math.isnan(vb)):
+                    print(f"diverges at row {row}, column {header[col]}: "
+                          f"{va:.17g} vs {vb:.17g}")
+                    return EXIT_INVALID
+            continue
+        # a file that ended here has the empty line after its last newline
+        ended = any(not ln and row == len(ls) - 1 for ln, ls in zip((la, lb), lines))
+        print(f"diverges at row {row}" + ": length mismatch" * ended)
         return EXIT_INVALID
-    for idx, (ra, rb) in enumerate(zip(rows_a, rows_b), start=1):
-        for col, (va, vb) in enumerate(zip(ra, rb)):
-            if not (va == vb or abs(va - vb) <= tol or math.isnan(va) and math.isnan(vb)):
-                print(f"diverges at row {idx}, column {header_a[col]}: "
-                      f"{va:.17g} vs {vb:.17g}")
-                return EXIT_INVALID
-    if len(rows_a) != len(rows_b):
-        print(f"diverges at row {min(len(rows_a), len(rows_b)) + 1}: length mismatch")
+    if len(lines[0]) != len(lines[1]):
+        print(f"diverges at row {min(map(len, lines))}: length mismatch")
         return EXIT_INVALID
-    print(f"equal within {tol:g}")
+    print("identical" if tol == 0.0 else f"equal within {tol:g}")
     return EXIT_OK
 
 

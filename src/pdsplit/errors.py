@@ -27,10 +27,6 @@ class InconsistencyError(PdsplitError):
     """The best-approximation update detected an empty outer approximation."""
 
 
-class InvariantViolation(PdsplitError):
-    """A per-step invariant check failed (raised by check_step in tests/oracle.py)."""
-
-
 def is_integer(value) -> bool:
     """The integer rule for counts and indices: an integer, not a bool; numpy integers pass."""
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)

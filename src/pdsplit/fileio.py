@@ -390,17 +390,21 @@ def write_trace(records: list[IterationRecord], path: PathLike,
 
 
 def read_trace(path: PathLike) -> tuple[list[str], list[list[float]]]:
+    """The header and rows of a trace, its lines split at each newline as `compare --tol 0`
+    splits them: an empty line is a row without cells, and a last newline ends the last row."""
     try:
-        lines = [ln for ln in Path(path).read_bytes().decode("utf-8").splitlines() if ln]
+        lines = Path(path).read_bytes().decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not a UTF-8 text file: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
     if not lines:
         raise SchemaError(f"{path}: empty trace file")
     header = lines[0].split(",")
     rows = []
     for idx, ln in enumerate(lines[1:], start=1):
-        cells = ln.split(",")
-        if len(cells) != len(header):
+        cells = ln.split(",") if ln else []
+        if cells and len(cells) != len(header):
             raise SchemaError(f"{path}: row {idx} has {len(cells)} cells, header has {len(header)}")
         try:
             rows.append([float(c) for c in cells])

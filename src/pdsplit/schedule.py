@@ -9,12 +9,17 @@ reads its inputs (lag maps).  Certified schedules obey:
   * every activated read lags at most D iterations (and never before 0).
 
 Schedules are finite; past their horizon they repeat their last coverage
-window, which preserves certification.  Block indices are 0-based.
+window, which preserves certification.  Block indices are 0-based.  Each
+side's lag table is an integer array, so generating and certifying a
+schedule costs array operations over its horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import itertools
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -31,28 +36,87 @@ class CertResult:
     at: Optional[int] = None  # first offending iteration index
 
 
+class LagTable(Mapping):
+    """One side's lag table: a {(block, n): read iteration} mapping held as an array, reads[n, i]
+    (-1 where block i reads n), or None without entries.  A table made from a dict keeps it and
+    its order; strays counts its entries that reads cannot hold: not integers, off the grid, or
+    reading outside [0, n].  reads is read-only, and setting an entry makes new containers, so
+    a table's copies stay apart and its extremes, once found, stay true."""
+
+    __slots__ = ("shape", "reads", "_entries", "strays", "view", "_extremes")
+
+    def __init__(self, lags, shape: tuple):
+        """lags: a generator's array of reads, or a {(i, n): read} dict (None: no entries)."""
+        self.shape, self.reads, self._entries, self._extremes, fit = shape, lags, None, None, []
+        if not isinstance(lags, np.ndarray):
+            self._entries, self.reads = dict(lags or {}), None
+            fit = [(n, i, val) for (i, n), val in self._entries.items() if all(map(
+                is_integer, (i, n, val))) and 0 <= i < shape[1] and 0 <= val <= n < shape[0]]
+        if fit:
+            self.reads = _no_reads(shape)
+            self.reads[tuple(np.array(fit).T[:2])] = [val for *_, val in fit]
+        self.strays = len(self._entries or ()) - len(fit)
+        if self.reads is not None:
+            self.reads.flags.writeable = False
+        self.view = None if self.reads is None else memoryview(self.reads)  # reads as ints
+
+    def fits(self, count: int, D: int) -> bool:
+        """Whether every entry reads a block below count, at n, from [max(0, n - D), n]."""
+        if self.reads is None:
+            return not self.strays
+        if self._extremes is None:  # blocks used, least read, least and greatest lag
+            n = np.arange(len(self.reads), dtype=self.reads.dtype)[:, None]
+            filled = np.where(self.reads == -1, n, self.reads)  # a cell without an entry reads n
+            used, lag = np.flatnonzero((self.reads != -1).any(0)), n - filled
+            self._extremes = (used[-1] + 1 if used.size else 0, filled.min(), lag.min(), lag.max())
+        used, least, lag_min, lag_max = self._extremes
+        return not self.strays and used <= count and least >= 0 and 0 <= lag_min and lag_max <= D
+
+    def _dict(self) -> dict:  # a generator's table fills it row by row when first read
+        if self._entries is None:
+            n, i = np.nonzero(self.reads != -1)
+            self._entries = dict(zip(zip(i.tolist(), n.tolist()), self.reads[n, i].tolist()))
+        return self._entries
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __setitem__(self, key, val) -> None:
+        self.__init__({**self._dict(), key: val}, self.shape)
+
+
 @dataclass
 class ControlSchedule:
     """Explicit activation sets (sorted, repeats dropped) and lag tables over a finite horizon.
 
     c maps activated (i, n) to the primal read iteration; d likewise for the
     dual side.  Missing entries mean "no lag" (read iteration n), so fully
-    synchronous schedules need no tables at all.
+    synchronous schedules need no tables at all.  Each is kept as a LagTable, and
+    may be given as a {(i, n): read} dict.
     """
 
     horizon: int
     I_seq: list[tuple[int, ...]]
     K_seq: list[tuple[int, ...]]
-    c: dict[tuple[int, int], int] = field(default_factory=dict)
-    d: dict[tuple[int, int], int] = field(default_factory=dict)
+    c: Any = None
+    d: Any = None
     M: int = 1
     D: int = 0
 
     def __post_init__(self) -> None:
-        self.I_seq, self.K_seq = (
-            [tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i) for i in s}))
-             for n, s in enumerate(seq)]  # a plain int skips the call
-            for name, seq in (("I_seq", self.I_seq), ("K_seq", self.K_seq)))
+        for name, seq in (("I_seq", self.I_seq), ("K_seq", self.K_seq)):
+            if not set(map(type, itertools.chain.from_iterable(seq))) <= {int}:  # plain ints pass
+                seq = [[integer(f"{name}[{n}] entry", i) for i in s] for n, s in enumerate(seq)]
+            setattr(self, name, list(map(tuple, map(sorted, map(set, seq)))))
+        self.c, self.d = (copy.copy(t) if isinstance(t, LagTable) else LagTable(t, (
+            len(seq), 1 + max((s[-1] for s in seq if s), default=-1)))  # sets are sorted
+            for t, seq in ((self.c, self.I_seq), (self.d, self.K_seq)))
 
     def _tail_source(self, n: int) -> int:
         """Map an iteration beyond the horizon to its source in the tail window."""
@@ -64,20 +128,21 @@ class ControlSchedule:
         src = n if n < self.horizon else self._tail_source(n)
         return self.I_seq[src], self.K_seq[src]
 
-    def _lag(self, table: dict, idx: int, n: int) -> int:
-        if not table:  # no lags: every read is of iterate n
+    def _lag(self, view: Optional[memoryview], idx: int, n: int) -> int:
+        if view is None:  # no lags: every read is of iterate n
             return n
         if n < self.horizon:
-            return table.get((idx, n), n)
+            read = view[n, idx]
+            return n if read < 0 else read
         src = self._tail_source(n)
-        offset = src - table.get((idx, src), src)
-        return max(0, n - offset)
+        read = view[src, idx]
+        return n if read < 0 else max(0, n - src + read)  # src's lag
 
     def lag_primal(self, i: int, n: int) -> int:
-        return self._lag(self.c, i, n)
+        return self._lag(self.c.view, i, n)
 
     def lag_dual(self, k: int, n: int) -> int:
-        return self._lag(self.d, k, n)
+        return self._lag(self.d.view, k, n)
 
 
 def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
@@ -88,31 +153,24 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
         return CertResult(False, str(exc))
     if len(s.I_seq) != s.horizon or len(s.K_seq) != s.horizon:
         return CertResult(False, "activation sequences do not match the horizon")
-    # Window coverage in one pass: a block idle for M or more iterations in a
-    # row leaves the window where its idle run starts uncovered.
-    last = ([-1] * m, [-1] * p)  # per side, the iteration each block was last active
-    starts = []                  # (start of an uncovered window, side)
-    for n, (I_n, K_n) in enumerate(zip(s.I_seq, s.K_seq)):
-        if not I_n or not K_n:
-            return CertResult(False, "empty block set", n)
-        if any(i < 0 or i >= m for i in I_n):
-            return CertResult(False, f"primal index out of range in {I_n}", n)
-        if any(k < 0 or k >= p for k in K_n):
-            return CertResult(False, f"dual index out of range in {K_n}", n)
-        for side, active in enumerate((I_n, K_n)):
-            for idx in active:
-                if n - last[side][idx] > s.M:
-                    starts.append((last[side][idx] + 1, side))
-                last[side][idx] = n
+    idle = [_first_idle(seq, count, s.M) for seq, count in ((s.I_seq, m), (s.K_seq, p))]
+    if None in idle:  # an empty set or an index out of range: find the first
+        for n, (I_n, K_n) in enumerate(zip(s.I_seq, s.K_seq)):
+            if not I_n or not K_n:
+                return CertResult(False, "empty block set", n)
+            if any(i < 0 or i >= m for i in I_n):
+                return CertResult(False, f"primal index out of range in {I_n}", n)
+            if any(k < 0 or k >= p for k in K_n):
+                return CertResult(False, f"dual index out of range in {K_n}", n)
     if s.I_seq[0] != tuple(range(m)) or s.K_seq[0] != tuple(range(p)):
         return CertResult(False, "iteration 0 must activate every block", 0)
-    starts += [(seen + 1, side) for side in (0, 1) for seen in last[side]
-               if s.horizon - seen > s.M]
-    if starts:
-        at, side = min(starts)  # on a tie the primal side is reported first
-        return CertResult(False, f"window of {s.M} misses {('primal', 'dual')[side]} blocks", at)
+    if min(idle) < s.horizon:  # on a tie the primal side is reported first
+        side = ("primal", "dual")[idle.index(min(idle))]
+        return CertResult(False, f"window of {s.M} misses {side} blocks", min(idle))
     for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
-        for (idx, n), val in table.items():
+        if table.fits(count, s.D):
+            continue
+        for (idx, n), val in table.items():  # some entry is bad: report the first, in order
             if not (type(idx) is type(n) is type(val) is int  # plain ints are cheap to check
                     or all(map(is_integer, (idx, n, val)))):
                 return CertResult(False, f"{side} lag entry ({idx},{n}): {val!r} not an integer")
@@ -123,6 +181,31 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
             if val < max(0, n - s.D):
                 return CertResult(False, "lag exceeds D", n)
     return CertResult(True)
+
+
+def _no_reads(shape: tuple) -> np.ndarray:
+    """A (horizon, blocks) array of reads without entries, in the narrowest type that holds them."""
+    return np.full(shape, -1, np.min_scalar_type(-shape[0]))
+
+
+def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
+    """The first window of M iterations in which one of count blocks is idle in seq (len(seq)
+    if none), or None if a set of seq is empty or holds an index outside [0, count)."""
+    if M >= len(seq):  # the one window holds iteration 0: only the sets need checking
+        return len(seq) if all(seq) and 0 <= min(map(min, seq)) and max(map(max, seq)) < count \
+            else None
+    lens = np.fromiter(map(len, seq), np.intp, len(seq))
+    try:
+        blocks = np.fromiter(itertools.chain.from_iterable(seq), np.int32, lens.sum())
+    except OverflowError:  # an index past 32 bits
+        return None
+    if not (lens.all() and 0 <= blocks.min() and blocks.max() < count):
+        return None
+    seen = np.zeros((len(seq) + 1, count), np.int32)
+    seen[np.repeat(np.arange(1, len(seq) + 1, dtype=np.int32), lens), blocks] = 1
+    seen = seen.cumsum(0, dtype=np.int32, out=seen)  # seen[j, i]: activations of i before j
+    idle = np.flatnonzero((seen[M:] == seen[:-M]).any(1))
+    return int(idle[0]) if idle.size else len(seq)
 
 
 def synchronous(m: int, p: int) -> ControlSchedule:
@@ -137,8 +220,8 @@ def at_least(*checks) -> None:
             raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
-# pattern: (the generator-spec field that holds its lag d, the read iteration at n); zero has none
-LAG_PATTERNS = {"zero": (None, None), "constant": ("value", lambda n, d: max(0, n - d)),
+# pattern: (the generator-spec field that holds its lag d, the read iterations at iterations n)
+LAG_PATTERNS = {"zero": (None, None), "constant": ("value", lambda n, d: np.maximum(n - d, 0)),
                 "sawtooth": ("max", lambda n, d: n - n % (d + 1))}
 
 
@@ -153,16 +236,11 @@ def _pattern_depth(pattern) -> int:
     return int(depth)
 
 
-def _certified(kind: str, m: int, p: int, I_seq: list, K_seq: list, lag, M: int,
-               D: int) -> ControlSchedule:
-    """A generator's schedule once it is certified.  lag(n), called once per block activated at
-    n (primal blocks first, iteration by iteration), gives its read iteration; None, no tables."""
-    c, d = {}, {}  # filled in the order lag is called
-    for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq) if lag is not None else ()):
-        for table, active in ((c, I_n), (d, K_n)):
-            for idx in active:
-                table[(idx, n)] = lag(n)
-    out = ControlSchedule(len(I_seq), I_seq, K_seq, c, d, M=M, D=D)
+def _certified(kind: str, m: int, p: int, **fields) -> ControlSchedule:
+    """A generator's schedule, once it is certified.  Its sets are sorted tuples of ints
+    already, so it skips the normalization in ControlSchedule.__post_init__."""
+    out = ControlSchedule.__new__(ControlSchedule)
+    out.__dict__.update(fields)
     if not (cert := validate(out, m, p)).certified:  # a generator bug, not a user error
         raise AssertionError(f"{kind} generator produced an invalid schedule: {cert}")
     return out
@@ -179,15 +257,19 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
     """
     at_least(("m", m, 1), ("p", p, 1), ("group_size", group_size, 1), ("horizon", horizon, 1))
     D, rule = _pattern_depth(lag_pattern), LAG_PATTERNS[lag_pattern[0]][1]
-
-    def sweep(count: int) -> list[tuple[int, ...]]:  # from n = 1, chunk n - 1 of size gs
+    n, seqs, tables = np.arange(horizon)[:, None], [], []
+    for count in (m, p):  # from n = 1, chunk n - 1 of gs blocks
         gs = min(group_size, count)
-        return [tuple(range(count))] + [tuple(sorted(((n - 1) * gs + j) % count for j in range(gs)))
-                                        for n in range(1, horizon)]
-
+        chunks = np.sort(((n[1:] - 1) * gs + np.arange(gs)) % count, axis=1)
+        seqs.append([tuple(range(count))] + list(map(tuple, chunks.tolist())))
+        reads = {}  # a zero lag needs no table
+        if rule is not None:
+            reads = _no_reads((horizon, count))
+            reads[0], reads[n[1:], chunks] = rule(n[:1], D), rule(n[1:], D)
+        tables.append(LagTable(reads, (horizon, count)))
     M = max(-(-m // min(group_size, m)), -(-p // min(group_size, p)))
-    return _certified("periodic", m, p, sweep(m), sweep(p),
-                      None if rule is None else (lambda n: rule(n, D)), M, D)
+    return _certified("periodic", m, p, horizon=horizon, I_seq=seqs[0], K_seq=seqs[1],
+                      c=tables[0], d=tables[1], M=M, D=D)
 
 
 def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
@@ -204,19 +286,22 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     rng = np.random.default_rng(seed)
 
     def draw(count: int) -> list[tuple[int, ...]]:
-        seq = [tuple(range(count))]
-        last = {i: 0 for i in range(count)}
+        seq, due = [tuple(range(count))], np.full(count, M)  # due: when a block is forced in
         for n in range(1, horizon):
-            chosen = {i for i in range(count) if rng.random() < 0.5}
-            chosen.update(i for i in range(count) if n - last[i] >= M)
-            if not chosen:
-                chosen.add(int(rng.integers(count)))
-            last.update(dict.fromkeys(chosen, n))
-            seq.append(tuple(sorted(chosen)))
+            chosen = (rng.random(count) < 0.5) | (due <= n)
+            if not chosen.any():
+                chosen[rng.integers(count)] = True
+            due[chosen] = n + M
+            seq.append(tuple(chosen.nonzero()[0].tolist()))
         return seq
 
-    return _certified("random", m, p, draw(m), draw(p),  # the sets are drawn before the lags
-                      lambda n: int(rng.integers(max(0, n - D), n + 1)), M, D)
+    I_seq, K_seq = draw(m), draw(p)  # the sets, then the lags
+    c, d = (_no_reads((horizon, count)) for count in (m, p))
+    for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq)):  # primal blocks first
+        lags = rng.integers(max(0, n - D), n + 1, len(I_n) + len(K_n))
+        c[n, I_n], d[n, K_n] = lags[:len(I_n)], lags[len(I_n):]
+    return _certified("random", m, p, horizon=horizon, I_seq=I_seq, K_seq=K_seq,
+                      c=LagTable(c, c.shape), d=LagTable(d, d.shape), M=M, D=D)
 
 
 class LagBuffer:

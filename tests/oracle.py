@@ -25,16 +25,22 @@ import numpy as np
 from pdsplit import engine
 from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_norm
 from pdsplit.engine import EngineState, IterationRecord, RunResult, SolverConfig
-from pdsplit.errors import ConfigError, InconsistencyError, InvariantViolation
-from pdsplit.operators import MEMBERSHIP_TOL, InexactnessBudget, MonotoneOp, resolvent
+from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
+from pdsplit.operators import InexactnessBudget, MonotoneOp, resolvent
 from pdsplit.schedule import ControlSchedule, synchronous
 from pdsplit.separator import GraphTable, KTResidual, ProblemSpec
 
 FEJER_TOL = 1e-10
+MEMBERSHIP_TOL = 1e-9  # on a graph within this times (1 + the point's norm); the
+                       # package's own constant is not imported, so tests check it
 ANCHOR_TOL = 1e-10
 HALFSPACE_TOL = 1e-10
 SUBSPACE_ITERATE_TOL = 1e-9
 RHO_TOL = 1e-12  # the anchored update's Gram determinant counts as 0 below RHO_TOL * mu * nu
+
+
+class InvariantViolation(PdsplitError):
+    """A per-step invariant check failed (raised by check_step)."""
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:

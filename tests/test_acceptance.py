@@ -19,8 +19,8 @@ from pdsplit.separator import kt_residual
 
 from conftest import (make_lasso_problem, make_linear_primal_problem,
                       make_scalar_problem, point, random_problem)
-from oracle import (GraphPoint, checked_run, closed_form_Z_box, fejer_reference_trace,
-                    graph_point_dual, graph_point_primal, grid_minimize,
+from oracle import (GraphPoint, InvariantViolation, checked_run, closed_form_Z_box,
+                    fejer_reference_trace, graph_point_dual, graph_point_primal, grid_minimize,
                     project_intersection_two_halfspaces, validate_inexact_dual,
                     validate_inexact_primal)
 
@@ -136,7 +136,7 @@ def test_criterion_4_property_suite_random_problems():
                               resid_tol=0.0, exact_tol=-1.0)
         try:
             checked_run(prob, cfg, sched)
-        except ps.InvariantViolation as exc:
+        except InvariantViolation as exc:
             violations += 1
             print(f"seed {seed}: {exc}")
     _finish("4 (property suite, 50 random problems x 200 iterations)",

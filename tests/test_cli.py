@@ -442,14 +442,19 @@ def test_compare_reports_length_and_header_mismatches(workdir, capsys):
     fileio.write_trace(recs, workdir / "a.csv")
     text = (workdir / "a.csv").read_bytes()
     (workdir / "a_blank.csv").write_bytes(text + b"\n")  # one trailing empty line more
+    head, _, rest = text.partition(b"\n")
+    (workdir / "a_gap.csv").write_bytes(head + b"\n" + rest.replace(b"\n", b"\n\n", 1))
     fileio.write_trace(recs[:2], workdir / "short.csv")
     fileio.write_trace([IterationRecord(n, 0.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, ())
                         for n in range(3)], workdir / "no_dist.csv")
     capsys.readouterr()
     assert _compare(workdir / "a.csv", workdir / "a_blank.csv", "0") == 3
     assert capsys.readouterr().out == "diverges at row 5: length mismatch\n"  # header, 3 rows, ""
-    assert _compare(workdir / "a.csv", workdir / "a_blank.csv", "1e-9") == 0  # no row is empty
-    capsys.readouterr()
+    assert _compare(workdir / "a.csv", workdir / "a_blank.csv", "1e-9") == 3  # the same lines
+    assert capsys.readouterr().out == "diverges at row 5: length mismatch\n"
+    for tol in ("0", "1e-9"):  # an empty line between rows 1 and 2
+        assert _compare(workdir / "a.csv", workdir / "a_gap.csv", tol) == 3
+        assert capsys.readouterr().out == "diverges at row 2\n"
     assert _compare(workdir / "a.csv", workdir / "no_dist.csv", "1e-9") == 3
     assert capsys.readouterr().out == "diverges at row 0: header mismatch\n"
     assert _compare(workdir / "a.csv", workdir / "short.csv", "1e-9") == 3

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdsplit as ps
+from pdsplit import operators
 from pdsplit.errors import ConfigError, DimensionError
 from pdsplit.operators import (InexactnessBudget, MonotoneOp, _check_sym_psd, inexact_dual,
                                inexact_primal, resolvent, stacked_parameters, stacked_resolvent)
@@ -400,6 +401,38 @@ def test_grouped_inexact_check_matches_the_per_block_one_row_by_row(seed):
         reasons[side].update(w.reason for w in want)
     for side, (_, _, _, conditions) in enumerate(_SIDES):
         assert reasons[side] == conditions | {None}  # each condition rejects a row, some pass
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["primal", "dual"])
+@pytest.mark.parametrize("kind", ["zero", "quadratic", "affine_monotone"])
+def test_inexact_checks_reject_graph_points_a_relative_1e_6_off_the_graph(kind, side,
+                                                                          monkeypatch):
+    # membership holds within 1e-9 of (1 + |point|): exact graph points pass, and points whose
+    # dual moved 1e-6 of that off the graph fail, in the package and in the oracle
+    rng = np.random.default_rng(7)
+    budget = InexactnessBudget(beta=1.0, sigma=0.3, delta=1.0, zeta=0.3)
+    make, oracle_check, package_check, _ = _SIDES[side]
+    ops = [registry_op(rng, kind, 3) for _ in range(8)]
+    reads, offsets = rng.normal(size=(2, 8, 3)), rng.normal(size=(8, 3))
+    exact = [make(op, offsets[j], 1.0, reads[0][j], reads[1][j]) for j, op in enumerate(ops)]
+    push = rng.normal(size=(8, 3))
+    scale = 1e-6 * (1.0 + np.linalg.norm([c.point for c in exact], axis=1))
+    push *= (scale / np.linalg.norm(push, axis=1))[:, None]
+    off = [GraphPoint(c.point, c.dual + push[j]) for j, c in enumerate(exact)]
+
+    def package(cands):
+        return package_check(kind, stacked_parameters(ops, [1.0] * 8),
+                             np.array([c.point for c in cands]), np.array([c.dual for c in cands]),
+                             reads[0], reads[1], np.ones((8, 3)), offsets, budget)
+
+    def oracle(cands):
+        return [oracle_check(op, c, reads[0][j], reads[1][j], offsets[j], 1.0, budget).reason
+                for j, (op, c) in enumerate(zip(ops, cands))]
+
+    assert package(exact).all() and oracle(exact) == [None] * 8
+    assert not package(off).any() and oracle(off) == ["membership"] * 8
+    monkeypatch.setattr(operators, "MEMBERSHIP_TOL", 1e-3)  # membership alone rejects them
+    assert package(off).all()
 
 
 def test_budget_validation():

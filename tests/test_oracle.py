@@ -3,15 +3,15 @@ import pytest
 
 import pdsplit as ps
 from pdsplit.engine import EngineState, advance
-from pdsplit.errors import InconsistencyError, InvariantViolation
+from pdsplit.errors import InconsistencyError
 from pdsplit.operators import resolvent
 from pdsplit.schedule import synchronous
 
 from conftest import (PROX_REPRESENTABLE, function_value, make_lasso_problem,
                       make_linear_primal_problem, make_scalar_problem, point,
                       random_blocksparse_problem, random_registry_op)
-from oracle import (check_step, closed_form_Z_box, grid_minimize, lagged_reference_run,
-                    project_intersection_two_halfspaces)
+from oracle import (InvariantViolation, check_step, closed_form_Z_box, grid_minimize,
+                    lagged_reference_run, project_intersection_two_halfspaces)
 
 
 def test_grid_minimize_1d_frozen():

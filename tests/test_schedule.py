@@ -338,6 +338,29 @@ def test_validate_matches_window_check_on_broken_schedules(seed):
         assert validate(s, m, p) == _validate_by_windows(s, m, p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_validate_matches_window_check_on_malformed_lag_tables(seed):
+    # 1-3 entries of a generated schedule's tables move to random places in the insertion
+    # order with a bad block, iteration or read: the first bad one in that order is reported
+    rng = np.random.default_rng(seed)
+    for s, m, p in _generated_schedules(seed):
+        tables = {"c": list(s.c.items()), "d": list(s.d.items())}
+        for _ in range(int(rng.integers(1, 4))):
+            name = str(rng.choice([key for key, entries in tables.items() if entries]))
+            entries, count, k = tables[name], (m if name == "c" else p), int(rng.integers(3))
+            (idx, n), val = entries.pop(int(rng.integers(len(entries))))
+            key, val = [((count + k, n), val),            # block out of range
+                        ((idx, s.horizon + k), val),      # iteration past the horizon
+                        ((idx, n), n + 1 + k),            # a read above n
+                        ((idx, n), n - s.D - 1 - k)][int(rng.integers(4))]  # below n - D
+            entries.insert(int(rng.integers(len(entries) + 1)), (key, val))
+        bad = ControlSchedule(s.horizon, s.I_seq, s.K_seq, dict(tables["c"]), dict(tables["d"]),
+                              M=s.M, D=s.D)
+        cert = validate(bad, m, p)
+        assert not cert.certified and cert == _validate_by_windows(bad, m, p)
+
+
 def test_validate_reports_the_first_window_and_primal_first():
     # primal block 1 idle over n = 1..4, dual block 1 idle over n = 2..5 (M = 3)
     I_seq = [(0, 1), (0,), (0,), (0,), (0,), (0, 1), (0, 1)]
