@@ -227,7 +227,7 @@ class EngineState:
 
         trace is the destination of the records (default: a new list)."""
         rules = config.validate(problem)
-        sched = replace(sched)  # __post_init__ copies the sets; lag tables are read-only
+        sched = replace(sched)  # __post_init__ copies the set lists and the lag tables
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")

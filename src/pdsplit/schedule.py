@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -37,44 +39,43 @@ class CertResult:
 
 
 class LagTable(Mapping):
-    """One side's lag table: a {(block, n): read iteration} mapping held as an array, reads[n, i]
-    (-1 where block i reads n), or None without entries.  A table made from a dict keeps it and
-    its order; strays counts its entries that reads cannot hold: not integers, off the grid, or
-    reading outside [0, n].  reads is read-only, and setting an entry makes new containers, so
-    a table's copies stay apart and its extremes, once found, stay true."""
+    """One side's lag table: a {(block, n): read iteration} mapping held as an array over its
+    schedule's (horizon, blocks) grid, reads[n, i], which is n where block i has no entry (None
+    without entries).  A table made from a dict keeps it, in its order.  depth is the greatest lag
+    of its entries, or inf if one is a stray: not an integer, off the grid, or reading outside
+    [0, n].  reads is read-only, and setting an entry rebuilds the table in place, so a copy of a
+    table stays apart from it."""
 
-    __slots__ = ("shape", "reads", "_entries", "strays", "view", "_extremes")
+    __slots__ = ("shape", "reads", "view", "depth", "_has", "_entries")
 
     def __init__(self, lags, shape: tuple):
-        """lags: a generator's array of reads, or a {(i, n): read} dict (None: no entries)."""
-        self.shape, self.reads, self._entries, self._extremes, fit = shape, lags, None, None, []
+        """lags: a generator's array of reads with -1 where there is no entry, which the table
+        takes over, or a {(i, n): read} dict (None: no entries); shape: the (horizon, blocks)
+        grid of the table's schedule."""
+        self.shape, self.reads, self.view, self.depth, self._has, self._entries = (
+            shape, lags, None, 0, None, None)
         if not isinstance(lags, np.ndarray):
-            self._entries, self.reads = dict(lags or {}), None
+            self._entries = dict(lags or {})
             fit = [(n, i, val) for (i, n), val in self._entries.items() if all(map(
                 is_integer, (i, n, val))) and 0 <= i < shape[1] and 0 <= val <= n < shape[0]]
-        if fit:
-            self.reads = _no_reads(shape)
-            self.reads[tuple(np.array(fit).T[:2])] = [val for *_, val in fit]
-        self.strays = len(self._entries or ()) - len(fit)
+            self.depth = 0 if len(fit) == len(self._entries) else math.inf
+            self.reads = _no_reads(shape) if self._entries else None
+            if fit:
+                n, i, val = np.array(fit, np.intp).T
+                self.reads[n, i] = val
         if self.reads is not None:
+            n = np.arange(shape[0], dtype=self.reads.dtype)[:, None]
+            self._has = self.reads != -1
+            np.copyto(self.reads, n, where=~self._has)  # a cell without an entry reads n
+            lag = n - self.reads
+            bad = self.reads.min(initial=0) < 0 or lag.min(initial=0) < 0  # outside [0, n]
+            self.depth = math.inf if bad else max(self.depth, int(lag.max(initial=0)))
             self.reads.flags.writeable = False
-        self.view = None if self.reads is None else memoryview(self.reads)  # reads as ints
-
-    def fits(self, count: int, D: int) -> bool:
-        """Whether every entry reads a block below count, at n, from [max(0, n - D), n]."""
-        if self.reads is None:
-            return not self.strays
-        if self._extremes is None:  # blocks used, least read, least and greatest lag
-            n = np.arange(len(self.reads), dtype=self.reads.dtype)[:, None]
-            filled = np.where(self.reads == -1, n, self.reads)  # a cell without an entry reads n
-            used, lag = np.flatnonzero((self.reads != -1).any(0)), n - filled
-            self._extremes = (used[-1] + 1 if used.size else 0, filled.min(), lag.min(), lag.max())
-        used, least, lag_min, lag_max = self._extremes
-        return not self.strays and used <= count and least >= 0 and 0 <= lag_min and lag_max <= D
+            self.view = memoryview(self.reads)  # reads as ints
 
     def _dict(self) -> dict:  # a generator's table fills it row by row when first read
         if self._entries is None:
-            n, i = np.nonzero(self.reads != -1)
+            n, i = np.nonzero(self._has)
             self._entries = dict(zip(zip(i.tolist(), n.tolist()), self.reads[n, i].tolist()))
         return self._entries
 
@@ -110,13 +111,15 @@ class ControlSchedule:
     D: int = 0
 
     def __post_init__(self) -> None:
-        for name, seq in (("I_seq", self.I_seq), ("K_seq", self.K_seq)):
-            if not set(map(type, itertools.chain.from_iterable(seq))) <= {int}:  # plain ints pass
-                seq = [[integer(f"{name}[{n}] entry", i) for i in s] for n, s in enumerate(seq)]
-            setattr(self, name, list(map(tuple, map(sorted, map(set, seq)))))
-        self.c, self.d = (copy.copy(t) if isinstance(t, LagTable) else LagTable(t, (
-            len(seq), 1 + max((s[-1] for s in seq if s), default=-1)))  # sets are sorted
-            for t, seq in ((self.c, self.I_seq), (self.d, self.K_seq)))
+        for name, table, seq in (("I_seq", "c", self.I_seq), ("K_seq", "d", self.K_seq)):
+            if not _normal(seq := list(seq)):
+                seq = [tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i)
+                                     for i in s})) for n, s in enumerate(seq)]
+            # a certifiable schedule activates exactly blocks 0..count-1 at n = 0
+            lags, shape = getattr(self, table), (len(seq), len(seq[0]) if seq else 0)
+            setattr(self, name, seq)
+            setattr(self, table, copy.copy(lags) if isinstance(lags, LagTable)
+                    and lags.shape == shape else LagTable(lags, shape))
 
     def _tail_source(self, n: int) -> int:
         """Map an iteration beyond the horizon to its source in the tail window."""
@@ -128,21 +131,24 @@ class ControlSchedule:
         src = n if n < self.horizon else self._tail_source(n)
         return self.I_seq[src], self.K_seq[src]
 
-    def _lag(self, view: Optional[memoryview], idx: int, n: int) -> int:
+    def _lag(self, table: LagTable, idx: int, n: int) -> int:
+        view = table.view
         if view is None:  # no lags: every read is of iterate n
             return n
-        if n < self.horizon:
-            read = view[n, idx]
-            return n if read < 0 else read
-        src = self._tail_source(n)
-        read = view[src, idx]
-        return n if read < 0 else max(0, n - src + read)  # src's lag
+        try:
+            if n < self.horizon:
+                return view[n, idx]
+            src = self._tail_source(n)
+            return n - src + view[src, idx]  # src's lag
+        except IndexError:  # off the grid the table was built for: the sets changed since
+            src = n if n < self.horizon else self._tail_source(n)
+            return n - src + table.get((idx, src), src)
 
     def lag_primal(self, i: int, n: int) -> int:
-        return self._lag(self.c.view, i, n)
+        return self._lag(self.c, i, n)
 
     def lag_dual(self, k: int, n: int) -> int:
-        return self._lag(self.d.view, k, n)
+        return self._lag(self.d, k, n)
 
 
 def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
@@ -168,11 +174,10 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
         side = ("primal", "dual")[idle.index(min(idle))]
         return CertResult(False, f"window of {s.M} misses {side} blocks", min(idle))
     for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
-        if table.fits(count, s.D):
+        if table.shape == (s.horizon, count) and table.depth <= s.D:
             continue
         for (idx, n), val in table.items():  # some entry is bad: report the first, in order
-            if not (type(idx) is type(n) is type(val) is int  # plain ints are cheap to check
-                    or all(map(is_integer, (idx, n, val)))):
+            if not all(map(is_integer, (idx, n, val))):
                 return CertResult(False, f"{side} lag entry ({idx},{n}): {val!r} not an integer")
             if not (0 <= idx < count) or not (0 <= n < s.horizon):
                 return CertResult(False, f"{side} lag entry ({idx},{n}) out of range", n)
@@ -185,7 +190,19 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
 
 def _no_reads(shape: tuple) -> np.ndarray:
     """A (horizon, blocks) array of reads without entries, in the narrowest type that holds them."""
-    return np.full(shape, -1, np.min_scalar_type(-shape[0]))
+    return np.full(shape, -1, np.min_scalar_type(-max(shape[0], 1)))
+
+
+def _normal(seq: list) -> bool:
+    """Whether every set of seq is a non-empty tuple of plain ints, each below the next, as
+    ControlSchedule.__post_init__ leaves them: then it keeps them."""
+    flat = itertools.chain.from_iterable
+    if not (set(map(type, seq)) <= {tuple} and all(seq) and set(map(type, flat(seq))) <= {int}):
+        return False
+    sets = set(seq)  # a set that seq repeats is checked once, and its last entry against inf
+    nexts = map(operator.add, map(operator.itemgetter(slice(1, None)), sets), itertools.repeat(
+        (math.inf,)))
+    return all(map(operator.lt, flat(sets), flat(nexts)))
 
 
 def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
@@ -236,14 +253,11 @@ def _pattern_depth(pattern) -> int:
     return int(depth)
 
 
-def _certified(kind: str, m: int, p: int, **fields) -> ControlSchedule:
-    """A generator's schedule, once it is certified.  Its sets are sorted tuples of ints
-    already, so it skips the normalization in ControlSchedule.__post_init__."""
-    out = ControlSchedule.__new__(ControlSchedule)
-    out.__dict__.update(fields)
-    if not (cert := validate(out, m, p)).certified:  # a generator bug, not a user error
+def _certified(kind: str, m: int, p: int, s: ControlSchedule) -> ControlSchedule:
+    """A generator's schedule, once it is certified."""
+    if not (cert := validate(s, m, p)).certified:  # a generator bug, not a user error
         raise AssertionError(f"{kind} generator produced an invalid schedule: {cert}")
-    return out
+    return s
 
 
 def periodic(m: int, p: int, group_size: int, horizon: int,
@@ -261,15 +275,15 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
     for count in (m, p):  # from n = 1, chunk n - 1 of gs blocks
         gs = min(group_size, count)
         chunks = np.sort(((n[1:] - 1) * gs + np.arange(gs)) % count, axis=1)
-        seqs.append([tuple(range(count))] + list(map(tuple, chunks.tolist())))
+        cycle = list(map(tuple, chunks[:count].tolist()))  # chunk k + count is chunk k
+        seqs.append([tuple(range(count)), *(cycle * (horizon // count + 1))[:horizon - 1]])
         reads = {}  # a zero lag needs no table
         if rule is not None:
             reads = _no_reads((horizon, count))
             reads[0], reads[n[1:], chunks] = rule(n[:1], D), rule(n[1:], D)
         tables.append(LagTable(reads, (horizon, count)))
     M = max(-(-m // min(group_size, m)), -(-p // min(group_size, p)))
-    return _certified("periodic", m, p, horizon=horizon, I_seq=seqs[0], K_seq=seqs[1],
-                      c=tables[0], d=tables[1], M=M, D=D)
+    return _certified("periodic", m, p, ControlSchedule(horizon, *seqs, *tables, M=M, D=D))
 
 
 def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
@@ -300,8 +314,8 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq)):  # primal blocks first
         lags = rng.integers(max(0, n - D), n + 1, len(I_n) + len(K_n))
         c[n, I_n], d[n, K_n] = lags[:len(I_n)], lags[len(I_n):]
-    return _certified("random", m, p, horizon=horizon, I_seq=I_seq, K_seq=K_seq,
-                      c=LagTable(c, c.shape), d=LagTable(d, d.shape), M=M, D=D)
+    return _certified("random", m, p, ControlSchedule(horizon, I_seq, K_seq, LagTable(c, c.shape),
+                                                      LagTable(d, d.shape), M=M, D=D))
 
 
 class LagBuffer:

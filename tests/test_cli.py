@@ -535,6 +535,19 @@ def test_a_schedule_for_other_blocks_leaves_no_trace_file(workdir, tmp_path, cap
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_a_block_index_far_out_of_range_is_a_certification_error(workdir, tmp_path, capsys):
+    # the lag table is sized by the blocks of iteration 0, not by the largest index in the sets
+    (tmp_path / "schedule.json").write_text(json.dumps(
+        {"horizon": 2, "I_seq": [[0], [10**10]], "K_seq": [[0], [0]], "c": {"0": {"1": 0}},
+         "M": 1, "D": 1}))
+    assert main(["run", "--problem", str(workdir / "problem.json"),
+                 "--config", str(workdir / "config.json"),
+                 "--schedule", str(tmp_path / "schedule.json"),
+                 "--trace", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == ("error: schedule not certified: primal index out of "
+                                       "range in (10000000000,) (n=1)\n")
+
+
 def _counting_advance(monkeypatch, stop_after=None):
     """Count engine.advance calls; after stop_after of them, interrupt the run."""
     calls, advance = [], engine.advance

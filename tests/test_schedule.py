@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_activation_sets_are_sorted_sets():
     s = ControlSchedule(2, [(1, 0, 1), (0, 1, 1)], [(0, 0), (0,)], M=1, D=0)
     assert s.I_seq == [(0, 1), (0, 1)] and s.K_seq == [(0,), (0,)]
     assert validate(s, 2, 1).certified
+
+
+@pytest.mark.parametrize("seq", [[(0, 1), (), (), (3, 1)], [(0, 1), (1, 1)], [[1, 0], (0,)],
+                                 [(0, np.int64(2)), (2, 1)], [(0,), (2, 0), (1,)]],
+                         ids=["after-empty-sets", "repeat", "list", "numpy-int", "unsorted"])
+def test_sets_that_are_not_sorted_tuples_of_ints_are_rebuilt(seq):
+    s = ControlSchedule(len(seq), seq, [(0,)] * len(seq))
+    assert s.I_seq == [tuple(sorted(set(map(int, t)))) for t in seq]
+    assert all(type(t) is tuple and all(type(i) is int for i in t) for t in s.I_seq)
 
 
 def test_validate_empty_block_set():
@@ -359,6 +369,25 @@ def test_validate_matches_window_check_on_malformed_lag_tables(seed):
                               M=s.M, D=s.D)
         cert = validate(bad, m, p)
         assert not cert.certified and cert == _validate_by_windows(bad, m, p)
+
+
+def test_a_lag_table_follows_a_new_horizon_and_new_sets():
+    # a generated table given to a longer schedule, and a shorter copy of a generated schedule
+    short, long = (periodic(2, 2, 1, horizon, ("constant", 1)) for horizon in (3, 5))
+    grown = ControlSchedule(5, [(0, 1)] * 5, [(0, 1)] * 5, c=short.c, M=1, D=1)
+    cut = replace(long, horizon=3, I_seq=long.I_seq[:3], K_seq=long.K_seq[:3])
+    assert validate(grown, 2, 2) == _validate_by_windows(grown, 2, 2) == CertResult(True)
+    assert [grown.lag_primal(1, n) for n in range(7)] == [0, 1, 1, 3, 4, 5, 6]
+    assert validate(cut, 2, 2) == _validate_by_windows(cut, 2, 2) == CertResult(
+        False, "primal lag entry (0,3) out of range", 3)
+    # sets that gain a block after the table was built: the entries still decide every read
+    for c in ({(0, 2): 1}, {(1, 2): 1}):
+        s = ControlSchedule(4, [(0,)] * 4, [(0,)] * 4, c=c, M=1, D=1)
+        for n in range(4):
+            s.I_seq[n] = (0, 1)
+        assert validate(s, 2, 1) == _validate_by_windows(s, 2, 1) == CertResult(True)
+        assert [[s.lag_primal(i, n) for n in range(6)] for i in (0, 1)] == [
+            [c.get((i, n), n) if n < 4 else n for n in range(6)] for i in (0, 1)]
 
 
 def test_validate_reports_the_first_window_and_primal_first():
