@@ -29,7 +29,7 @@ from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, b
                          flat_inner, rows_owned)
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal,
-                        operator_groups, row_dots, stacked_resolvent)
+                        row_dots, stacked_parameters, stacked_resolvent)
 from .schedule import ControlSchedule, LagBuffer, at_least, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
@@ -167,21 +167,22 @@ class _Side(NamedTuple):
     """One side of the decomposition phase, fixed when the state is built."""
 
     read: int           # its pair of a buffered iterate: 0 for (x, L* v*), 1 for (L x, v*)
-    ops: tuple
     slices: tuple
     offset: np.ndarray  # z_star or r
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
-    groups: list        # (kind, members, stacked parameters, member coordinates) per (kind, dim)
-    owners: list        # per group, its members as an index array
+    groups: list        # the problem's groups, with their members' parameters at their steps
     rows: list          # per group, per block of the side, its row in the group (or none)
 
 
-def _side(read: int, ops, slices, offset: BlockVector, steps) -> _Side:
-    groups = operator_groups(ops, slices, steps)
-    return _Side(read, tuple(ops), slices, offset.data,
-                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups,
-                 [np.array(js) for _, js, _, _ in groups],
-                 [block_rows(js, len(ops)) for _, js, _, _ in groups])
+def _side(read: int, problem: ProblemSpec, steps) -> _Side:
+    sig, groups = problem.signature, problem.groups[read]
+    ops, slices, offset = ((problem.A_ops, sig.primal_slices, problem.z_star),
+                           (problem.B_ops, sig.dual_slices, problem.r))[read]
+    return _Side(read, slices, offset.data,
+                 np.repeat(steps, [sl.stop - sl.start for sl in slices]),
+                 [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]), at)
+                  for kind, js, _, at in groups],
+                 [block_rows(js, len(slices)) for _, js, _, _ in groups])
 
 
 def _buffered(coupling: CouplingMap, x: np.ndarray, v: np.ndarray) -> tuple:
@@ -238,14 +239,13 @@ class EngineState:
         problem.known_Z_points = tuple(z._like(z.data.copy()) for z in problem.known_Z_points)
         L, sig = problem.coupling, problem.signature
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
-        sides = (_side(0, problem.A_ops, sig.primal_slices, problem.z_star, rules.gamma),
-                 _side(1, problem.B_ops, sig.dual_slices, problem.r, rules.mu))
+        depth = min(sched.D, max(sched.c.depth, sched.d.depth))  # the greatest lag a read has
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
-                   graph=GraphTable.zeros(sig),
-                   buffer=LagBuffer(sched.D, _buffered(L, current.x.data, current.v_star.data)),
-                   primal=sides[0], dual=sides[1], la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
+                   graph=GraphTable.zeros(sig), la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
+                   buffer=LagBuffer(depth, _buffered(L, current.x.data, current.v_star.data)),
+                   primal=_side(0, problem, rules.gamma), dual=_side(1, problem, rules.mu),
                    perturb=None if config.perturbation is None
-                   else _PerturbState(config.perturbation, config.inexact, sides),
+                   else _PerturbState(config.perturbation, config.inexact, problem.groups),
                    trace=[] if trace is None else trace)
 
 
@@ -264,15 +264,14 @@ class _PerturbState:
     """Run-local RNG, budget and acceptance counters for injected resolvent errors, and the
     operator groups' parameters at step 1, which the budget's membership test reads."""
 
-    def __init__(self, rule: PerturbationRule, budget: InexactnessBudget, sides: tuple):
+    def __init__(self, rule: PerturbationRule, budget: InexactnessBudget, groups: tuple):
         self.rng, self.scale, self.budget = np.random.default_rng(rule.seed), rule.scale, budget
-        self.unit = [[unit for _, _, unit, _ in operator_groups(side.ops, side.slices)]
-                     for side in sides]
+        self.unit = [[unit for _, _, unit, _ in side] for side in groups]
         self.accepted = self.rejected = 0
 
     def draw(self, side: _Side, active: Sequence[int]) -> np.ndarray:
         """Per block of the side, its error coefficient: one draw per activated block, in order."""
-        coef = np.zeros(len(side.ops))
+        coef = np.zeros(len(side.slices))
         coef[list(active)] = self.rng.uniform(-self.scale, self.scale, size=len(active))
         return coef
 
@@ -281,7 +280,7 @@ class _PerturbState:
         exact one.  args are the group routine's arguments, exact its result."""
         fresh, check, bound = ((graph_point_primal, inexact_primal, self.budget.beta),
                                (graph_point_dual, inexact_dual, self.budget.delta))[side.read]
-        err = coef[side.owners[g][sel]][:, None] * (args[2] - exact[0])  # toward the first read
+        err = coef[side.groups[g][1]][sel][:, None] * (args[2] - exact[0])  # toward the first read
         cap, norm = 0.95 * bound, np.sqrt(row_dots(err, err))
         over = norm > cap
         err[over] *= (cap / norm[over])[:, None]

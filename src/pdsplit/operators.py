@@ -1,9 +1,9 @@
 """Registry of maximally monotone operators with exact resolvents.
 
-The registry is closed on purpose: six kinds, each with a closed-form or
-direct-solve resolvent, so every downstream guarantee can be tested
-exhaustively.  To extend, add a kind constructor, its branches in
-`_parameters` and `stacked_resolvent`, and its fields in fileio's table.
+The registry is closed on purpose: six kinds, each with a closed-form or direct-solve resolvent,
+so every downstream guarantee can be tested exhaustively.  To extend, add a kind constructor, its
+branches in `stacked_parameters` and `stacked_resolvent`, and its fields in fileio's table.  A
+problem groups its operators by (kind, dim) once, when it is built: `ProblemSpec.groups`.
 """
 
 from __future__ import annotations
@@ -143,34 +143,31 @@ def affine_monotone(M, c=None) -> MonotoneOp:
     return MonotoneOp("affine_monotone", d, {"M": M_arr.copy(), "c": c_arr})
 
 
-def _parameters(op: MonotoneOp, gamma: float) -> tuple:
-    """The parameters of (Id + gamma*Op)^{-1} that stacked_resolvent reads."""
-    if op.kind == "zero":
-        return ()
-    if op.kind == "l1_norm":
-        return (np.array([gamma * op.params["weight"]]),)
-    if op.kind in ("box_indicator", "normal_cone_box"):
-        return op.params["lo"], op.params["hi"]
-    if op.kind not in ("quadratic", "affine_monotone"):
-        raise ConfigError(f"unknown operator kind {op.kind!r}")
-    mat, vec = ("Q", "q") if op.kind == "quadratic" else ("M", "c")
-    return np.eye(op.dim) + gamma * op.params[mat], gamma * op.params[vec]
-
-
 def stacked_parameters(ops, gammas) -> tuple:
-    """The parameters of operators of one kind and dim at steps gammas, one row each."""
-    return tuple(map(np.array, zip(*map(_parameters, ops, gammas))))
+    """The parameters of (Id + gamma*Op)^{-1} that stacked_resolvent reads, for operators of one
+    kind and dim at steps gammas: one row each."""
+    kind, g = ops[0].kind, np.array(gammas, float)
+    if kind == "zero":
+        return ()
+    if kind == "l1_norm":
+        return (g[:, None] * np.array([[op.params["weight"]] for op in ops]),)
+    if kind in ("box_indicator", "normal_cone_box"):
+        return tuple(np.array([op.params[key] for op in ops]) for key in ("lo", "hi"))
+    if kind not in ("quadratic", "affine_monotone"):
+        raise ConfigError(f"unknown operator kind {kind!r}")
+    mat, vec = ("Q", "q") if kind == "quadratic" else ("M", "c")
+    return (np.eye(ops[0].dim) + g[:, None, None] * np.array([op.params[mat] for op in ops]),
+            g[:, None] * np.array([op.params[vec] for op in ops]))
 
 
-def operator_groups(ops, slices, steps=None) -> list:
+def operator_groups(ops, slices) -> list:
     """The operators grouped by (kind, dim), in order of first appearance: per group its kind,
-    its members' indices, their stacked parameters at their steps (at 1 if steps is None), and
-    their coordinates in a flat array that slices cut into blocks, one row per member."""
+    its members' indices, their stacked parameters at step 1, and their coordinates in a flat
+    array that slices cut into blocks, one row per member."""
     members: dict[tuple[str, int], list[int]] = {}
     for j, op in enumerate(ops):
         members.setdefault((op.kind, op.dim), []).append(j)
-    return [(kind, js, stacked_parameters([ops[j] for j in js],
-                                          [1.0 if steps is None else steps[j] for j in js]),
+    return [(kind, js, stacked_parameters([ops[j] for j in js], [1.0] * len(js)),
              np.add.outer([slices[j].start for j in js], np.arange(dim)))
             for (kind, dim), js in members.items()]
 
@@ -202,7 +199,7 @@ def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (op.dim,):
         raise DimensionError(f"resolvent input has shape {u.shape}, expected ({op.dim},)")
-    return stacked_resolvent(op.kind, _parameters(op, gamma), u)
+    return stacked_resolvent(op.kind, stacked_parameters([op], [gamma]), u[None])[0]
 
 
 @dataclass(frozen=True)

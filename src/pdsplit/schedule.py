@@ -159,8 +159,9 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
         return CertResult(False, str(exc))
     if len(s.I_seq) != s.horizon or len(s.K_seq) != s.horizon:
         return CertResult(False, "activation sequences do not match the horizon")
-    idle = [_first_idle(seq, count, s.M) for seq, count in ((s.I_seq, m), (s.K_seq, p))]
-    if None in idle:  # an empty set or an index out of range: find the first
+    sides = ((s.I_seq, m), (s.K_seq, p))
+    idle = [_first_idle(seq, count, s.M) for seq, count in sides]
+    if None in idle:  # an empty set, an index out of range or a short iteration 0: find which
         for n, (I_n, K_n) in enumerate(zip(s.I_seq, s.K_seq)):
             if not I_n or not K_n:
                 return CertResult(False, "empty block set", n)
@@ -168,7 +169,7 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
                 return CertResult(False, f"primal index out of range in {I_n}", n)
             if any(k < 0 or k >= p for k in K_n):
                 return CertResult(False, f"dual index out of range in {K_n}", n)
-    if s.I_seq[0] != tuple(range(m)) or s.K_seq[0] != tuple(range(p)):
+    if any(len(seq[0]) != count or seq[0] != tuple(range(count)) for seq, count in sides):
         return CertResult(False, "iteration 0 must activate every block", 0)
     if min(idle) < s.horizon:  # on a tie the primal side is reported first
         side = ("primal", "dual")[idle.index(min(idle))]
@@ -207,7 +208,8 @@ def _normal(seq: list) -> bool:
 
 def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
     """The first window of M iterations in which one of count blocks is idle in seq (len(seq)
-    if none), or None if a set of seq is empty or holds an index outside [0, count)."""
+    if none), or None if a set of seq is empty or holds an index outside [0, count), or if the
+    first set does not hold count blocks: then no table of the count blocks is built."""
     if M >= len(seq):  # the one window holds iteration 0: only the sets need checking
         return len(seq) if all(seq) and 0 <= min(map(min, seq)) and max(map(max, seq)) < count \
             else None
@@ -216,7 +218,7 @@ def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
         blocks = np.fromiter(itertools.chain.from_iterable(seq), np.int32, lens.sum())
     except OverflowError:  # an index past 32 bits
         return None
-    if not (lens.all() and 0 <= blocks.min() and blocks.max() < count):
+    if not (lens.all() and lens[0] == count and 0 <= blocks.min() and blocks.max() < count):
         return None
     seen = np.zeros((len(seq) + 1, count), np.int32)
     seen[np.repeat(np.arange(1, len(seq) + 1, dtype=np.int32), lens), blocks] = 1
@@ -319,7 +321,7 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
 
 
 class LagBuffer:
-    """Ring buffer of the last D+1 iterates (as the engine stores them), by absolute iteration.
+    """Ring buffer of the last depth+1 iterates (as the engine stores them), by absolute iteration.
 
     Owned exclusively by the engine's coordination step (single writer);
     reads are validated against the admissible window.

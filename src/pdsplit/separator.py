@@ -153,6 +153,7 @@ class ProblemSpec:
     subspace: SubspaceSpec = field(default_factory=lambda: SubspaceSpec("full"))
     known_Z_points: Sequence[PrimalDualPoint] = field(default_factory=tuple)
     projector: SubspaceProjector = field(init=False)
+    groups: tuple = field(init=False, repr=False)  # each side's operator_groups, at step 1
 
     def __post_init__(self) -> None:
         sig = self.signature
@@ -166,6 +167,8 @@ class ProblemSpec:
             for j, (op, dim) in enumerate(zip(ops, dims)):
                 if op.dim != dim:
                     raise DimensionError(f"{side} operator {j} has dim {op.dim}, block needs {dim}")
+        self.groups = (operator_groups(self.A_ops, sig.primal_slices),
+                       operator_groups(self.B_ops, sig.dual_slices))
         if self.coupling.signature != sig:
             raise DimensionError("coupling map signature differs from the problem signature")
         if self.z_star.dims != sig.primal_dims:
@@ -308,16 +311,15 @@ def kt_residual(problem: ProblemSpec, point: PrimalDualPoint) -> KTResidual:
     k-th operator.  Each membership is measured by the resolvent test.
     """
     problem.check_point(point, "point")
-    L, sig = problem.coupling, problem.signature
-    x, v = point.x.data, point.v_star.data
+    L, x, v = problem.coupling, point.x.data, point.v_star.data
     sides = []
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is reported, not warned
         lsv, lx = L.adjoint(v), L.forward(x)
-        for ops, slices, args, duals in ((problem.A_ops, sig.primal_slices, x,
-                                          problem.z_star.data - lsv),
-                                         (problem.B_ops, sig.dual_slices, lx - problem.r.data, v)):
-            out = np.empty(len(ops))  # per operator, its blocks' distance from its graph
-            for kind, js, unit, at in operator_groups(ops, slices):
+        for groups, count, args, duals in zip(problem.groups, (problem.m, problem.p),
+                                              (x, lx - problem.r.data),
+                                              (problem.z_star.data - lsv, v)):
+            out = np.empty(count)  # per operator, its blocks' distance from its graph
+            for kind, js, unit, at in groups:
                 out[js] = graph_distance(kind, unit, args[at], duals[at])
             sides.append(tuple(out.tolist()))
     return KTResidual(*sides)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -515,6 +517,50 @@ def test_operator_groups_split_by_kind_and_dim():
         ("l1_norm", [0, 2]), ("l1_norm", [1])]
 
 
+@pytest.mark.parametrize("sched, slots", [
+    (ps.ControlSchedule(1, [(0,)], [(0,)], M=1, D=10**7), 1),
+    (replace(ps.periodic(1, 1, 1, 6, ("sawtooth", 2)), D=10**7), 3)])
+def test_the_lag_buffer_holds_the_iterates_the_schedule_reads(sched, slots):
+    # it took D + 1 slots whatever the schedule read: 80 MB more for D = 10**7
+    problem, config = make_lasso_problem(), ps.SolverConfig(max_iter=40, resid_tol=0.0)
+    tracemalloc.start()
+    try:
+        state = EngineState.initial(problem, config, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(state.buffer._slots) == slots and peak < 1e6
+    result, tight = (ps.run(problem, config, s) for s in (sched, replace(sched, D=slots - 1)))
+    assert result.status == tight.status == "max_iter" and result.iterations == 40
+    assert np.array_equal(result.final.data, tight.final.data)
+
+
+def test_a_built_problem_is_never_grouped_again(monkeypatch):
+    # kt_residual, the engine's sides and the perturbation budget read ProblemSpec.groups
+    import pdsplit.operators
+    import pdsplit.separator
+    problem = random_blocksparse_problem(3)
+    fixture, sched = problem.known_Z_points[0], ps.periodic(8, 8, 3, 12, ("sawtooth", 2))
+    configs = [ps.SolverConfig(max_iter=12, resid_tol=0.0),
+               ps.SolverConfig(max_iter=12, resid_tol=0.0,
+                               inexact=ps.InexactnessBudget(1.0, 0.2, 1.0, 0.2),
+                               perturbation=ps.PerturbationRule(seed=7, scale=0.6))]
+    want = ps.kt_residual(problem, fixture), [ps.run(problem, cfg, sched) for cfg in configs]
+
+    def regroup(*args):
+        raise AssertionError("operator_groups called once the problem was built")
+    for module in (pdsplit.operators, pdsplit.separator):
+        monkeypatch.setattr(module, "operator_groups", regroup)
+    assert ps.kt_residual(problem, fixture) == want[0]
+    for cfg, before in zip(configs, want[1]):
+        after = ps.run(problem, cfg, sched)
+        assert np.array_equal(after.final.data, before.final.data)
+        assert after.metadata == before.metadata
+    assert want[1][1].metadata["perturb_accepted"] > 0
+    with pytest.raises(AssertionError, match="operator_groups called"):
+        replace(problem)  # building a problem is what groups its operators
+
+
 def test_row_tables_pick_the_rows_the_mask_picks():
     # random activated sets on mixed block shapes, for the coupling stacks of both kept
     # images and for the operator groups of both sides; the tables may order rows by block
@@ -526,7 +572,8 @@ def test_row_tables_pick_the_rows_the_mask_picks():
         shapes = max(shapes, len(L._stacks))
         cases = [(L._rows[side], [np.array(keys)[:, 1 - side] for keys in L._keys], count)
                  for side, count in ((0, sig.m), (1, sig.p))]
-        cases += [(side.rows, side.owners, len(side.ops)) for side in (state.primal, state.dual)]
+        cases += [(side.rows, [np.array(js) for _, js, _, _ in side.groups], len(side.slices))
+                  for side in (state.primal, state.dual)]
         for table, owners, count in cases:
             for _ in range(8):
                 active = tuple(sorted(rng.choice(count, rng.integers(1, count + 1), False)))

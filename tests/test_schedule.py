@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +405,45 @@ def test_validate_reports_the_first_window_and_primal_first():
     cert = validate(s, 2, 2)
     assert cert == _validate_by_windows(s, 2, 2)
     assert (cert.reason, cert.at) == ("window of 3 misses dual blocks", 1)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the allocations it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BIG = 10**7  # a block count whose coverage table or tuple(range(...)) takes hundreds of MB
+
+
+@pytest.mark.parametrize("I_seq, K_seq, m, p, reason, at", [
+    pytest.param([(0,)] * 3, [(0,)] * 3, BIG, 1, "iteration 0 must activate every block", 0,
+                 id="primal-iteration-0"),
+    pytest.param([(0,)] * 3, [(0,)] * 3, 1, BIG, "iteration 0 must activate every block", 0,
+                 id="dual-iteration-0"),
+    pytest.param([(0,), (0,), ()], [(0,)] * 3, BIG, 1, "empty block set", 2, id="empty-set"),
+    pytest.param([(0,), (BIG,), (0,)], [(0,)] * 3, BIG, 1,
+                 f"primal index out of range in ({BIG},)", 1, id="index-out-of-range"),
+])
+def test_validate_sizes_its_tables_by_the_sets_it_is_given(I_seq, K_seq, m, p, reason, at):
+    # a 3-iteration schedule for 10**7 blocks took 1.1 s and 412 MB to be told that iteration 0
+    # misses blocks; empty and out-of-range sets are still reported before iteration 0
+    s = ControlSchedule(3, I_seq, K_seq, M=1)
+    cert, peak = traced_peak(lambda: validate(s, m, p))
+    assert cert == CertResult(False, reason, at) and peak < 1e6
+    small = (min(m, 2), min(p, 2))
+    assert validate(s, *small) == _validate_by_windows(s, *small)
+
+
+def test_validate_schedule_of_a_huge_block_count_is_a_violation(tmp_path, capsys):
+    fileio.write_schedule(ControlSchedule(3, [(0,)] * 3, [(0,)] * 3, M=1), tmp_path / "s.json")
+    code, peak = traced_peak(lambda: main(["validate-schedule", "--schedule",
+                                           str(tmp_path / "s.json"), "--m", str(BIG), "--p", "1"]))
+    assert code == 3 and peak < 1e6
+    assert capsys.readouterr().out == "violation: iteration 0 must activate every block at n=0\n"
 
 
 @pytest.mark.parametrize("fields, reason, at", [
