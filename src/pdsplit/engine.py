@@ -30,7 +30,7 @@ from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, b
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal,
                         row_dots, stacked_parameters, stacked_resolvent)
-from .schedule import ControlSchedule, LagBuffer, at_least, synchronous, validate
+from .schedule import ControlSchedule, LagBuffer, at_least, read_depth, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
@@ -228,7 +228,7 @@ class EngineState:
 
         trace is the destination of the records (default: a new list)."""
         rules = config.validate(problem)
-        sched = replace(sched)  # __post_init__ copies the set lists and the lag tables
+        sched = replace(sched)  # __post_init__ copies the set lists and dict lag tables
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
@@ -237,9 +237,8 @@ class EngineState:
                                      for b in (problem.z_star, problem.r))
         problem.coupling = problem.coupling.copy()
         problem.known_Z_points = tuple(z._like(z.data.copy()) for z in problem.known_Z_points)
-        L, sig = problem.coupling, problem.signature
+        L, sig, depth = problem.coupling, problem.signature, read_depth(sched)
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
-        depth = min(sched.D, max(sched.c.depth, sched.d.depth))  # the greatest lag a read has
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
                    graph=GraphTable.zeros(sig), la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
                    buffer=LagBuffer(depth, _buffered(L, current.x.data, current.v_star.data)),

@@ -21,7 +21,7 @@ from .blockspace import BlockVector, CouplingMap, PrimalDualPoint, SpaceSignatur
 from .engine import IterationRecord, PerturbationRule, SolverConfig
 from .errors import PdsplitError, SchemaError
 from .operators import InexactnessBudget, MonotoneOp
-from .schedule import LAG_PATTERNS, ControlSchedule, periodic, random_admissible
+from .schedule import LAG_PATTERNS, ControlSchedule, lag_rows, periodic, random_admissible
 from .separator import ProblemSpec, SubspaceSpec
 
 PathLike = Union[str, Path]
@@ -240,10 +240,8 @@ def parse_point(path: PathLike) -> PrimalDualPoint:
 # ----------------------------------------------------------------- schedule
 
 def schedule_to_dict(s: ControlSchedule) -> dict:
-    lags: dict = {"c": {}, "d": {}}
-    for name, table in (("c", s.c), ("d", s.d)):
-        for (idx, n), val in sorted(table.items()):
-            lags[name].setdefault(str(idx), {})[str(n)] = int(val)
+    lags = {name: {str(idx): dict(zip(map(str, n), map(int, reads))) for idx, n, reads in
+                   lag_rows(table)} for name, table in (("c", s.c), ("d", s.d))}
     return {"M": s.M, "D": s.D, "horizon": s.horizon,
             "I_seq": [list(t) for t in s.I_seq],
             "K_seq": [list(t) for t in s.K_seq], **lags}

@@ -9,18 +9,17 @@ reads its inputs (lag maps).  Certified schedules obey:
   * every activated read lags at most D iterations (and never before 0).
 
 Schedules are finite; past their horizon they repeat their last coverage
-window, which preserves certification.  Block indices are 0-based.  Each
-side's lag table is an integer array, so generating and certifying a
-schedule costs array operations over its horizon.
+window, which preserves certification.  Block indices are 0-based.  A lag
+table is its caller's {(block, n): read} dict or its generator's LagTable
+array, so generating and certifying a schedule cost array operations.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -39,45 +38,37 @@ class CertResult:
 
 
 class LagTable(Mapping):
-    """One side's lag table: a {(block, n): read iteration} mapping held as an array over its
-    schedule's (horizon, blocks) grid, reads[n, i], which is n where block i has no entry (None
-    without entries).  A table made from a dict keeps it, in its order.  depth is the greatest lag
-    of its entries, or inf if one is a stray: not an integer, off the grid, or reading outside
-    [0, n].  reads is read-only, and setting an entry rebuilds the table in place, so a copy of a
-    table stays apart from it."""
+    """A generator's lag table: the {(block, n): read iteration} mapping held as a read-only
+    array over its schedule's (horizon, blocks) grid, reads[n, block], which is negative where
+    the block has no entry.  depth is the greatest lag of its entries.  get reads the array; the
+    rest of the mapping reads a dict view, built when first needed."""
 
-    __slots__ = ("shape", "reads", "view", "depth", "_has", "_entries")
+    __slots__ = ("reads", "depth", "_view", "_len", "_entries")
 
-    def __init__(self, lags, shape: tuple):
-        """lags: a generator's array of reads with -1 where there is no entry, which the table
-        takes over, or a {(i, n): read} dict (None: no entries); shape: the (horizon, blocks)
-        grid of the table's schedule."""
-        self.shape, self.reads, self.view, self.depth, self._has, self._entries = (
-            shape, lags, None, 0, None, None)
-        if not isinstance(lags, np.ndarray):
-            self._entries = dict(lags or {})
-            fit = [(n, i, val) for (i, n), val in self._entries.items() if all(map(
-                is_integer, (i, n, val))) and 0 <= i < shape[1] and 0 <= val <= n < shape[0]]
-            self.depth = 0 if len(fit) == len(self._entries) else math.inf
-            self.reads = _no_reads(shape) if self._entries else None
-            if fit:
-                n, i, val = np.array(fit, np.intp).T
-                self.reads[n, i] = val
-        if self.reads is not None:
-            n = np.arange(shape[0], dtype=self.reads.dtype)[:, None]
-            self._has = self.reads != -1
-            np.copyto(self.reads, n, where=~self._has)  # a cell without an entry reads n
-            lag = n - self.reads
-            bad = self.reads.min(initial=0) < 0 or lag.min(initial=0) < 0  # outside [0, n]
-            self.depth = math.inf if bad else max(self.depth, int(lag.max(initial=0)))
-            self.reads.flags.writeable = False
-            self.view = memoryview(self.reads)  # reads as ints
+    def __init__(self, reads: np.ndarray):
+        """reads: a generator's integer array, which the table takes over."""
+        has = reads >= 0
+        lag = np.subtract(np.arange(len(reads), dtype=reads.dtype)[:, None], reads,
+                          out=np.zeros_like(reads), where=has)
+        if lag.min(initial=0) < 0:
+            raise ConfigError("a lag table entry reads a later iterate")
+        reads.flags.writeable = False
+        self.reads, self._view, self.depth = reads, memoryview(reads), int(lag.max(initial=0))
+        self._len, self._entries = int(np.count_nonzero(has)), None
 
-    def _dict(self) -> dict:  # a generator's table fills it row by row when first read
+    def _dict(self) -> dict:
         if self._entries is None:
-            n, i = np.nonzero(self._has)
+            n, i = np.nonzero(self.reads >= 0)
             self._entries = dict(zip(zip(i.tolist(), n.tolist()), self.reads[n, i].tolist()))
         return self._entries
+
+    def get(self, key, default=None):
+        idx, n = key
+        try:
+            read = self._view[n, idx] if n >= 0 <= idx else -1
+        except IndexError:  # off the grid
+            return default
+        return read if read >= 0 else default
 
     def __getitem__(self, key):
         return self._dict()[key]
@@ -86,10 +77,7 @@ class LagTable(Mapping):
         return iter(self._dict())
 
     def __len__(self) -> int:
-        return len(self._dict())
-
-    def __setitem__(self, key, val) -> None:
-        self.__init__({**self._dict(), key: val}, self.shape)
+        return self._len
 
 
 @dataclass
@@ -98,8 +86,8 @@ class ControlSchedule:
 
     c maps activated (i, n) to the primal read iteration; d likewise for the
     dual side.  Missing entries mean "no lag" (read iteration n), so fully
-    synchronous schedules need no tables at all.  Each is kept as a LagTable, and
-    may be given as a {(i, n): read} dict.
+    synchronous schedules need no tables at all.  Each is a {(i, n): read} dict, which is
+    copied (None: {}), or a generator's LagTable, which is kept while its grid matches the sets.
     """
 
     horizon: int
@@ -116,10 +104,10 @@ class ControlSchedule:
                 seq = [tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i)
                                      for i in s})) for n, s in enumerate(seq)]
             # a certifiable schedule activates exactly blocks 0..count-1 at n = 0
-            lags, shape = getattr(self, table), (len(seq), len(seq[0]) if seq else 0)
+            lags, grid = getattr(self, table), (len(seq), len(seq[0]) if seq else 0)
             setattr(self, name, seq)
-            setattr(self, table, copy.copy(lags) if isinstance(lags, LagTable)
-                    and lags.shape == shape else LagTable(lags, shape))
+            setattr(self, table, lags if isinstance(lags, LagTable) and lags.reads.shape == grid
+                    else dict(lags or {}))
 
     def _tail_source(self, n: int) -> int:
         """Map an iteration beyond the horizon to its source in the tail window."""
@@ -131,18 +119,11 @@ class ControlSchedule:
         src = n if n < self.horizon else self._tail_source(n)
         return self.I_seq[src], self.K_seq[src]
 
-    def _lag(self, table: LagTable, idx: int, n: int) -> int:
-        view = table.view
-        if view is None:  # no lags: every read is of iterate n
+    def _lag(self, table: Mapping, idx: int, n: int) -> int:
+        if not table:  # no lags: every read is of iterate n
             return n
-        try:
-            if n < self.horizon:
-                return view[n, idx]
-            src = self._tail_source(n)
-            return n - src + view[src, idx]  # src's lag
-        except IndexError:  # off the grid the table was built for: the sets changed since
-            src = n if n < self.horizon else self._tail_source(n)
-            return n - src + table.get((idx, src), src)
+        src = n if n < self.horizon else self._tail_source(n)
+        return n - src + table.get((idx, src), src)  # src's lag
 
     def lag_primal(self, i: int, n: int) -> int:
         return self._lag(self.c, i, n)
@@ -175,9 +156,10 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
         side = ("primal", "dual")[idle.index(min(idle))]
         return CertResult(False, f"window of {s.M} misses {side} blocks", min(idle))
     for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
-        if table.shape == (s.horizon, count) and table.depth <= s.D:
+        if isinstance(table, LagTable) and table.reads.shape == (s.horizon, count) \
+                and table.depth <= s.D:
             continue
-        for (idx, n), val in table.items():  # some entry is bad: report the first, in order
+        for (idx, n), val in table.items():  # report the first bad entry, in order
             if not all(map(is_integer, (idx, n, val))):
                 return CertResult(False, f"{side} lag entry ({idx},{n}): {val!r} not an integer")
             if not (0 <= idx < count) or not (0 <= n < s.horizon):
@@ -187,6 +169,24 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
             if val < max(0, n - s.D):
                 return CertResult(False, "lag exceeds D", n)
     return CertResult(True)
+
+
+def read_depth(s: ControlSchedule) -> int:
+    """The greatest lag a read of a certified schedule has, at most its D."""
+    return min(s.D, max(t.depth if isinstance(t, LagTable) else
+                        max((n - val for (_, n), val in t.items()), default=0) for t in (s.c, s.d)))
+
+
+def lag_rows(table: Mapping) -> Iterator[tuple[Any, list, list]]:
+    """Each block of a table with entries, with its iterations and their reads, ascending."""
+    if isinstance(table, LagTable):
+        for idx, reads in enumerate(table.reads.T.copy()):  # block by block
+            if (n := np.flatnonzero(reads >= 0)).size:
+                yield idx, n.tolist(), reads[n].tolist()
+        return
+    for idx, entries in itertools.groupby(sorted(table.items()), lambda entry: entry[0][0]):
+        keys, reads = zip(*entries)
+        yield idx, [n for _, n in keys], list(reads)
 
 
 def _no_reads(shape: tuple) -> np.ndarray:
@@ -279,11 +279,12 @@ def periodic(m: int, p: int, group_size: int, horizon: int,
         chunks = np.sort(((n[1:] - 1) * gs + np.arange(gs)) % count, axis=1)
         cycle = list(map(tuple, chunks[:count].tolist()))  # chunk k + count is chunk k
         seqs.append([tuple(range(count)), *(cycle * (horizon // count + 1))[:horizon - 1]])
-        reads = {}  # a zero lag needs no table
-        if rule is not None:
+        if rule is None:  # a zero lag needs no table
+            tables.append({})
+        else:
             reads = _no_reads((horizon, count))
             reads[0], reads[n[1:], chunks] = rule(n[:1], D), rule(n[1:], D)
-        tables.append(LagTable(reads, (horizon, count)))
+            tables.append(LagTable(reads))
     M = max(-(-m // min(group_size, m)), -(-p // min(group_size, p)))
     return _certified("periodic", m, p, ControlSchedule(horizon, *seqs, *tables, M=M, D=D))
 
@@ -316,8 +317,8 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq)):  # primal blocks first
         lags = rng.integers(max(0, n - D), n + 1, len(I_n) + len(K_n))
         c[n, I_n], d[n, K_n] = lags[:len(I_n)], lags[len(I_n):]
-    return _certified("random", m, p, ControlSchedule(horizon, I_seq, K_seq, LagTable(c, c.shape),
-                                                      LagTable(d, d.shape), M=M, D=D))
+    tables = LagTable(c), LagTable(d)
+    return _certified("random", m, p, ControlSchedule(horizon, I_seq, K_seq, *tables, M=M, D=D))
 
 
 class LagBuffer:

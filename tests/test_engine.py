@@ -444,7 +444,7 @@ def test_state_keeps_the_schedule_it_certified(l1_identity_problem):
     sched = ps.periodic(1, 1, 1, 4, ("constant", 1))
     state = EngineState.initial(l1_identity_problem, cfg, sched)
     sched.I_seq[0] = sched.K_seq[0] = ()  # no block at n=0: the zero graph would be "exact"
-    sched.c[(0, 2)] = sched.d[(0, 2)] = 2
+    sched.c, sched.d = {**sched.c, (0, 2): 2}, {**sched.d, (0, 2): 2}
     assert not ps.validate(sched, 1, 1).certified
     terminal = None
     while terminal is None and state.n < cfg.max_iter:
@@ -471,6 +471,24 @@ def test_state_keeps_its_own_problem_arrays():
     problem.r.data[:] = 5.0
     problem.coupling.entries[(0, 0)][0, 0] += 1.0
     problem.known_Z_points[0].data[:] = 5.0
+    for _ in range(cfg.max_iter):
+        assert advance(state) is None
+    assert state.trace == expected.trace
+    assert np.array_equal(state.current.data, expected.final.data)
+
+
+def test_state_keeps_its_own_dict_lag_tables():
+    # a dict table is copied when the state is built, so setting an entry of the caller's dict
+    # later (which a generated table does not allow) leaves the state's reads as they were
+    problem = random_blocksparse_problem(3)
+    gen = ps.random_admissible(problem.m, problem.p, M=3, D=4, horizon=64, seed=3)
+    sched = replace(gen, c=dict(gen.c), d=dict(gen.d))
+    cfg = ps.SolverConfig(max_iter=30, resid_tol=0.0, exact_tol=-1.0)
+    expected = ps.run(problem, cfg, sched)
+    state = EngineState.initial(problem, cfg, sched)
+    for i, n in sched.c:
+        sched.c[(i, n)] = n  # every primal read without lag
+    assert ps.run(problem, cfg, sched).trace != expected.trace
     for _ in range(cfg.max_iter):
         assert advance(state) is None
     assert state.trace == expected.trace

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.cli import main
-from pdsplit.schedule import (CertResult, ControlSchedule, LagBuffer, periodic, random_admissible,
-                              synchronous, validate)
+from pdsplit.schedule import (CertResult, ControlSchedule, LagBuffer, LagTable, periodic,
+                              random_admissible, read_depth, synchronous, validate)
 
-from conftest import point
+from conftest import point, random_blocksparse_problem
 
 
 def test_validate_synchronous():
@@ -389,6 +389,55 @@ def test_a_lag_table_follows_a_new_horizon_and_new_sets():
         assert validate(s, 2, 1) == _validate_by_windows(s, 2, 1) == CertResult(True)
         assert [[s.lag_primal(i, n) for n in range(6)] for i in (0, 1)] == [
             [c.get((i, n), n) if n < 4 else n for n in range(6)] for i in (0, 1)]
+
+
+def _lags(s, horizons=3):
+    """Every activated block's primal and dual reads over horizons * horizon iterations."""
+    return [([s.lag_primal(i, n) for i in I_n], [s.lag_dual(k, n) for k in K_n])
+            for n in range(horizons * s.horizon) for I_n, K_n in [s.blocks_at(n)]]
+
+
+def test_dict_tables_assigned_to_a_generated_schedule_are_read():
+    # assigning a dict to s.c raised AttributeError in validate and in every lookup
+    problem = random_blocksparse_problem(4, blocks=2, dim=2)
+    cfg = ps.SolverConfig(max_iter=20, resid_tol=0.0, exact_tol=-1.0)
+    for c, d, cert in [({(1, 2): 1, (0, 3): 3}, {(1, 2): 2, (0, 5): 4}, CertResult(True)),
+                       ({(1, 2): 0}, {}, CertResult(False, "lag exceeds D", 2))]:
+        s = periodic(2, 2, 1, 6, ("constant", 1))
+        s.c, s.d = c, d
+        built = ControlSchedule(6, s.I_seq, s.K_seq, c, d, M=s.M, D=s.D)
+        assert validate(s, 2, 2) == validate(built, 2, 2) == cert
+        assert _lags(s) == _lags(built)
+        if cert.certified:
+            assigned, given = ps.run(problem, cfg, s), ps.run(problem, cfg, built)
+            assert assigned.trace == given.trace
+            assert np.array_equal(assigned.final.data, given.final.data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_dict_copies_of_generated_tables_behave_the_same(seed):
+    # a generated table read from its array and its dict copy read entry by entry must agree on
+    # lookups, buffer depth, file bytes and certification: under every D up to the schedule's,
+    # and on the broken variants that test_validate_matches_window_check_on_broken_schedules makes
+    rng = np.random.default_rng(seed)
+    for s, m, p in _generated_schedules(seed):
+        copy = replace(s, c=dict(s.c), d=dict(s.d))
+        assert not isinstance(copy.c, LagTable) and not isinstance(copy.d, LagTable)
+        assert _lags(s) == _lags(copy) and read_depth(s) == read_depth(copy)
+        assert json.dumps(fileio.schedule_to_dict(s), indent=1) == json.dumps(
+            fileio.schedule_to_dict(copy), indent=1)
+        for D in range(s.D + 1):
+            assert validate(replace(s, D=D), m, p) == validate(replace(copy, D=D), m, p) == \
+                _validate_by_windows(replace(copy, D=D), m, p)
+        for seq in (s.I_seq, s.K_seq):
+            for n in rng.integers(1, s.horizon, size=min(3, s.horizon - 1)):
+                if len(seq[n]) > 1:
+                    seq[n] = tuple(np.delete(seq[n], rng.integers(len(seq[n]))).tolist())
+        if rng.random() < 0.5:
+            s.M = max(1, s.M - int(rng.integers(0, 3)))
+        copy = replace(s, c=dict(s.c), d=dict(s.d))
+        assert validate(s, m, p) == validate(copy, m, p) == _validate_by_windows(s, m, p)
 
 
 def test_validate_reports_the_first_window_and_primal_first():
