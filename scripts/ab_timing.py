@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Paired in-process timing of this tree's pdsplit against another tree's, per benchmark workload.
 
-Usage: python scripts/ab_timing.py BASE_SRC [--pairs N]
+Usage: python scripts/ab_timing.py BASE_SRC [--pairs N] [--workload NAME ...]
 
 BASE_SRC is the `src` directory of the tree to compare against (say, a
 `git archive` of the parent commit).  Both packages are imported into one
 interpreter, the base one as `pdsplit_base` and this tree's as `pdsplit`,
 and each gets its own copy of perfbench/problems.py and
 perfbench/workloads.py bound to it, so both trees solve the benchmark's
-three workloads from the same generated inputs, each through its own code.
+three workloads (or the ones named by --workload, given once each) from the
+same generated inputs, each through its own code.
 Every pair of runs solves each workload once per tree, the tree that goes
 first alternating from pair to pair, and asserts that both trees end with
 the same status, iteration count and final point.  Per workload it prints
@@ -79,6 +80,8 @@ def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base_src", type=Path)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", action="append", dest="workloads", metavar="NAME",
+                    help="time this workload only (repeatable; default: all three)")
     args = ap.parse_args(argv)
     if not (args.base_src / "pdsplit" / "__init__.py").is_file():
         print(f"error: no pdsplit sources under {args.base_src}", file=sys.stderr)
@@ -88,10 +91,15 @@ def main(argv: list[str]) -> int:
         return 2
     trees = {"base": _workloads(args.base_src, "pdsplit_base"),
              "new": _workloads(ROOT / "src", "pdsplit")}
+    names = list(dict.fromkeys(args.workloads or trees["new"]))  # in the order first given
+    if unknown := [name for name in names if name not in trees["new"]]:
+        print(f"error: unknown workload {unknown[0]!r}; the workloads are "
+              f"{', '.join(trees['new'])}", file=sys.stderr)
+        return 2
     print(f"{'workload':<24}{'pairs':>6}{'median':>9}{'q1':>8}{'q3':>8}{'wins':>6}"
           f"{'base µs/it':>12}{'new µs/it':>11}")
     with tempfile.TemporaryDirectory() as tmp:
-        for wname in trees["new"]:
+        for wname in names:
             preps = {}
             for tree, wl in trees.items():
                 workdir = Path(tmp) / tree / wname

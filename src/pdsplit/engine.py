@@ -8,12 +8,14 @@ best-approximation engine caps the factor at 1 and then pulls the update
 back toward the starting anchor through a closed-form projection onto the
 intersection of two half-spaces.
 
-The decomposition phase is one batched pass per side: reads slice the
-L x and L* v* computed once per buffered iterate, and resolvents run once
-per operator group.  The coordination phase runs on flat arrays and builds
-one point, the new iterate, unless the step does not move it (theta = 0):
-then the iterate and its buffered images carry over as they are.  `advance`
-runs one iteration, `run` loops over it.
+The decomposition phase is one pass per side.  It reads the L x and L* v*
+computed once per buffered iterate: iterate n's, as they are, when the
+schedule reads no lagged iterate.  It forms the resolvent inputs and the
+graph points' duals once on the side's activated coordinates, and runs each
+operator group's resolvent once, on its rows there.  The coordination
+phase runs on flat arrays and builds one point, the new iterate, unless the
+step does not move it (theta = 0): then the iterate and its buffered images
+carry over as they are.  `advance` runs one iteration, `run` loops over it.
 """
 
 from __future__ import annotations
@@ -172,6 +174,7 @@ class _Side(NamedTuple):
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
     groups: list        # the problem's groups, with their members' parameters at their steps
     rows: list          # per group, per block of the side, its row in the group (or none)
+    place: dict         # per block of the side, its group and its row there
 
 
 def _side(read: int, problem: ProblemSpec, steps) -> _Side:
@@ -182,7 +185,8 @@ def _side(read: int, problem: ProblemSpec, steps) -> _Side:
                  np.repeat(steps, [sl.stop - sl.start for sl in slices]),
                  [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]), at)
                   for kind, js, _, at in groups],
-                 [block_rows(js, len(slices)) for _, js, _, _ in groups])
+                 [block_rows(js, len(slices)) for _, js, _, _ in groups],
+                 {j: (g, row) for g, (_, js, _, _) in enumerate(groups) for row, j in enumerate(js)})
 
 
 def _buffered(coupling: CouplingMap, x: np.ndarray, v: np.ndarray) -> tuple:
@@ -268,27 +272,30 @@ class _PerturbState:
         self.unit = [[unit for _, _, unit, _ in side] for side in groups]
         self.accepted = self.rejected = 0
 
-    def draw(self, side: _Side, active: Sequence[int]) -> np.ndarray:
-        """Per block of the side, its error coefficient: one draw per activated block, in order."""
-        coef = np.zeros(len(side.slices))
-        coef[list(active)] = self.rng.uniform(-self.scale, self.scale, size=len(active))
-        return coef
-
-    def apply(self, side: _Side, g: int, sel, coef: np.ndarray, args: tuple, exact: tuple):
-        """Rows sel of group g: each one's perturbed point if the budget accepts it, else its
-        exact one.  args are the group routine's arguments, exact its result."""
+    def apply(self, side: _Side, active: Sequence[int], picks: list, work: list, args: tuple,
+              exact: tuple) -> tuple:
+        """The side's exact points, overwritten where the budget accepts the perturbed one: one
+        draw per activated block, in order, scales its error toward the first read, capped row
+        by row.  picks, work and args are what the side routine was given (see _plan)."""
         fresh, check, bound = ((graph_point_primal, inexact_primal, self.budget.beta),
                                (graph_point_dual, inexact_dual, self.budget.delta))[side.read]
-        err = coef[side.groups[g][1]][sel][:, None] * (args[2] - exact[0])  # toward the first read
-        cap, norm = 0.95 * bound, np.sqrt(row_dots(err, err))
-        over = norm > cap
-        err[over] *= (cap / norm[over])[:, None]
-        candidate = fresh(*args, error=err)
-        keep = check(args[0], tuple(q[sel] for q in self.unit[side.read][g]), *candidate,
-                     *args[2:], self.budget)
-        self.accepted += int(keep.sum())
-        self.rejected += keep.size - int(keep.sum())
-        return tuple(np.where(keep[:, None], c, e) for c, e in zip(candidate, exact))
+        coef, err, cap = np.zeros(len(side.slices)), np.empty_like(args[0]), 0.95 * bound
+        coef[list(active)] = self.rng.uniform(-self.scale, self.scale, size=len(active))
+        for g, sel, rows in picks:
+            e = coef[side.groups[g][1]][sel][:, None] * (args[0][rows] - exact[0][rows])
+            norm = np.sqrt(row_dots(e, e))
+            over = norm > cap
+            e[over] *= (cap / norm[over])[:, None]
+            err[rows] = e
+        candidate = fresh(work, *args, error=err)
+        for (g, sel, rows), (kind, _, _) in zip(picks, work):
+            keep = check(kind, tuple(q[sel] for q in self.unit[side.read][g]),
+                         *(c[rows] for c in candidate), *(arr[rows] for arr in args), self.budget)
+            self.accepted += int(keep.sum())
+            self.rejected += keep.size - int(keep.sum())
+            for c, e in zip(candidate, exact):
+                e[rows] = np.where(keep[:, None], c[rows], e[rows])
+        return exact
 
 
 def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[int]) -> tuple:
@@ -302,57 +309,77 @@ def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[in
     return out
 
 
-def graph_point_primal(kind: str, params: tuple, x: np.ndarray, lsv: np.ndarray,
-                       gamma: np.ndarray, z_star: np.ndarray, error=None) -> tuple:
-    """Fresh graph points of a primal operator group, one row per activated block:
-    a = J(x + gamma*(z* - L*v)), a* = (x - a)/gamma - L*v, so a* + z* in Op(a).  An error
-    perturbs J's input and enters a* the same way, which keeps graph membership."""
+def _plan(side: _Side, active: Sequence[int]) -> tuple:
+    """The side's activated coordinates and, per operator group with an activated member, its
+    index, its activated rows (sel) and their places among those coordinates: every block
+    active, the whole arrays; one block, its slice, its parameter row and its coordinates as
+    one row (the index None)."""
+    if len(active) == len(side.slices):
+        return slice(None), [(g, slice(None), group[3]) for g, group in enumerate(side.groups)]
+    if len(active) == 1:
+        g, row = side.place[active[0]]
+        return side.slices[active[0]], [(g, slice(row, row + 1), None)]
+    at = np.r_[tuple(side.slices[j] for j in active)]  # ascending
+    return at, [(g, sel, np.searchsorted(at, group[3][sel])) for g, (group, sel)
+                in enumerate(zip(side.groups, rows_owned(side.rows, active))) if sel.size]
+
+
+def _resolvents(work: list, u: np.ndarray) -> np.ndarray:
+    """u through the resolvents of a (kind, params, rows) work list: its rows of u each."""
+    out = np.empty_like(u)
+    for kind, params, rows in work:
+        out[rows] = stacked_resolvent(kind, params, u[rows])
+    return out
+
+
+def graph_point_primal(work: list, x: np.ndarray, lsv: np.ndarray, gamma: np.ndarray,
+                       z_star: np.ndarray, error=None) -> tuple:
+    """Fresh primal graph points on a side's activated coordinates, the resolvents as work
+    lists them: a = J(x + gamma*(z* - L*v)), a* = (x - a)/gamma - L*v, so a* + z* in Op(a).
+    An error perturbs J's input and enters a* the same way, which keeps graph membership."""
     u = x + gamma * (z_star - lsv)
     if error is None:
-        a = stacked_resolvent(kind, params, u)
+        a = _resolvents(work, u)
         return a, (x - a) / gamma - lsv
-    a = stacked_resolvent(kind, params, u + error)
+    a = _resolvents(work, u + error)
     return a, (x - a + error) / gamma - lsv
 
 
-def graph_point_dual(kind: str, params: tuple, lx: np.ndarray, v: np.ndarray,
-                     mu: np.ndarray, r: np.ndarray, error=None) -> tuple:
-    """Fresh graph points of a dual operator group, one row per activated block:
+def graph_point_dual(work: list, lx: np.ndarray, v: np.ndarray, mu: np.ndarray, r: np.ndarray,
+                     error=None) -> tuple:
+    """Fresh dual graph points on a side's activated coordinates:
     b = r + J(Lx + mu*v - r), b* = v + (Lx - b)/mu, so b* in Op(b - r); an error as above."""
     u = lx + mu * v - r
     if error is None:
-        b = r + stacked_resolvent(kind, params, u)
+        b = r + _resolvents(work, u)
         return b, v + (lx - b) / mu
-    b = r + stacked_resolvent(kind, params, u + error)
+    b = r + _resolvents(work, u + error)
     return b, v + (lx - b + error) / mu
 
 
 def _decompose(state: EngineState, n: int) -> None:
     """Fresh graph points of the blocks activated at n overwrite their recycled ones.
 
-    The primal side, then the dual side, runs its group routine once per operator
-    group with an activated member, on those members' coordinates.  Inexact mode draws
-    the side's error coefficients first and keeps each perturbed point the budget
-    accepts.  The kept L a and L* b* follow.
+    The primal side, then the dual side, reads iterate n (under lags, each block's lagged
+    iterate), forms the elementwise parts once on its activated coordinates and runs each
+    operator group's resolvent once on its activated rows.  Inexact mode then keeps each
+    perturbed point the budget accepts.  The kept L a and L* b* follow.
     """
     sched, graph, perturb = state.sched, state.graph, state.perturb
     I_n, K_n = sched.blocks_at(n)
     for side, active, lag, fresh, table in (
             (state.primal, I_n, sched.lag_primal, graph_point_primal, (graph.a, graph.a_dual)),
             (state.dual, K_n, sched.lag_dual, graph_point_dual, (graph.b, graph.b_dual))):
-        reads = _reads(state, side, active, [lag(j, n) for j in active])
-        coef = None if perturb is None else perturb.draw(side, active)
-        for g, sel in enumerate(rows_owned(side.rows, active)):
-            if isinstance(sel, np.ndarray) and not sel.size:  # no activated member
-                continue
-            kind, _, params, coords = side.groups[g]
-            at = coords[sel]
-            args = (kind, tuple(p[sel] for p in params), reads[0][at], reads[1][at],
-                    side.step[at], side.offset[at])
-            points = fresh(*args)
-            if coef is not None:
-                points = perturb.apply(side, g, sel, coef, args, points)
-            table[0][at], table[1][at] = points
+        reads = (state.buffer.get(n)[side.read] if state.buffer.depth == 0
+                 else _reads(state, side, active, [lag(j, n) for j in active]))
+        at, picks = _plan(side, active)
+        work = [(side.groups[g][0], tuple(p[sel] for p in side.groups[g][2]), rows)
+                for g, sel, rows in picks]
+        args = (reads[0][at], reads[1][at], side.step[at], side.offset[at])
+        points = fresh(work, *args)
+        if perturb is not None:
+            points = perturb.apply(side, active, picks, work, args, points)
+        table[0][at], table[1][at] = points
     state.la.update(graph.a, I_n)
     state.lsb.update(graph.b_dual, K_n)
 

@@ -209,7 +209,8 @@ def _normal(seq: list) -> bool:
 def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
     """The first window of M iterations in which one of count blocks is idle in seq (len(seq)
     if none), or None if a set of seq is empty or holds an index outside [0, count), or if the
-    first set does not hold count blocks: then no table of the count blocks is built."""
+    first set does not hold count blocks.  It reads each block's gaps between activations, so
+    its memory follows the sets, not the horizon times the blocks."""
     if M >= len(seq):  # the one window holds iteration 0: only the sets need checking
         return len(seq) if all(seq) and 0 <= min(map(min, seq)) and max(map(max, seq)) < count \
             else None
@@ -220,11 +221,16 @@ def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
         return None
     if not (lens.all() and lens[0] == count and 0 <= blocks.min() and blocks.max() < count):
         return None
-    seen = np.zeros((len(seq) + 1, count), np.int32)
-    seen[np.repeat(np.arange(1, len(seq) + 1, dtype=np.int32), lens), blocks] = 1
-    seen = seen.cumsum(0, dtype=np.int32, out=seen)  # seen[j, i]: activations of i before j
-    idle = np.flatnonzero((seen[M:] == seen[:-M]).any(1))
-    return int(idle[0]) if idle.size else len(seq)
+    # per block, its activations between -1 and len(seq), as block * span + n + 1, sorted
+    span, size = len(seq) + 2, blocks.size
+    keys = np.empty(size + 2 * count, np.min_scalar_type(-count * span))
+    np.multiply(blocks, span, out=keys[:size], dtype=keys.dtype)
+    keys[:size] += np.repeat(np.arange(1, span - 1, dtype=keys.dtype), lens)
+    keys[size:size + count] = np.arange(0, count * span, span, dtype=keys.dtype)
+    keys[size + count:] = keys[size:size + count] + span - 1
+    keys.sort()
+    idle = keys[:-1][np.diff(keys) > M] % span  # a gap across two blocks is 1
+    return int(idle.min()) if idle.size else len(seq)
 
 
 def synchronous(m: int, p: int) -> ControlSchedule:
@@ -331,7 +337,7 @@ class LagBuffer:
     def __init__(self, depth: int, first: Any):
         if depth < 0:
             raise ConfigError(f"buffer depth must be >= 0, got {depth}")
-        self._size = depth + 1
+        self.depth, self._size = depth, depth + 1
         self._slots: list[Any] = [None] * self._size
         self._latest = -1
         self.push(0, first)

@@ -358,12 +358,15 @@ def fejer_reference_trace(problem: ProblemSpec, config: SolverConfig,
 
 
 def lagged_reference_run(problem: ProblemSpec, config: SolverConfig, sched: ControlSchedule,
-                         n_iters: int) -> tuple[list[IterationRecord], PrimalDualPoint, tuple]:
+                         n_iters: int, batched_reads: bool = False
+                         ) -> tuple[list[IterationRecord], PrimalDualPoint, tuple]:
     """The engine's iteration written out block by block, as a reference for its batched phase.
 
     Every iterate is kept (no ring buffer).  Each activated block reads
     L x or L* v* of the iterate its lag names with forward_block or
-    adjoint_block and gets its point from graph_point_*.  In inexact mode
+    adjoint_block (with batched_reads, its slice of the full apply, whose
+    sums follow the coupling's block shapes as the engine's buffered images
+    do) and gets its point from graph_point_*.  In inexact mode
     each one, in activation order and primal blocks first, draws a seeded
     error toward its first read, capped at 0.95 times the budget's bound,
     and keeps the perturbed point if the budget accepts it.  The coordination
@@ -385,11 +388,13 @@ def lagged_reference_run(problem: ProblemSpec, config: SolverConfig, sched: Cont
                 if side == 0:
                     past, sl = iterates[sched.lag_primal(idx, n)], sig.primal_slices[idx]
                     args = (problem.A_ops[idx], problem.z_star.data[sl], rules.gamma[idx],
-                            past.x.data[sl], adjoint_block(L, past.v_star, idx))
+                            past.x.data[sl], L.adjoint(past.v_star.data)[sl] if batched_reads
+                            else adjoint_block(L, past.v_star, idx))
                 else:
                     past, sl = iterates[sched.lag_dual(idx, n)], sig.dual_slices[idx]
                     args = (problem.B_ops[idx], problem.r.data[sl], rules.mu[idx],
-                            forward_block(L, past.x, idx), past.v_star.data[sl])
+                            L.forward(past.x.data)[sl] if batched_reads
+                            else forward_block(L, past.x, idx), past.v_star.data[sl])
                 gp = point(*args)
                 if rng is not None:
                     err = float(rng.uniform(-rule.scale, rule.scale)) * (args[3] - gp.point)

@@ -628,6 +628,82 @@ def test_synchronous_iteration_calls_each_resolvent_group_once(monkeypatch):
         assert calls == {"group": groups * (n + 1), "block": 0}
 
 
+def _count_lag_lookups(monkeypatch) -> list:
+    """A list that each ControlSchedule.lag_primal or lag_dual call appends its (block, n) to."""
+    calls = []
+    for name in ("lag_primal", "lag_dual"):
+        def counted(sched, idx, n, lookup=getattr(ps.ControlSchedule, name)):
+            calls.append((idx, n))
+            return lookup(sched, idx, n)
+        monkeypatch.setattr(ps.ControlSchedule, name, counted)
+    return calls
+
+
+def _zero_lag_copy(sched):
+    """sched with an explicit zero-lag dict entry for every activation on both sides."""
+    return replace(sched, **{table: {(idx, n): n for n, blocks in enumerate(seq) for idx in blocks}
+                             for table, seq in (("c", sched.I_seq), ("d", sched.K_seq))})
+
+
+@pytest.mark.parametrize("schedule", ["synchronous", "periodic-zero", "explicit-zero-lags"])
+def test_a_lag_free_schedule_reads_iterate_n_without_lag_lookups(monkeypatch, schedule):
+    prob = random_blocksparse_problem(3)
+    periodic = ps.periodic(prob.m, prob.p, 3, 12, ("zero",))
+    sched = {"synchronous": synchronous(prob.m, prob.p), "periodic-zero": periodic,
+             "explicit-zero-lags": _zero_lag_copy(periodic)}[schedule]
+    assert ps.schedule.read_depth(sched) == 0
+    cfg = ps.SolverConfig(max_iter=30, resid_tol=0.0, exact_tol=-1.0)
+    calls = _count_lag_lookups(monkeypatch)
+    res = ps.run(prob, cfg, sched)
+    assert calls == []
+    monkeypatch.undo()
+    ref, final, _ = lagged_reference_run(prob, cfg, sched, cfg.max_iter)
+    assert res.trace == ref
+    assert np.array_equal(res.final.data, final.data)
+
+
+def test_a_lagged_schedule_looks_up_each_activated_block_once(monkeypatch):
+    prob = random_blocksparse_problem(3)
+    sched = ps.periodic(prob.m, prob.p, 3, 12, ("sawtooth", 2))
+    cfg = ps.SolverConfig(max_iter=30, resid_tol=0.0, exact_tol=-1.0)
+    calls = _count_lag_lookups(monkeypatch)
+    res = ps.run(prob, cfg, sched)
+    assert calls == [(idx, n) for n in range(cfg.max_iter) for side in sched.blocks_at(n)
+                     for idx in side]
+    monkeypatch.undo()
+    ref, final, _ = lagged_reference_run(prob, cfg, sched, cfg.max_iter)
+    assert res.trace == ref
+    assert np.array_equal(res.final.data, final.data)
+
+
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+@pytest.mark.parametrize("schedule", ["random", "periodic-2", "periodic-3"])
+def test_exact_subsets_on_mixed_block_dims_match_the_blockwise_reference(mode, schedule):
+    # the activated coordinates of several blocks of different dims are one index array,
+    # and each operator group finds its rows among them; on couplings with several block
+    # shapes a block-by-block read sums in another order than the batched apply, so the
+    # reference reads its slices of the full apply, as the engine's buffered images hold them
+    several = shapes = 0
+    for seed in range(12):
+        prob = random_problem(seed)
+        m, p = prob.m, prob.p
+        sched = {"random": lambda: ps.random_admissible(m, p, M=3, D=4, horizon=64, seed=seed),
+                 "periodic-2": lambda: ps.periodic(m, p, 2, 24, ("sawtooth", 2)),
+                 "periodic-3": lambda: ps.periodic(m, p, 3, 24, ("zero",))}[schedule]()
+        cfg = ps.SolverConfig(mode=mode, max_iter=40, resid_tol=0.0, exact_tol=-1.0)
+        res = ps.run(prob, cfg, sched)
+        one_shape = len(prob.coupling._stacks) == 1
+        ref, final, _ = lagged_reference_run(prob, cfg, sched, cfg.max_iter, not one_shape)
+        assert res.trace == ref
+        assert np.array_equal(res.final.data, final.data)
+        sig, shapes = prob.signature, shapes + (not one_shape)
+        several += sum(1 < len(active) < len(dims) and len(set(dims)) > 1
+                       for n in range(cfg.max_iter)
+                       for active, dims in zip(sched.blocks_at(n), (sig.primal_dims,
+                                                                    sig.dual_dims)))
+    assert shapes > 0 and (several > 0 or schedule == "periodic-3")
+
+
 def _ring_problem(m):
     """m = p blocks of dimension 2; dual block k couples primal blocks k and k+1."""
     sig = ps.SpaceSignature((2,) * m, (2,) * m)

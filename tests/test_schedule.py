@@ -487,6 +487,17 @@ def test_validate_sizes_its_tables_by_the_sets_it_is_given(I_seq, K_seq, m, p, r
     assert validate(s, *small) == _validate_by_windows(s, *small)
 
 
+def test_validate_memory_follows_the_sets_not_the_horizon_times_the_blocks():
+    # 20,000 blocks over 2,000 iterations, about 42,000 set entries: a coverage table of the
+    # horizon by the blocks took a 160 MB peak to certify it
+    every = tuple(range(20000))
+    s = ControlSchedule(2000, [every, every] + [(0,)] * 1998, [(0,)] * 2000, M=1999, D=0)
+    cert, peak = traced_peak(lambda: validate(s, 20000, 1))
+    assert cert == CertResult(True) and peak < 20e6
+    s.I_seq[1] = (0,)  # block 1 is idle from n = 1 to the horizon, a window of 1999
+    assert validate(s, 20000, 1) == CertResult(False, "window of 1999 misses primal blocks", 1)
+
+
 def test_validate_schedule_of_a_huge_block_count_is_a_violation(tmp_path, capsys):
     fileio.write_schedule(ControlSchedule(3, [(0,)] * 3, [(0,)] * 3, M=1), tmp_path / "s.json")
     code, peak = traced_peak(lambda: main(["validate-schedule", "--schedule",
