@@ -223,10 +223,10 @@ def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
         return None
     # per block, its activations between -1 and len(seq), as block * span + n + 1, sorted
     span, size = len(seq) + 2, blocks.size
-    keys = np.empty(size + 2 * count, np.min_scalar_type(-count * span))
-    np.multiply(blocks, span, out=keys[:size], dtype=keys.dtype)
-    keys[:size] += np.repeat(np.arange(1, span - 1, dtype=keys.dtype), lens)
-    keys[size:size + count] = np.arange(0, count * span, span, dtype=keys.dtype)
+    keys = np.empty(size + 2 * count, np.int64)
+    np.multiply(blocks, span, out=keys[:size], dtype=np.int64)
+    keys[:size] += np.repeat(np.arange(1, span - 1, dtype=np.int64), lens)
+    keys[size:size + count] = np.arange(0, count * span, span, dtype=np.int64)
     keys[size + count:] = keys[size:size + count] + span - 1
     keys.sort()
     idle = keys[:-1][np.diff(keys) > M] % span  # a gap across two blocks is 1

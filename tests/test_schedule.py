@@ -498,6 +498,17 @@ def test_validate_memory_follows_the_sets_not_the_horizon_times_the_blocks():
     assert validate(s, 20000, 1) == CertResult(False, "window of 1999 misses primal blocks", 1)
 
 
+@pytest.mark.parametrize("horizon", [126, 127, 128, 254, 32766, 32767])
+def test_validate_one_block_per_side_at_horizons_near_a_power_of_two(horizon):
+    # one block over the horizon gives keys up to horizon + 1, past int8 at 126 and int16 at 32766
+    s = ControlSchedule(horizon, [(0,)] * horizon, [(0,)] * horizon, M=1)
+    assert validate(s, 1, 1) == _validate_by_windows(s, 1, 1) == CertResult(True)
+    # two primal blocks, block 1 idle at horizon - 3 and horizon - 2: a window of 2 misses it
+    s = replace(s, M=2, I_seq=[(0, 1)] * (horizon - 3) + [(0,)] * 2 + [(0, 1)])
+    assert validate(s, 2, 1) == _validate_by_windows(s, 2, 1) \
+        == CertResult(False, "window of 2 misses primal blocks", horizon - 3)
+
+
 def test_validate_schedule_of_a_huge_block_count_is_a_violation(tmp_path, capsys):
     fileio.write_schedule(ControlSchedule(3, [(0,)] * 3, [(0,)] * 3, M=1), tmp_path / "s.json")
     code, peak = traced_peak(lambda: main(["validate-schedule", "--schedule",
