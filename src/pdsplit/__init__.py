@@ -13,8 +13,7 @@ from .errors import (ConfigError, DimensionError, InconsistencyError, NumericalE
                      PdsplitError, SchemaError)
 from .operators import (InexactnessBudget, MonotoneOp, affine_monotone, box_indicator, l1_norm,
                         normal_cone_box, quadratic, resolvent, zero)
-from .schedule import (ControlSchedule, LagBuffer, periodic, random_admissible,
-                       synchronous, validate)
+from .schedule import ControlSchedule, periodic, random_admissible, synchronous, validate
 from .separator import (GraphTable, KTResidual, ProblemSpec, SubspaceSpec, build_projector,
                         kt_residual)
 

@@ -15,7 +15,9 @@ graph points' duals once on the side's activated coordinates, and runs each
 operator group's resolvent once, on its rows there.  The coordination
 phase runs on flat arrays and builds one point, the new iterate, unless the
 step does not move it (theta = 0): then the iterate and its buffered images
-carry over as they are.  `advance` runs one iteration, `run` loops over it.
+carry over as they are.  The buffer, a dict keyed by iteration, holds iterates
+n - depth .. n (depth: the schedule's read_depth).  `advance` runs one
+iteration, `run` loops over it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,11 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .blockspace import (BlockVector, CouplingMap, KeptImage, PrimalDualPoint, block_rows,
-                         flat_inner, rows_owned)
+from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, flat_inner
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal,
                         row_dots, stacked_parameters, stacked_resolvent)
-from .schedule import ControlSchedule, LagBuffer, at_least, read_depth, synchronous, validate
+from .schedule import ControlSchedule, at_least, read_depth, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
@@ -173,7 +174,6 @@ class _Side(NamedTuple):
     offset: np.ndarray  # z_star or r
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
     groups: list        # the problem's groups, with their members' parameters at their steps
-    rows: list          # per group, per block of the side, its row in the group (or none)
     place: dict         # per block of the side, its group and its row there
 
 
@@ -185,7 +185,6 @@ def _side(read: int, problem: ProblemSpec, steps) -> _Side:
                  np.repeat(steps, [sl.stop - sl.start for sl in slices]),
                  [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]), at)
                   for kind, js, _, at in groups],
-                 [block_rows(js, len(slices)) for _, js, _, _ in groups],
                  {j: (g, row) for g, (_, js, _, _) in enumerate(groups) for row, j in enumerate(js)})
 
 
@@ -215,7 +214,8 @@ class EngineState:
     current: PrimalDualPoint
     anchor: PrimalDualPoint
     graph: GraphTable
-    buffer: LagBuffer
+    buffer: dict    # iterate j's buffered ((x, L* v*), (L x, v*)), for j = n - depth .. n
+    depth: int      # read_depth(sched), the greatest lag a read has
     primal: _Side
     dual: _Side
     la: KeptImage   # L a and L* b* of the graph points
@@ -245,7 +245,7 @@ class EngineState:
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
                    graph=GraphTable.zeros(sig), la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
-                   buffer=LagBuffer(depth, _buffered(L, current.x.data, current.v_star.data)),
+                   buffer={0: _buffered(L, current.x.data, current.v_star.data)}, depth=depth,
                    primal=_side(0, problem, rules.gamma), dual=_side(1, problem, rules.mu),
                    perturb=None if config.perturbation is None
                    else _PerturbState(config.perturbation, config.inexact, problem.groups),
@@ -301,10 +301,10 @@ class _PerturbState:
 def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[int]) -> tuple:
     """The side's read arrays: each activated block's slices of the iterate it reads (else 0)."""
     if all(j == lags[0] for j in lags):  # then they are that iterate's own arrays
-        return state.buffer.get(lags[0])[side.read]
+        return state.buffer[lags[0]][side.read]
     out = (np.zeros(side.step.size), np.zeros(side.step.size))
     for idx, j in zip(active, lags):
-        for dst, src in zip(out, state.buffer.get(j)[side.read]):
+        for dst, src in zip(out, state.buffer[j][side.read]):
             dst[side.slices[idx]] = src[side.slices[idx]]
     return out
 
@@ -319,9 +319,12 @@ def _plan(side: _Side, active: Sequence[int]) -> tuple:
     if len(active) == 1:
         g, row = side.place[active[0]]
         return side.slices[active[0]], [(g, slice(row, row + 1), None)]
+    rows: list = [[] for _ in side.groups]  # per group, its activated rows, in activation order
+    for g, row in (side.place[j] for j in active):
+        rows[g].append(row)
     at = np.r_[tuple(side.slices[j] for j in active)]  # ascending
-    return at, [(g, sel, np.searchsorted(at, group[3][sel])) for g, (group, sel)
-                in enumerate(zip(side.groups, rows_owned(side.rows, active))) if sel.size]
+    return at, [(g, sel, np.searchsorted(at, side.groups[g][3][sel]))
+                for g, sel in enumerate(map(np.array, rows)) if sel.size]
 
 
 def _resolvents(work: list, u: np.ndarray) -> np.ndarray:
@@ -370,7 +373,7 @@ def _decompose(state: EngineState, n: int) -> None:
     for side, active, lag, fresh, table in (
             (state.primal, I_n, sched.lag_primal, graph_point_primal, (graph.a, graph.a_dual)),
             (state.dual, K_n, sched.lag_dual, graph_point_dual, (graph.b, graph.b_dual))):
-        reads = (state.buffer.get(n)[side.read] if state.buffer.depth == 0
+        reads = (state.buffer[n][side.read] if state.depth == 0
                  else _reads(state, side, active, [lag(j, n) for j in active]))
         at, picks = _plan(side, active)
         work = [(side.groups[g][0], tuple(p[sel] for p in side.groups[g][2]), rows)
@@ -445,7 +448,7 @@ def advance(state: EngineState):
             nxt = haugazeau_update(state.anchor.data, z, nxt, split)
         except InconsistencyError as exc:
             return "inconsistent", current, str(exc)
-    images = state.buffer.get(n)
+    images = state.buffer[n]
     (_, lsv), (lx, _) = images
     record = iteration_record(n, theta, tau, violation, problem, current, lx, lsv, graph)
     state.last_record = record
@@ -460,11 +463,11 @@ def advance(state: EngineState):
         state.n, state.ended = n + 1, "exact_point"
         return ("exact_point", graph.pair(graph.a, graph.b_dual),
                 f"separator normal vanished at iteration {n}")
-    if nxt is z:  # theta = 0: iterate n + 1 is iterate n, and so are its images
-        state.buffer.push(n + 1, images)
-    else:
+    if nxt is not z:  # else theta = 0: iterate n + 1 is iterate n, and so are its images
         state.current = current._like(nxt)
-        state.buffer.push(n + 1, _buffered(problem.coupling, nxt[:split], nxt[split:]))
+        images = _buffered(problem.coupling, nxt[:split], nxt[split:])
+    state.buffer[n + 1] = images
+    state.buffer.pop(n - state.depth, None)
     state.n = n + 1
     if residual <= config.resid_tol * (1.0 + math.sqrt(flat_inner(z, z, split))):
         return "solved", current, ""

@@ -326,31 +326,3 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     tables = LagTable(c), LagTable(d)
     return _certified("random", m, p, ControlSchedule(horizon, I_seq, K_seq, *tables, M=M, D=D))
 
-
-class LagBuffer:
-    """Ring buffer of the last depth+1 iterates (as the engine stores them), by absolute iteration.
-
-    Owned exclusively by the engine's coordination step (single writer);
-    reads are validated against the admissible window.
-    """
-
-    def __init__(self, depth: int, first: Any):
-        if depth < 0:
-            raise ConfigError(f"buffer depth must be >= 0, got {depth}")
-        self.depth, self._size = depth, depth + 1
-        self._slots: list[Any] = [None] * self._size
-        self._latest = -1
-        self.push(0, first)
-
-    def push(self, index: int, point: Any) -> None:
-        if index != self._latest + 1:
-            raise ConfigError(f"buffer push out of order: {index} after {self._latest}")
-        self._slots[index % self._size] = point
-        self._latest = index
-
-    def get(self, index: int) -> Any:
-        if index > self._latest or index < 0 or index <= self._latest - self._size:
-            raise LookupError(
-                f"iterate {index} not buffered (have {max(0, self._latest - self._size + 1)}"
-                f"..{self._latest})")
-        return self._slots[index % self._size]

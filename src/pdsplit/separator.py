@@ -167,8 +167,6 @@ class ProblemSpec:
             for j, (op, dim) in enumerate(zip(ops, dims)):
                 if op.dim != dim:
                     raise DimensionError(f"{side} operator {j} has dim {op.dim}, block needs {dim}")
-        self.groups = (operator_groups(self.A_ops, sig.primal_slices),
-                       operator_groups(self.B_ops, sig.dual_slices))
         if self.coupling.signature != sig:
             raise DimensionError("coupling map signature differs from the problem signature")
         if self.z_star.dims != sig.primal_dims:
@@ -178,6 +176,9 @@ class ProblemSpec:
         for name, offset in (("z_star", self.z_star), ("r", self.r)):
             if not np.isfinite(offset.data).all():
                 raise ConfigError(f"{name} has non-finite values")
+        # after the checks above: the groups' coordinate tables follow the claimed dims
+        self.groups = (operator_groups(self.A_ops, sig.primal_slices),
+                       operator_groups(self.B_ops, sig.dual_slices))
         self.projector = build_projector(self.subspace, sig, self.coupling)
         if self.subspace.variant == "linear_primal":  # build_projector checked m and A1's shape
             self._validate_linear_primal()
@@ -277,7 +278,7 @@ def project_halfspace(z: np.ndarray, normal: np.ndarray, level: float, norm_sq: 
     """Relaxed projection (theta, next) of a flat point z that violates the half-space by violation;
     theta is 0 and next is z itself if z is inside or the normal is numerically 0 (scaled by
     1 + level^2).  SolverConfig.validate bounds lam."""
-    if norm_sq <= tau_zero_tol * (1.0 + level ** 2) or violation <= 0.0:
+    if norm_sq <= tau_zero_tol * (1.0 + level * level) or violation <= 0.0:
         return 0.0, z
     theta = lam * violation / norm_sq
     return theta, z - theta * normal

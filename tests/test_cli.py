@@ -674,3 +674,16 @@ def test_gen_schedule_and_spec_files_give_the_generated_schedule(tmp_path, patte
     assert json.loads((tmp_path / "s.json").read_text()) == expected
     spec = {"type": "periodic", "m": 3, "p": 2, "group_size": 1, "horizon": 12, "lag": lag}
     assert fileio.schedule_to_dict(fileio.schedule_from_dict(spec)) == expected
+
+
+@pytest.mark.parametrize("q", [-1e100, -1e150])
+def test_a_huge_finite_offset_runs_to_the_iteration_budget(tmp_path, q):
+    # squaring the separator level as a Python float raised OverflowError past |level| 1.3e154
+    prob = make_scalar_problem(ps.l1_norm(1), ps.quadratic([[1.0]], [q]))
+    cfg = ps.SolverConfig(max_iter=20)
+    assert ps.run(prob, cfg).status == "max_iter"
+    fileio.write_problem(prob, tmp_path / "problem.json")
+    fileio.write_config(cfg, tmp_path / "config.json")
+    assert main(["run", "--problem", str(tmp_path / "problem.json"),
+                 "--config", str(tmp_path / "config.json"),
+                 "--trace", str(tmp_path / "out.csv")]) == 2

@@ -9,7 +9,7 @@ import pdsplit as ps
 from pdsplit.blockspace import pd_norm, rows_owned
 from pdsplit.engine import EngineState, advance, haugazeau_update
 from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
-from pdsplit.schedule import synchronous
+from pdsplit.schedule import read_depth, synchronous
 
 from conftest import (make_lasso_problem, make_linear_primal_problem, point,
                       random_blocksparse_problem, random_problem)
@@ -547,10 +547,28 @@ def test_the_lag_buffer_holds_the_iterates_the_schedule_reads(sched, slots):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(state.buffer._slots) == slots and peak < 1e6
+    assert state.depth + 1 == slots and peak < 1e6
+    for _ in range(2 * slots):
+        assert advance(state) is None
+    assert len(state.buffer) == slots
     result, tight = (ps.run(problem, config, s) for s in (sched, replace(sched, D=slots - 1)))
     assert result.status == tight.status == "max_iter" and result.iterations == 40
     assert np.array_equal(result.final.data, tight.final.data)
+
+
+@pytest.mark.parametrize("problem, sched, depth", [
+    (random_blocksparse_problem(3), synchronous(8, 8), 0),
+    (random_blocksparse_problem(3), ps.periodic(8, 8, 3, 12, ("sawtooth", 2)), 2),
+    (random_blocksparse_problem(3), ps.random_admissible(8, 8, 3, 4, 12, 5), 4),
+    (make_lasso_problem(), ps.ControlSchedule(1, [(0,)], [(0,)], M=1, D=10**7), 0)])
+def test_the_buffer_holds_the_last_read_depth_plus_one_iterates(problem, sched, depth):
+    # 40 iterations run every schedule past its horizon, where its tail window repeats
+    state = EngineState.initial(problem, ps.SolverConfig(resid_tol=0.0, exact_tol=-1.0), sched)
+    assert state.depth == read_depth(sched) == depth and list(state.buffer) == [0]
+    for _ in range(40):
+        assert advance(state) is None
+        assert sorted(state.buffer) == list(range(max(0, state.n - depth), state.n + 1))
+    assert len(state.buffer) == depth + 1
 
 
 def test_a_built_problem_is_never_grouped_again(monkeypatch):
@@ -581,17 +599,14 @@ def test_a_built_problem_is_never_grouped_again(monkeypatch):
 
 def test_row_tables_pick_the_rows_the_mask_picks():
     # random activated sets on mixed block shapes, for the coupling stacks of both kept
-    # images and for the operator groups of both sides; the tables may order rows by block
+    # images; the tables may order rows by block
     rng, shapes = np.random.default_rng(0), 0
     for seed in range(40):
         problem = random_problem(seed)
         L, sig = problem.coupling, problem.signature
-        state = EngineState.initial(problem, ps.SolverConfig(), synchronous(sig.m, sig.p))
         shapes = max(shapes, len(L._stacks))
         cases = [(L._rows[side], [np.array(keys)[:, 1 - side] for keys in L._keys], count)
                  for side, count in ((0, sig.m), (1, sig.p))]
-        cases += [(side.rows, [np.array(js) for _, js, _, _ in side.groups], len(side.slices))
-                  for side in (state.primal, state.dual)]
         for table, owners, count in cases:
             for _ in range(8):
                 active = tuple(sorted(rng.choice(count, rng.integers(1, count + 1), False)))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,23 @@ def test_problem_rejects_non_finite(tmp_path, path, huge):
     field = [key for key in path if isinstance(key, str)][-1]
     with pytest.raises(SchemaError, match=rf"\.{field}: non-finite value"):
         fileio.parse_problem(tmp_path / "bad.json")
+
+
+def test_a_claimed_block_size_is_checked_before_anything_is_sized(tmp_path):
+    # grouping the operators first built 16 bytes of coordinate tables per claimed coordinate
+    dim = 10**6
+    data = {"signature": {"primal_dims": [dim], "dual_dims": [1]},
+            "A_ops": [{"kind": "zero", "dim": dim}], "B_ops": [{"kind": "zero", "dim": 1}],
+            "coupling": [], "z_star": [[0.0]], "r": [[0.0]]}
+    (tmp_path / "claim.json").write_text(json.dumps(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=rf"z_star dims \(1,\) != \({dim},\)"):
+            fileio.parse_problem(tmp_path / "claim.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_parse_errors_name_the_field():

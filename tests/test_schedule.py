@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.cli import main
-from pdsplit.schedule import (CertResult, ControlSchedule, LagBuffer, LagTable, periodic,
-                              random_admissible, read_depth, synchronous, validate)
+from pdsplit.schedule import (CertResult, ControlSchedule, LagTable, periodic, random_admissible,
+                              read_depth, synchronous, validate)
 
-from conftest import point, random_blocksparse_problem
+from conftest import random_blocksparse_problem
 
 
 def test_validate_synchronous():
@@ -239,41 +239,12 @@ def test_synchronous_helper():
     assert s.lag_primal(0, 57) == 57
 
 
-def test_lag_buffer_window():
-    p0 = point([[0.0]], [[0.0]])
-    buf = LagBuffer(3, p0)  # keeps last 4 iterates
-    pts = [p0]
-    for n in range(1, 10):
-        pt = point([[float(n)]], [[0.0]])
-        buf.push(n, pt)
-        pts.append(pt)
-    for j in range(10):
-        if 6 <= j <= 9:
-            assert buf.get(j) is pts[j]
-        else:
-            with pytest.raises(LookupError):
-                buf.get(j)
-    with pytest.raises(LookupError):
-        buf.get(10)
-
-
-def test_lag_buffer_rejects_a_negative_depth():
-    with pytest.raises(ps.ConfigError, match=r"^buffer depth must be >= 0, got -1$"):
-        LagBuffer(-1, point([[0.0]], [[0.0]]))
-
-
 @pytest.mark.parametrize("pattern", [("constant",), ("sawtooth", 1, 2), ("linear", 1), (),
                                      "zero", None])
 def test_periodic_rejects_a_malformed_lag_pattern(pattern):
     with pytest.raises(ps.ConfigError,
                        match=rf"^unknown or malformed lag pattern {re.escape(repr(pattern))}$"):
         periodic(2, 2, group_size=1, horizon=8, lag_pattern=pattern)
-
-
-def test_lag_buffer_push_order():
-    buf = LagBuffer(2, point([[0.0]], [[0.0]]))
-    with pytest.raises(ps.ConfigError):
-        buf.push(5, point([[1.0]], [[0.0]]))
 
 
 def _validate_by_windows(s, m, p):
