@@ -3,9 +3,8 @@
 
 Usage: PYTHONPATH=src python scripts/schedule_scale.py
 
-Builds random_admissible(200, 200, M=10, D=5, horizon=4000, seed=1), which
-certifies itself, and certifies it once more with validate, as a caller
-would.  Then validates a 3-iteration schedule that activates one block
+Builds random_admissible(200, 200, M=10, D=5, horizon=4000, seed=1) and
+certifies it with validate, as a caller would.  Then validates a 3-iteration schedule that activates one block
 against 10**9 primal blocks, which must fail at iteration 0 without a table
 sized by the block count.  Prints the wall time of these steps (measured
 without tracing) and their peak traced allocation (tracemalloc, in a second

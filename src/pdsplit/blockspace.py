@@ -66,14 +66,12 @@ class BlockVector:
     __slots__ = ("data", "dims")
 
     def __init__(self, blocks: Iterable):
-        converted = [np.array(b, dtype=float) for b in blocks]  # copies
+        converted = [np.atleast_1d(np.array(b, dtype=float)) for b in blocks]  # copies
         if not converted:
             raise DimensionError("a block vector needs at least one block")
         for j, arr in enumerate(converted):
             if arr.ndim != 1:
-                if arr.ndim:
-                    raise DimensionError(f"block {j} is not a vector (ndim={arr.ndim})")
-                converted[j] = arr.reshape(1)
+                raise DimensionError(f"block {j} is not a vector (ndim={arr.ndim})")
         self.data = converted[0] if len(converted) == 1 else np.concatenate(converted)
         self.dims = tuple(map(len, converted))
 
@@ -162,9 +160,7 @@ class CouplingMap:
             k, i = int(key[0]), int(key[1])
             if not (0 <= k < p and 0 <= i < m):
                 raise DimensionError(f"coupling entry ({k},{i}) outside signature range")
-            arr = np.asarray(mat, dtype=float)
-            if arr.ndim != 2:
-                arr = np.atleast_2d(arr)
+            arr = np.atleast_2d(np.asarray(mat, dtype=float))
             expected = (ddims[k], pdims[i])
             if arr.shape != expected:
                 raise DimensionError(

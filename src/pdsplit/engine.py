@@ -31,8 +31,8 @@ import numpy as np
 
 from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, flat_inner
 from .errors import ConfigError, InconsistencyError, PdsplitError
-from .operators import (InexactnessBudget, finite_number, inexact_dual, inexact_primal,
-                        row_dots, stacked_parameters, stacked_resolvent)
+from .operators import (InexactnessBudget, finite_array, finite_number, inexact_dual,
+                        inexact_primal, row_dots, stacked_parameters, stacked_resolvent)
 from .schedule import ControlSchedule, at_least, read_depth, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
@@ -105,8 +105,7 @@ class SolverConfig:
             raise ConfigError("perturbation injection requires an inexactness budget")
         if self.start is not None:
             problem.check_point(self.start, "start")
-            if not np.isfinite(self.start.data).all():
-                raise ConfigError("start has non-finite values")
+            finite_array(self.start.data, "start")
         return rules
 
 
@@ -243,6 +242,8 @@ class EngineState:
         problem.known_Z_points = tuple(z._like(z.data.copy()) for z in problem.known_Z_points)
         L, sig, depth = problem.coupling, problem.signature, read_depth(sched)
         current = problem.projector.project(config.start or PrimalDualPoint.zeros(sig))
+        if current is config.start:  # the projection returned the caller's point: copy it
+            current = current._like(current.data.copy())
         return cls(problem, replace(config), sched, rules, n=0, current=current, anchor=current,
                    graph=GraphTable.zeros(sig), la=KeptImage(L), lsb=KeptImage(L, adjoint=True),
                    buffer={0: _buffered(L, current.x.data, current.v_star.data)}, depth=depth,

@@ -2,8 +2,9 @@
 
 The registry is closed on purpose: six kinds, each with a closed-form or direct-solve resolvent,
 so every downstream guarantee can be tested exhaustively.  To extend, add a kind constructor, its
-branches in `stacked_parameters` and `stacked_resolvent`, and its fields in fileio's table.  A
-problem groups its operators by (kind, dim) once, when it is built: `ProblemSpec.groups`.
+branches in `stacked_parameters` and `stacked_resolvent` (a linear kind, x -> Ax + b, names its
+matrix and offset in `LINEAR_KINDS` instead), and its fields in fileio's table.  A problem groups
+its operators by (kind, dim) once, when it is built: `ProblemSpec.groups`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import ConfigError, DimensionError, NumericalError, integer
 
 PSD_EIGENVALUE_FLOOR = -1e-10
 MEMBERSHIP_TOL = 1e-9  # a graph point is accepted within this times (1 + its norm)
+LINEAR_KINDS = {"quadratic": ("Q", "q"), "affine_monotone": ("M", "c")}  # (matrix, offset) fields
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ def finite_number(name: str, value, kind: str = "a number") -> float:
     return out
 
 
-def _finite_array(arr: np.ndarray, name: str) -> np.ndarray:
+def finite_array(arr: np.ndarray, name: str) -> np.ndarray:
     """arr itself; a ConfigError naming `name` if it holds NaN or an infinity."""
     if not np.isfinite(arr).all():
         raise ConfigError(f"{name} has non-finite values")
@@ -58,7 +60,7 @@ def _as_bound(v, dim: int, name: str) -> np.ndarray:
         arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise DimensionError(f"{name} has shape {arr.shape}, expected ({dim},)")
-    return _finite_array(arr, name)
+    return finite_array(arr, name)
 
 
 def _check_psd(S: np.ndarray, name: str) -> None:
@@ -119,28 +121,28 @@ def normal_cone_box(lo, hi) -> MonotoneOp:
     return _box("normal_cone_box", lo, hi)
 
 
+def _linear(kind: str, matrix, offset, check) -> MonotoneOp:
+    """The linear kind's operator x -> matrix x + offset, once check(matrix, name) passes."""
+    mat, vec = LINEAR_KINDS[kind]
+    arr = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"{mat} must be square, got {arr.shape}")
+    check(finite_array(arr, f"{kind} {mat}"), f"{kind} {mat}")
+    d = arr.shape[0]
+    off = np.zeros(d) if offset is None else _as_bound(offset, d, f"{kind} {vec}")
+    return MonotoneOp(kind, d, {mat: arr.copy(), vec: off})
+
+
 def quadratic(Q, q=None) -> MonotoneOp:
     """Gradient of the convex quadratic x -> x'Qx/2 + q'x with Q symmetric PSD."""
-    Q_arr = np.atleast_2d(np.asarray(Q, dtype=float))
-    if Q_arr.shape[0] != Q_arr.shape[1]:
-        raise DimensionError(f"Q must be square, got {Q_arr.shape}")
-    _check_sym_psd(_finite_array(Q_arr, "quadratic Q"), "quadratic Q")
-    d = Q_arr.shape[0]
-    q_arr = np.zeros(d) if q is None else _as_bound(q, d, "quadratic q")
-    return MonotoneOp("quadratic", d, {"Q": Q_arr.copy(), "q": q_arr})
+    return _linear("quadratic", Q, q, _check_sym_psd)
 
 
 def affine_monotone(M, c=None) -> MonotoneOp:
     """Affine map x -> Mx + c with M + M' PSD (M itself may be asymmetric)."""
-    M_arr = np.atleast_2d(np.asarray(M, dtype=float))
-    if M_arr.shape[0] != M_arr.shape[1]:
-        raise DimensionError(f"M must be square, got {M_arr.shape}")
     # M + M' is symmetric bit for bit, and halving its sum with its transpose is exact
-    _check_psd(_plus_transpose(_finite_array(M_arr, "affine_monotone M"), "affine_monotone M"),
-               "affine_monotone M + M'")
-    d = M_arr.shape[0]
-    c_arr = np.zeros(d) if c is None else _as_bound(c, d, "affine_monotone c")
-    return MonotoneOp("affine_monotone", d, {"M": M_arr.copy(), "c": c_arr})
+    return _linear("affine_monotone", M, c,
+                   lambda S, name: _check_psd(_plus_transpose(S, name), f"{name} + M'"))
 
 
 def stacked_parameters(ops, gammas) -> tuple:
@@ -153,9 +155,9 @@ def stacked_parameters(ops, gammas) -> tuple:
         return (g[:, None] * np.array([[op.params["weight"]] for op in ops]),)
     if kind in ("box_indicator", "normal_cone_box"):
         return tuple(np.array([op.params[key] for op in ops]) for key in ("lo", "hi"))
-    if kind not in ("quadratic", "affine_monotone"):
+    if kind not in LINEAR_KINDS:
         raise ConfigError(f"unknown operator kind {kind!r}")
-    mat, vec = ("Q", "q") if kind == "quadratic" else ("M", "c")
+    mat, vec = LINEAR_KINDS[kind]
     return (np.eye(ops[0].dim) + g[:, None, None] * np.array([op.params[mat] for op in ops]),
             g[:, None] * np.array([op.params[vec] for op in ops]))
 

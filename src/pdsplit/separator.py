@@ -18,7 +18,7 @@ import numpy as np
 from .blockspace import (BlockVector, CouplingMap, PrimalDualPoint, SpaceSignature, flat_inner,
                          pd_norm)
 from .errors import ConfigError, DimensionError
-from .operators import MonotoneOp, graph_distance, operator_groups
+from .operators import LINEAR_KINDS, MonotoneOp, finite_array, graph_distance, operator_groups
 
 SUBSPACE_VARIANTS = ("full", "nullspace", "linear_primal", "zero_sum_dual")
 
@@ -50,8 +50,8 @@ class SubspaceSpec:
             if getattr(self, name) is None:
                 raise ConfigError(f"{self.variant} subspace requires the matrix {name}")
             matrix = np.atleast_2d(np.asarray(getattr(self, name), float))
-            if not np.isfinite(matrix).all():  # NaN fails the SVD; inf gives rank 0, no constraint
-                raise ConfigError(f"{self.variant} subspace matrix {name} has non-finite values")
+            # NaN fails the SVD; inf gives rank 0, no constraint
+            finite_array(matrix, f"{self.variant} subspace matrix {name}")
             object.__setattr__(self, name, matrix)
 
 
@@ -125,17 +125,6 @@ def build_projector(spec: SubspaceSpec, signature: SpaceSignature,
     return SubspaceProjector(signature, "linear_primal", _rowspace_basis(C))
 
 
-def _linear_matrix(op: MonotoneOp) -> Optional[np.ndarray]:
-    """Matrix of an operator that is a linear map, or None."""
-    if op.kind == "zero":
-        return np.zeros((op.dim, op.dim))
-    if op.kind == "quadratic" and not op.params["q"].any():
-        return op.params["Q"]
-    if op.kind == "affine_monotone" and not op.params["c"].any():
-        return op.params["M"]
-    return None
-
-
 @dataclass
 class ProblemSpec:
     """A validated coupled-inclusion problem over block spaces.
@@ -173,9 +162,8 @@ class ProblemSpec:
             raise DimensionError(f"z_star dims {self.z_star.dims} != {sig.primal_dims}")
         if self.r.dims != sig.dual_dims:
             raise DimensionError(f"r dims {self.r.dims} != {sig.dual_dims}")
-        for name, offset in (("z_star", self.z_star), ("r", self.r)):
-            if not np.isfinite(offset.data).all():
-                raise ConfigError(f"{name} has non-finite values")
+        finite_array(self.z_star.data, "z_star")
+        finite_array(self.r.data, "r")
         # after the checks above: the groups' coordinate tables follow the claimed dims
         self.groups = (operator_groups(self.A_ops, sig.primal_slices),
                        operator_groups(self.B_ops, sig.dual_slices))
@@ -184,8 +172,7 @@ class ProblemSpec:
             self._validate_linear_primal()
         for j, z in enumerate(self.known_Z_points):
             self.check_point(z, f"known_Z_points[{j}]")
-            if not np.isfinite(z.data).all():
-                raise ConfigError(f"known_Z_points[{j}] has non-finite values")
+            finite_array(z.data, f"known_Z_points[{j}]")
             res = kt_residual(self, z)
             if not res.max <= FIXTURE_KT_TOL:  # a NaN residual fails too
                 raise ConfigError(
@@ -199,12 +186,13 @@ class ProblemSpec:
     def _validate_linear_primal(self) -> None:
         if self.z_star.data.any():
             raise ConfigError("linear_primal subspace requires z_star = 0")
-        mat = _linear_matrix(self.A_ops[0])
-        if mat is None:
+        op, (mat, vec) = self.A_ops[0], LINEAR_KINDS.get(self.A_ops[0].kind, (None, None))
+        if op.kind != "zero" and (vec is None or op.params[vec].any()):  # not a linear map
             raise ConfigError(
                 "linear_primal subspace requires a linear primal operator "
                 "(zero, quadratic with q=0, or affine_monotone with c=0)")
-        if not np.allclose(mat, self.subspace.A1, rtol=0.0, atol=LINEAR_MATCH_TOL):
+        if not np.allclose(op.params.get(mat, 0.0), self.subspace.A1, rtol=0.0,
+                           atol=LINEAR_MATCH_TOL):  # the zero operator's matrix is 0
             raise ConfigError("subspace matrix A1 does not match the primal operator")
 
     def check_point(self, point: PrimalDualPoint, name: str) -> None:

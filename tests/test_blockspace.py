@@ -54,6 +54,15 @@ def test_block_vector_rejects_a_malformed_family(blocks, message):
         BlockVector(blocks)
 
 
+def test_lower_rank_input_is_promoted():
+    # a scalar block is a vector of one; a 1-D coupling entry of a 1 x d block is its one row
+    assert BlockVector([3.0, [1.0, 2.0]]).dims == (1, 2)
+    assert np.array_equal(BlockVector([3.0]).data, [3.0])
+    cmap = CouplingMap(SpaceSignature((2,), (1,)), {(0, 0): [1.0, 2.0]})
+    assert np.array_equal(cmap.entries[(0, 0)], [[1.0, 2.0]])
+    assert np.array_equal(cmap.forward(np.array([1.0, 1.0])), [3.0])
+
+
 def test_forward_zero_map():
     sig = SpaceSignature((2,), (3,))
     L = CouplingMap(sig, {})

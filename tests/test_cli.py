@@ -69,6 +69,19 @@ def test_run_schema_error_exit_one(workdir, tmp_path):
     assert code == 1
 
 
+def test_run_names_a_missing_required_field(workdir, capsys):
+    data = json.loads((workdir / "problem.json").read_text())
+    del data["coupling"][0]["matrix"]
+    (workdir / "problem.json").write_text(json.dumps(data))
+    code = main(["run", "--problem", str(workdir / "problem.json"),
+                 "--config", str(workdir / "config.json"),
+                 "--trace", str(workdir / "out.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err == (f"error: {workdir / 'problem.json'}.coupling[0]: "
+                   "missing required field 'matrix'\n")
+
+
 def test_validate_schedule_ok(workdir, capsys):
     sched = ps.periodic(2, 2, group_size=1, horizon=16)
     fileio.write_schedule(sched, workdir / "s.json")

@@ -477,6 +477,27 @@ def test_state_keeps_its_own_problem_arrays():
     assert np.array_equal(state.current.data, expected.final.data)
 
 
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+def test_state_keeps_its_own_start_point(mode):
+    # on the full subspace the projection cannot move the start, so the state copies it
+    problem = make_lasso_problem()
+    sched = ps.random_admissible(m=1, p=1, M=1, D=4, horizon=512, seed=0)
+    start = point([[0.5, -0.5]], [[0.25, 0.0]])
+    cfg = ps.SolverConfig(mode=mode, max_iter=50, resid_tol=0.0, exact_tol=-1.0, start=start)
+    expected = ps.run(problem, cfg, sched)
+    state = EngineState.initial(problem, cfg, sched)
+    start.data[:] = 7.0
+    for _ in range(cfg.max_iter):
+        assert advance(state) is None
+    assert state.trace == expected.trace
+    assert np.array_equal(state.current.data, expected.final.data)
+    # a run solved at iteration 0 returns its own copy of the start, not the caller's point
+    solution = point([[1.0, 0.0]], [[-1.0, -1.0]])
+    res = ps.run(problem, replace(cfg, resid_tol=1e-8, start=solution), sched)
+    assert (res.status, res.iterations) == ("solved", 1)
+    assert res.final is not solution and np.array_equal(res.final.data, solution.data)
+
+
 def test_state_keeps_its_own_dict_lag_tables():
     # a dict table is copied when the state is built, so setting an entry of the caller's dict
     # later (which a generated table does not allow) leaves the state's reads as they were

@@ -283,6 +283,9 @@ _BASES = {
                           "subspace": {"variant": "nullspace", "C": [[0.0, 1.0, 0.0, 0.0]]}},
     "linear_primal": lambda: fileio.problem_to_dict(make_linear_primal_problem("linear_primal")),
     "config": lambda: fileio.config_to_dict(ps.SolverConfig(start=_LASSO_SOLUTION)),
+    "budget": lambda: fileio.config_to_dict(ps.SolverConfig(
+        inexact=ps.InexactnessBudget(1.0, 0.3, 1.0, 0.3),
+        perturbation=ps.PerturbationRule(seed=9, scale=0.25))),
     "point": lambda: fileio.point_to_dict(_LASSO_SOLUTION),
 }
 
@@ -356,6 +359,52 @@ def test_number_fields_must_be_json_numbers(tmp_path, base, path, name, bad):
         target = target[key]
     target[path[-1]] = bad
     with pytest.raises(SchemaError, match=re.escape(name) + ": expected a number"):
+        parse(data)
+
+
+# (base data, path to an object in it, a required field of that object)
+_REQUIRED_FIELDS = [
+    *(("lasso", (), key) for key in ("signature", "A_ops", "B_ops", "coupling", "z_star", "r")),
+    *(("lasso", ("signature",), key) for key in ("primal_dims", "dual_dims")),
+    *(("lasso", ("coupling", 0), key) for key in ("k", "i", "matrix")),
+    *(("lasso", ("A_ops", 0), key) for key in ("kind", "dim")),
+    *(("lasso", ("B_ops", 0), key) for key in ("kind", "Q")),
+    *(("zero_op", ("B_ops", 0), key) for key in ("lo", "hi")),
+    *(("lasso", ("known_Z_points", 0), key) for key in ("x", "v_star")),
+    ("nullspace", ("subspace",), "variant"),
+    *(("explicit", (), key) for key in ("horizon", "I_seq", "K_seq", "M", "D")),
+    *(("periodic", (), key) for key in ("m", "p", "group_size", "horizon")),
+    ("periodic", ("lag",), "pattern"), ("periodic", ("lag",), "value"),
+    ("sawtooth", ("lag",), "max"),
+    *(("random", (), key) for key in ("m", "p", "M", "D", "horizon", "seed")),
+    *(("budget", ("inexact",), key) for key in ("beta", "sigma", "delta", "zeta")),
+    *(("budget", ("perturbation",), key) for key in ("seed", "scale")),
+    *(("config", ("start",), key) for key in ("x", "v_star")),
+]
+
+
+def _where(base: str, path: tuple) -> str:
+    """The location a reader gives the object at path in the base's data."""
+    root = "schedule" if base in ("periodic", "sawtooth", "random", "explicit") \
+        else "config" if base in ("config", "budget") else "problem"
+    return root + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+
+
+@pytest.mark.parametrize("base, path, key", _REQUIRED_FIELDS,
+                         ids=[f"{_where(base, path)}.{key}" for base, path, key
+                              in _REQUIRED_FIELDS])
+def test_a_missing_required_field_is_named(base, path, key):
+    where = _where(base, path)
+    parse = {"problem": fileio.problem_from_dict, "schedule": fileio.schedule_from_dict,
+             "config": fileio.config_from_dict}[where.split(".")[0]]
+    data = _BASES[base]()
+    parse(data)
+    target = data
+    for step in path:
+        target = target[step]
+    del target[key]
+    with pytest.raises(SchemaError, match=f"^{re.escape(where)}: missing required field "
+                                          f"{re.escape(repr(key))}$"):
         parse(data)
 
 

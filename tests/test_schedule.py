@@ -195,6 +195,19 @@ def test_random_admissible_always_certified(seed):
     assert validate(s, m, p).certified
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_periodic_always_certified(seed):
+    # the generators do not certify their own output: their consumers do, and these tests
+    rng = np.random.default_rng(seed)
+    m, p = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    group_size, horizon = int(rng.integers(1, 10)), int(rng.integers(1, 40))
+    pattern = [("zero",), ("constant", int(rng.integers(0, 5))),
+               ("sawtooth", int(rng.integers(0, 5)))][int(rng.integers(3))]
+    s = periodic(m, p, group_size, horizon, pattern)
+    assert validate(s, m, p).certified
+
+
 def test_zero_lag_is_identity():
     s = random_admissible(2, 2, M=2, D=0, horizon=32, seed=3)
     for n in range(32):
@@ -341,6 +354,13 @@ def test_validate_matches_window_check_on_malformed_lag_tables(seed):
                               M=s.M, D=s.D)
         cert = validate(bad, m, p)
         assert not cert.certified and cert == _validate_by_windows(bad, m, p)
+
+
+def test_a_lag_table_reads_its_default_off_the_grid():
+    table = periodic(2, 3, 1, horizon=4, lag_pattern=("constant", 1)).d  # a 4 x 3 grid
+    assert table.get((1, 2), "none") == 1
+    for key in ((0, 3), (3, 0), (0, 4), (-1, 2), (1, -1), (5, 9)):  # no entry, then off the grid
+        assert table.get(key, "none") == "none"
 
 
 def test_a_lag_table_follows_a_new_horizon_and_new_sets():

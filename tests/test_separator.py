@@ -62,6 +62,16 @@ def test_nullspace_drops_dependent_rows():
     assert abs(out.x.blocks[0][0] - 1.0) <= 1e-12
 
 
+def test_nullspace_needs_its_matrix_and_a_zero_one_constrains_nothing():
+    with pytest.raises(ConfigError, match="^nullspace subspace requires the matrix C$"):
+        ps.SubspaceSpec("nullspace")
+    sig = ps.SpaceSignature((1,), (1,))
+    proj = build_projector(ps.SubspaceSpec("nullspace", C=[[0.0, 0.0]]), sig)
+    assert proj.rowspace.shape == (0, 2)
+    z = point([[3.0]], [[1.0]])
+    assert np.array_equal(proj.project(z).data, z.data) and proj.residual(z) == 0.0
+
+
 def _projector_cases():
     sig_a = ps.SpaceSignature((2,), (1, 1))
     yield build_projector(ps.SubspaceSpec("zero_sum_dual"), sig_a), sig_a
