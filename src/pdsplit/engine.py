@@ -174,17 +174,20 @@ class _Side(NamedTuple):
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
     groups: list        # the problem's groups, with their members' parameters at their steps
     place: dict         # per block of the side, its group and its row there
+    full: tuple         # _plan of every block, which never changes: built once, here
 
 
 def _side(read: int, problem: ProblemSpec, steps) -> _Side:
     sig, groups = problem.signature, problem.groups[read]
     ops, slices, offset = ((problem.A_ops, sig.primal_slices, problem.z_star),
                            (problem.B_ops, sig.dual_slices, problem.r))[read]
-    return _Side(read, slices, offset.data,
+    side = _Side(read, slices, offset.data,
                  np.repeat(steps, [sl.stop - sl.start for sl in slices]),
                  [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]), at)
                   for kind, js, _, at in groups],
-                 {j: (g, row) for g, (_, js, _, _) in enumerate(groups) for row, j in enumerate(js)})
+                 {j: (g, row) for g, (_, js, _, _) in enumerate(groups) for row, j in enumerate(js)},
+                 ())
+    return side._replace(full=_plan(side, range(len(slices))))
 
 
 def _buffered(coupling: CouplingMap, x: np.ndarray, v: np.ndarray) -> tuple:
@@ -311,21 +314,24 @@ def _reads(state: EngineState, side: _Side, active: Sequence[int], lags: list[in
 
 
 def _plan(side: _Side, active: Sequence[int]) -> tuple:
-    """The side's activated coordinates and, per operator group with an activated member, its
-    index, its activated rows (sel) and their places among those coordinates: every block
-    active, the whole arrays; one block, its slice, its parameter row and its coordinates as
-    one row (the index None)."""
+    """The side's activated coordinates; per operator group with an activated member, its
+    index, its activated rows (sel) and their places among those coordinates (the picks); and
+    their (kind, params, places) work list.  Every block active: the whole arrays; one block:
+    its slice, its parameter row and its coordinates as one row (the index None)."""
     if len(active) == len(side.slices):
-        return slice(None), [(g, slice(None), group[3]) for g, group in enumerate(side.groups)]
-    if len(active) == 1:
+        at, picks = slice(None), [(g, slice(None), group[3]) for g, group in enumerate(side.groups)]
+    elif len(active) == 1:
         g, row = side.place[active[0]]
-        return side.slices[active[0]], [(g, slice(row, row + 1), None)]
-    rows: list = [[] for _ in side.groups]  # per group, its activated rows, in activation order
-    for g, row in (side.place[j] for j in active):
-        rows[g].append(row)
-    at = np.r_[tuple(side.slices[j] for j in active)]  # ascending
-    return at, [(g, sel, np.searchsorted(at, side.groups[g][3][sel]))
-                for g, sel in enumerate(map(np.array, rows)) if sel.size]
+        at, picks = side.slices[active[0]], [(g, slice(row, row + 1), None)]
+    else:
+        rows: list = [[] for _ in side.groups]  # per group, its activated rows, in activation order
+        for g, row in (side.place[j] for j in active):
+            rows[g].append(row)
+        at = np.r_[tuple(side.slices[j] for j in active)]  # ascending
+        picks = [(g, sel, np.searchsorted(at, side.groups[g][3][sel]))
+                 for g, sel in enumerate(map(np.array, rows)) if sel.size]
+    return at, picks, [(side.groups[g][0], tuple(p[sel] for p in side.groups[g][2]), rows)
+                       for g, sel, rows in picks]
 
 
 def _resolvents(work: list, u: np.ndarray) -> np.ndarray:
@@ -376,9 +382,7 @@ def _decompose(state: EngineState, n: int) -> None:
             (state.dual, K_n, sched.lag_dual, graph_point_dual, (graph.b, graph.b_dual))):
         reads = (state.buffer[n][side.read] if state.depth == 0
                  else _reads(state, side, active, [lag(j, n) for j in active]))
-        at, picks = _plan(side, active)
-        work = [(side.groups[g][0], tuple(p[sel] for p in side.groups[g][2]), rows)
-                for g, sel, rows in picks]
+        at, picks, work = side.full if len(active) == len(side.slices) else _plan(side, active)
         args = (reads[0][at], reads[1][at], side.step[at], side.offset[at])
         points = fresh(work, *args)
         if perturb is not None:

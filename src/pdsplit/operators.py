@@ -1,10 +1,11 @@
 """Registry of maximally monotone operators with exact resolvents.
 
-The registry is closed on purpose: six kinds, each with a closed-form or direct-solve resolvent,
-so every downstream guarantee can be tested exhaustively.  To extend, add a kind constructor, its
-branches in `stacked_parameters` and `stacked_resolvent` (a linear kind, x -> Ax + b, names its
-matrix and offset in `LINEAR_KINDS` instead), and its fields in fileio's table.  A problem groups
-its operators by (kind, dim) once, when it is built: `ProblemSpec.groups`.
+The registry is closed on purpose: six kinds, each with a closed-form resolvent (a linear kind's
+by the inverse of its I + gamma*A, formed once per group and step), so every downstream guarantee
+can be tested exhaustively.  To extend, add a kind constructor, its branches in
+`stacked_parameters` and `stacked_resolvent` (a linear kind, x -> Ax + b, names its matrix and
+offset in `LINEAR_KINDS` instead), and its fields in fileio's table.  A problem groups its
+operators by (kind, dim) once, when it is built: `ProblemSpec.groups`.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ def affine_monotone(M, c=None) -> MonotoneOp:
 
 def stacked_parameters(ops, gammas) -> tuple:
     """The parameters of (Id + gamma*Op)^{-1} that stacked_resolvent reads, for operators of one
-    kind and dim at steps gammas: one row each."""
+    kind and dim at steps gammas: one row each.  A linear kind's are the inverse of its stack of
+    I + gamma*A, from one batched call, and gamma*b; a singular stack is a NumericalError."""
     kind, g = ops[0].kind, np.array(gammas, float)
     if kind == "zero":
         return ()
@@ -158,8 +160,12 @@ def stacked_parameters(ops, gammas) -> tuple:
     if kind not in LINEAR_KINDS:
         raise ConfigError(f"unknown operator kind {kind!r}")
     mat, vec = LINEAR_KINDS[kind]
-    return (np.eye(ops[0].dim) + g[:, None, None] * np.array([op.params[mat] for op in ops]),
-            g[:, None] * np.array([op.params[vec] for op in ops]))
+    try:  # one batched inverse of the stack, formed here once for every later resolvent
+        inv = np.linalg.inv(np.eye(ops[0].dim) + g[:, None, None]
+                            * np.array([op.params[mat] for op in ops]))
+    except np.linalg.LinAlgError as exc:  # cannot happen for monotone inputs
+        raise NumericalError(f"resolvent inverse failed for kind {kind!r}: {exc}") from exc
+    return inv, g[:, None] * np.array([op.params[vec] for op in ops])
 
 
 def operator_groups(ops, slices) -> list:
@@ -175,18 +181,16 @@ def operator_groups(ops, slices) -> list:
 
 
 def stacked_resolvent(kind: str, params: tuple, u: np.ndarray) -> np.ndarray:
-    """Row j of u through the resolvent with row j of params (one resolvent if unstacked)."""
+    """Row j of u through the resolvent with row j of params (one resolvent if unstacked); a
+    linear kind's is a matmul by the inverse stacked_parameters formed, no factorization."""
     if kind == "zero":
         return u.copy()
     if kind == "l1_norm":
         return np.sign(u) * np.maximum(np.abs(u) - params[0], 0.0)
     if kind in ("box_indicator", "normal_cone_box"):
         return np.minimum(np.maximum(u, params[0]), params[1])
-    A, offset = params  # I + gamma*Q and gamma*q (quadratic), I + gamma*M and gamma*c (affine)
-    try:  # right-hand sides as (n, d, 1): numpy reads (n, d) as a stack of matrices
-        return np.linalg.solve(A, (u - offset)[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:  # cannot happen for monotone inputs
-        raise NumericalError(f"resolvent solve failed for kind {kind!r}: {exc}") from exc
+    inv, offset = params  # (I + gamma*Q)^{-1} and gamma*q, or (I + gamma*M)^{-1} and gamma*c
+    return np.matmul(inv, (u - offset)[..., None])[..., 0]  # rows as (n, d, 1) right-hand sides
 
 
 # No package code calls the per-block resolvent.  It stays as documented API, and because

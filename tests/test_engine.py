@@ -664,6 +664,51 @@ def test_synchronous_iteration_calls_each_resolvent_group_once(monkeypatch):
         assert calls == {"group": groups * (n + 1), "block": 0}
 
 
+def _count_factorizations(monkeypatch) -> list:
+    """A one-entry list that each np.linalg.solve or np.linalg.inv call adds 1 to."""
+    calls = [0]
+    for name in ("solve", "inv"):
+        def counted(*args, call=getattr(np.linalg, name), **kw):
+            calls[0] += 1
+            return call(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("inexact", [False, True])
+@pytest.mark.parametrize("schedule", ["synchronous", "periodic", "random_admissible"])
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+def test_iterations_factor_no_matrix(monkeypatch, mode, schedule, inexact):
+    """The linear resolvents' inverses are formed when the state is built, never in advance."""
+    kw = dict(inexact=ps.InexactnessBudget(1.0, 0.2, 1.0, 0.2),
+              perturbation=ps.PerturbationRule(seed=7, scale=0.6)) if inexact else {}
+    cfg = ps.SolverConfig(mode=mode, max_iter=30, resid_tol=0.0, exact_tol=-1.0, **kw)
+    linear = 0
+    for seed in range(6):
+        problem = random_problem(seed)
+        m, p = problem.m, problem.p
+        sched = {"synchronous": lambda: synchronous(m, p),
+                 "periodic": lambda: ps.periodic(m, p, 1, 12, ("sawtooth", 2)),
+                 "random_admissible": lambda: ps.random_admissible(m, p, 3, 4, 64, seed)}[schedule]()
+        state = EngineState.initial(problem, cfg, sched)
+        linear += sum(kind in ("quadratic", "affine_monotone")
+                      for side in (state.primal, state.dual) for kind, *_ in side.groups)
+        calls = _count_factorizations(monkeypatch)
+        for _ in range(30):
+            advance(state)
+        monkeypatch.undo()
+        assert calls == [0], (seed, state.n)
+    assert linear > 0  # the problems have linear resolvents to factor
+
+
+def test_kt_residual_factors_no_matrix(monkeypatch):
+    problem = random_blocksparse_problem(3)
+    calls = _count_factorizations(monkeypatch)
+    for z in (problem.known_Z_points[0], ps.PrimalDualPoint.zeros(problem.signature)):
+        ps.kt_residual(problem, z)
+    assert calls == [0]
+
+
 def _count_lag_lookups(monkeypatch) -> list:
     """A list that each ControlSchedule.lag_primal or lag_dual call appends its (block, n) to."""
     calls = []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pdsplit as ps
 from pdsplit import operators
-from pdsplit.errors import ConfigError, DimensionError
+from pdsplit.errors import ConfigError, DimensionError, NumericalError
 from pdsplit.operators import (InexactnessBudget, MonotoneOp, _check_sym_psd, inexact_dual,
                                inexact_primal, resolvent, stacked_parameters, stacked_resolvent)
 
@@ -163,7 +163,7 @@ def _textbook_resolvent(op, gamma, u):
     if op.kind in ("box_indicator", "normal_cone_box"):
         return np.minimum(np.maximum(u, op.params["lo"]), op.params["hi"])
     mat, vec = ("Q", "q") if op.kind == "quadratic" else ("M", "c")
-    return np.linalg.solve(np.eye(op.dim) + gamma * op.params[mat], u - gamma * op.params[vec])
+    return np.linalg.inv(np.eye(op.dim) + gamma * op.params[mat]) @ (u - gamma * op.params[vec])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 20])
@@ -183,6 +183,47 @@ def test_grouped_resolvent_matches_the_per_block_one_bitwise(kind, dim):
         part = stacked_resolvent(kind, tuple(p[rows] for p in params), u[rows])
         assert len(part) == len(rows)
         assert all(np.array_equal(out, single[j]) for out, j in zip(part, rows))
+
+
+def _badly_scaled_stack(rng, kind, dim, scale):
+    """Four operators of a linear kind, scale times a rank-1 matrix plus 1e-3 times a PSD one
+    (plus a skew part for the affine kind), with offsets of the same scale."""
+    ops = []
+    for _ in range(4):
+        v, G = rng.normal(size=dim), rng.normal(size=(dim, dim)) / np.sqrt(dim)
+        S = np.outer(v, v) + 1e-3 * (G.T @ G)
+        S = 0.5 * (S + S.T)
+        if kind == "quadratic":
+            ops.append(ps.quadratic(scale * S, scale * rng.normal(size=dim)))
+        else:
+            W = rng.normal(size=(dim, dim))
+            ops.append(ps.affine_monotone(scale * (S + W - W.T), scale * rng.normal(size=dim)))
+    return ops
+
+
+@pytest.mark.parametrize("gamma", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("dim", [2, 20])
+@pytest.mark.parametrize("kind", ["quadratic", "affine_monotone"])
+def test_linear_resolvents_stay_accurate_when_badly_scaled(kind, dim, scale, gamma):
+    rng = np.random.default_rng(dim)
+    ops = _badly_scaled_stack(rng, kind, dim, scale)
+    u = rng.normal(size=(4, dim))
+    a = stacked_resolvent(kind, stacked_parameters(ops, [gamma] * 4), u)
+    mat, vec = operators.LINEAR_KINDS[kind]
+    for op, row, got in zip(ops, u, a):
+        A, rhs = np.eye(dim) + gamma * op.params[mat], row - gamma * op.params[vec]
+        residual = np.linalg.norm(A @ got - rhs)
+        assert residual <= 1e-14 * (np.linalg.norm(A, 2) * np.linalg.norm(got)
+                                    + np.linalg.norm(rhs))
+        ref = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_a_singular_linear_stack_is_a_numerical_error():
+    op = MonotoneOp("quadratic", 2, {"Q": -np.eye(2), "q": np.zeros(2)})  # I + Q = 0
+    with pytest.raises(NumericalError, match="'quadratic'"):
+        stacked_parameters([op], [1.0])
 
 
 def test_graph_point_primal_soft_threshold():
