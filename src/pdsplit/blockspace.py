@@ -290,19 +290,13 @@ def rows_owned(table: list, active) -> list:
     return [np.concatenate([rows[j] for j in active]) for rows in table]
 
 
-# No package code calls the per-block applies.  perfbench's problem generator and the test oracle
-# import them, its tracer patches them, and its inputs' bits rest on their sorted key order.
+# Only perfbench reads the per-block applies: its problem generator imports them and its tracer
+# patches them.  Once perfbench has its own copies (ROADMAP item 1), they can be deleted.
 def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
-    """Dual block k of the forward map: sum over i of entry (k,i) applied to x_i."""
-    acc = np.zeros(cmap.signature.dual_dims[k])
-    for key in filter(lambda key: key[0] == k, sorted(cmap.entries)):
-        acc += cmap.entries[key] @ x.data[cmap.signature.primal_slices[key[1]]]
-    return acc
+    """Dual block k of the forward map: block k of cmap.forward(x)."""
+    return cmap.forward(x.data)[cmap.signature.dual_slices[k]]
 
 
 def adjoint_block(cmap: CouplingMap, y: BlockVector, i: int) -> np.ndarray:
-    """Primal block i of the adjoint map: sum over k of entry (k,i) transposed applied to y_k."""
-    acc = np.zeros(cmap.signature.primal_dims[i])
-    for key in filter(lambda key: key[1] == i, sorted(cmap.entries)):
-        acc += cmap.entries[key].T @ y.data[cmap.signature.dual_slices[key[0]]]
-    return acc
+    """Primal block i of the adjoint map: block i of cmap.adjoint(y)."""
+    return cmap.adjoint(y.data)[cmap.signature.primal_slices[i]]

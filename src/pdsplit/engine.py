@@ -204,8 +204,7 @@ class EngineState:
     later), the rules config.validate returned and the two sides, whose
     operator groups fix the operators' parameters.  trace receives the
     records of the traced iterations: a list unless another destination with
-    an `append` was given.  ended names the terminal status after which the
-    run cannot go on.
+    an `append` was given.  ended is (status, n) once iteration n ended the run.
     """
 
     problem: ProblemSpec
@@ -225,7 +224,7 @@ class EngineState:
     perturb: Optional[_PerturbState] = None
     trace: list[IterationRecord] = field(default_factory=list)  # or any object with append
     last_record: Optional[IterationRecord] = None
-    ended: Optional[str] = None
+    ended: Optional[tuple] = None
 
     @classmethod
     def initial(cls, problem: ProblemSpec, config: SolverConfig, sched: ControlSchedule,
@@ -348,11 +347,8 @@ def graph_point_primal(work: list, x: np.ndarray, lsv: np.ndarray, gamma: np.nda
     lists them: a = J(x + gamma*(z* - L*v)), a* = (x - a)/gamma - L*v, so a* + z* in Op(a).
     An error perturbs J's input and enters a* the same way, which keeps graph membership."""
     u = x + gamma * (z_star - lsv)
-    if error is None:
-        a = _resolvents(work, u)
-        return a, (x - a) / gamma - lsv
-    a = _resolvents(work, u + error)
-    return a, (x - a + error) / gamma - lsv
+    a = _resolvents(work, u if error is None else u + error)
+    return a, (x - a if error is None else x - a + error) / gamma - lsv
 
 
 def graph_point_dual(work: list, lx: np.ndarray, v: np.ndarray, mu: np.ndarray, r: np.ndarray,
@@ -360,11 +356,8 @@ def graph_point_dual(work: list, lx: np.ndarray, v: np.ndarray, mu: np.ndarray, 
     """Fresh dual graph points on a side's activated coordinates:
     b = r + J(Lx + mu*v - r), b* = v + (Lx - b)/mu, so b* in Op(b - r); an error as above."""
     u = lx + mu * v - r
-    if error is None:
-        b = r + _resolvents(work, u)
-        return b, v + (lx - b) / mu
-    b = r + _resolvents(work, u + error)
-    return b, v + (lx - b + error) / mu
+    b = r + _resolvents(work, u if error is None else u + error)
+    return b, v + (lx - b if error is None else lx - b + error) / mu
 
 
 def _decompose(state: EngineState, n: int) -> None:
@@ -434,14 +427,14 @@ def advance(state: EngineState):
 
     Returns None, or the run's terminal (status, point, message): "solved"
     once the residuals pass the stopping test (they certify the iterate the
-    step started from), "exact_point" or "inconsistent".  A run that
-    returned "exact_point" has ended: advancing it again raises PdsplitError.
+    step started from), "exact_point" or "inconsistent".  After either of
+    the last two the run has ended: advancing it again raises PdsplitError.
     """
     n, current = state.n, state.current
     problem, config, graph = state.problem, state.config, state.graph
     if state.ended is not None:
-        raise PdsplitError(f"the run has ended: advance returned {state.ended!r} at iteration "
-                           f"{n - 1}; build a new state to run again")
+        raise PdsplitError("the run has ended: advance returned {!r} at iteration {}; build a "
+                           "new state to run again".format(*state.ended))
     _decompose(state, n)
     z, split = current.data, graph.a.size
     normal, level, tau, raw = build_separator(graph, problem, (state.lsb.value, state.la.value))
@@ -452,6 +445,7 @@ def advance(state: EngineState):
         try:
             nxt = haugazeau_update(state.anchor.data, z, nxt, split)
         except InconsistencyError as exc:
+            state.ended = ("inconsistent", n)
             return "inconsistent", current, str(exc)
     images = state.buffer[n]
     (_, lsv), (lx, _) = images
@@ -461,11 +455,12 @@ def advance(state: EngineState):
         state.trace.append(record)
     residual = record.residual_sum()
     if not (math.isfinite(residual) and math.isfinite(theta) and np.isfinite(nxt).all()):
+        state.ended = ("inconsistent", n)
         return "inconsistent", current, f"non-finite values at iteration {n}"
     if config.exact_tol >= 0.0 and detect_exact_solution(  # raw is normal on the full space
             tau if normal is raw else flat_inner(raw, raw, split),
             float(graph.a.dot(graph.a)) + float(graph.b_dual.dot(graph.b_dual)), config.exact_tol):
-        state.n, state.ended = n + 1, "exact_point"
+        state.n, state.ended = n + 1, ("exact_point", n)
         return ("exact_point", graph.pair(graph.a, graph.b_dual),
                 f"separator normal vanished at iteration {n}")
     if nxt is not z:  # else theta = 0: iterate n + 1 is iterate n, and so are its images

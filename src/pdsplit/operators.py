@@ -196,7 +196,7 @@ def stacked_resolvent(kind: str, params: tuple, u: np.ndarray) -> np.ndarray:
 # No package code calls the per-block resolvent.  It stays as documented API, and because
 # perfbench's problem generator imports it and its tracer patches it.
 def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
-    """Evaluate (Id + gamma*Op)^{-1} at u.
+    """Evaluate (Id + gamma*Op)^{-1} at u, the one-row case of stacked_resolvent.
 
     Returns the unique a with (u - a)/gamma in Op(a).
     """

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import pdsplit as ps
-from pdsplit.blockspace import adjoint_block, forward_block
-from pdsplit.operators import resolvent
+
+from oracle import adjoint_block, forward_block, resolvent
 
 
 # Kinds that are subdifferentials of an explicit convex function, so their

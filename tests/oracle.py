@@ -4,10 +4,10 @@ inexactness checks, the coordination step written from the paper's formulas,
 buffer-free reference iterations, and the per-step invariant checker.
 
 The tests use it as an independent reference; the package itself does not.
-The per-block graph points, membership test and budget checks share no
-arithmetic with the engine's and kt_residual's per-group routines: they
-evaluate one block at a time through the registry's resolvent, and the
-membership test is this module's own.  The half-space, its
+The per-block applies, resolvent, graph points, membership test and budget
+checks share no arithmetic with the package's batched and per-group
+routines: they evaluate one block at a time with this module's own sums and
+closed forms.  The half-space, its
 violation, the relaxed projection, the anchored update and the diagnostics
 row are this module's own, summed in the documented order (one dot per side,
 primal side first), so that they match the engine bit for bit.
@@ -23,10 +23,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from pdsplit import engine
-from pdsplit.blockspace import PrimalDualPoint, adjoint_block, forward_block, pd_norm
+from pdsplit.blockspace import BlockVector, CouplingMap, PrimalDualPoint, pd_norm
 from pdsplit.engine import EngineState, IterationRecord, RunResult, SolverConfig
 from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
-from pdsplit.operators import InexactnessBudget, MonotoneOp, resolvent
+from pdsplit.operators import InexactnessBudget, MonotoneOp
 from pdsplit.schedule import ControlSchedule, synchronous
 from pdsplit.separator import GraphTable, KTResidual, ProblemSpec
 
@@ -136,6 +136,35 @@ def closed_form_Z_box(x0: float, v0: float) -> tuple[float, float]:
     clamps the primal part and zeroes the dual part.
     """
     return min(max(float(x0), -1.0), 1.0), 0.0
+
+
+def forward_block(cmap: CouplingMap, x: BlockVector, k: int) -> np.ndarray:
+    """Dual block k of the forward map: sum over i of entry (k,i) applied to x_i."""
+    acc = np.zeros(cmap.signature.dual_dims[k])
+    for key in filter(lambda key: key[0] == k, sorted(cmap.entries)):
+        acc += cmap.entries[key] @ x.data[cmap.signature.primal_slices[key[1]]]
+    return acc
+
+
+def adjoint_block(cmap: CouplingMap, y: BlockVector, i: int) -> np.ndarray:
+    """Primal block i of the adjoint map: sum over k of entry (k,i) transposed applied to y_k."""
+    acc = np.zeros(cmap.signature.primal_dims[i])
+    for key in filter(lambda key: key[1] == i, sorted(cmap.entries)):
+        acc += cmap.entries[key].T @ y.data[cmap.signature.dual_slices[key[0]]]
+    return acc
+
+
+def resolvent(op: MonotoneOp, gamma: float, u: np.ndarray) -> np.ndarray:
+    """(Id + gamma*Op)^{-1} at u: the registry's closed forms written out for one operator, a
+    linear kind's by the inverse of its I + gamma*A, as a fixed reference."""
+    if op.kind == "zero":
+        return u.copy()
+    if op.kind == "l1_norm":
+        return np.sign(u) * np.maximum(np.abs(u) - gamma * op.params["weight"], 0.0)
+    if op.kind in ("box_indicator", "normal_cone_box"):
+        return np.minimum(np.maximum(u, op.params["lo"]), op.params["hi"])
+    mat, vec = ("Q", "q") if op.kind == "quadratic" else ("M", "c")
+    return np.linalg.inv(np.eye(op.dim) + gamma * op.params[mat]) @ (u - gamma * op.params[vec])
 
 
 @dataclass(frozen=True)

@@ -461,6 +461,26 @@ def test_advancing_past_an_exact_point_raises(l1_identity_problem):
         advance(state)
 
 
+@pytest.mark.parametrize("mode", ["fejer", "haugazeau"])
+def test_advancing_past_an_inconsistent_return_raises(monkeypatch, l1_identity_problem, mode):
+    # a re-run of the iteration that returned would add a trace row for it each time, and
+    # draw new perturbations in inexact mode
+    state = EngineState.initial(l1_identity_problem, fejer_config(mode=mode), synchronous(1, 1))
+    assert advance(state) is None and advance(state) is None
+    if mode == "fejer":  # a non-finite iterate, as in test_nan_aborts_with_diagnostic
+        state.current.data[0] = math.nan
+    else:  # an anchored update that finds the two half-spaces disjoint
+        def disjoint(*args):
+            raise InconsistencyError("empty outer approximation")
+        monkeypatch.setattr(ps.engine, "haugazeau_update", disjoint)
+    assert advance(state)[0] == "inconsistent"
+    rows = [rec.n for rec in state.trace]
+    for _ in range(2):
+        with pytest.raises(PdsplitError, match="returned 'inconsistent' at iteration 2;"):
+            advance(state)
+    assert [rec.n for rec in state.trace] == rows and state.n == 2
+
+
 def test_state_keeps_its_own_problem_arrays():
     problem = random_blocksparse_problem(3)
     sched = ps.random_admissible(problem.m, problem.p, M=3, D=4, horizon=64, seed=3)

@@ -14,6 +14,7 @@ from pdsplit.operators import (InexactnessBudget, MonotoneOp, _check_sym_psd, in
 from conftest import KINDS, PROX_REPRESENTABLE, function_value, registry_op
 from oracle import (GraphPoint, graph_point_dual, graph_point_primal, grid_minimize,
                     membership_residual, validate_inexact_dual, validate_inexact_primal)
+from oracle import resolvent as _textbook_resolvent
 
 
 def _registry_sample(rng, dim):
@@ -152,18 +153,6 @@ def test_resolvent_nonexpansive(seed, gamma):
         v = rng.normal(size=dim) * 3
         lhs = np.linalg.norm(resolvent(op, gamma, u) - resolvent(op, gamma, v))
         assert lhs <= np.linalg.norm(u - v) + 1e-12
-
-
-def _textbook_resolvent(op, gamma, u):
-    """The resolvent formulas written out for one operator, as a fixed reference."""
-    if op.kind == "zero":
-        return u.copy()
-    if op.kind == "l1_norm":
-        return np.sign(u) * np.maximum(np.abs(u) - gamma * op.params["weight"], 0.0)
-    if op.kind in ("box_indicator", "normal_cone_box"):
-        return np.minimum(np.maximum(u, op.params["lo"]), op.params["hi"])
-    mat, vec = ("Q", "q") if op.kind == "quadratic" else ("M", "c")
-    return np.linalg.inv(np.eye(op.dim) + gamma * op.params[mat]) @ (u - gamma * op.params[vec])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 20])

@@ -215,3 +215,42 @@ def test_the_reference_catches_a_last_bit_change_in_the_coordination_step(monkey
         with monkeypatch.context() as patch:
             patch.setattr(ps.engine, name, mutate(getattr(ps.engine, name)))
             assert ps.run(prob, cfg, sched).trace != ref, name
+
+
+def _nudge_linear_resolvents(patch):
+    resolve = ps.operators.stacked_resolvent
+
+    def nudged(kind, params, u):
+        out = resolve(kind, params, u)
+        return np.nextafter(out, np.inf) if kind in ps.operators.LINEAR_KINDS else out
+    for module in (ps.operators, ps.engine):  # every module a source edit would reach
+        patch.setattr(module, "stacked_resolvent", nudged)
+
+
+def _nudge_coupling_products(patch):
+    products = ps.CouplingMap._products
+
+    def nudged(cmap, v, adjoint, picks=None):
+        return [np.nextafter(prod, np.inf) for prod in products(cmap, v, adjoint, picks)]
+    patch.setattr(ps.CouplingMap, "_products", nudged)
+
+
+@pytest.mark.parametrize("nudge", [_nudge_linear_resolvents, _nudge_coupling_products],
+                         ids=["linear-resolvents", "coupling-products"])
+@pytest.mark.parametrize("make, mode, make_sched", [
+    pytest.param(make_lasso_problem, "haugazeau", lambda prob: synchronous(1, 1),
+                 id="lasso-haugazeau"),
+    pytest.param(lambda: random_blocksparse_problem(3), "fejer",
+                 lambda prob: ps.random_admissible(prob.m, prob.p, M=3, D=4, horizon=64, seed=3),
+                 id="lagged-fejer"),
+])
+def test_the_reference_catches_a_last_bit_change_in_the_decomposition_phase(
+        monkeypatch, make, mode, make_sched, nudge):
+    # a nudge stands for a source edit, so the reference runs under it too; while the reference
+    # evaluated its resolvents through the package's, a one-ulp change to them passed both cases
+    prob = make()
+    sched = make_sched(prob)
+    cfg = ps.SolverConfig(mode=mode, max_iter=60, resid_tol=0.0, exact_tol=-1.0)
+    with monkeypatch.context() as patch:
+        nudge(patch)
+        assert ps.run(prob, cfg, sched).trace != lagged_reference_run(prob, cfg, sched, 60)[0]
