@@ -32,8 +32,8 @@ import numpy as np
 from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, flat_inner
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_array, finite_number, inexact_dual,
-                        inexact_primal, row_dots, stacked_parameters, stacked_resolvent)
-from .schedule import ControlSchedule, at_least, read_depth, synchronous, validate
+                        inexact_primal, operator_groups, row_dots, stacked_resolvent)
+from .schedule import ControlSchedule, LagTable, at_least, read_depth, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
@@ -172,19 +172,18 @@ class _Side(NamedTuple):
     slices: tuple
     offset: np.ndarray  # z_star or r
     step: np.ndarray    # each block's gamma or mu, at the block's coordinates
-    groups: list        # the problem's groups, with their members' parameters at their steps
+    groups: list        # operator_groups at the side's steps: the problem's own at unit steps
     place: dict         # per block of the side, its group and its row there
     full: tuple         # _plan of every block, which never changes: built once, here
 
 
 def _side(read: int, problem: ProblemSpec, steps) -> _Side:
-    sig, groups = problem.signature, problem.groups[read]
-    ops, slices, offset = ((problem.A_ops, sig.primal_slices, problem.z_star),
-                           (problem.B_ops, sig.dual_slices, problem.r))[read]
+    ops, slices, offset = ((problem.A_ops, problem.signature.primal_slices, problem.z_star),
+                           (problem.B_ops, problem.signature.dual_slices, problem.r))[read]
+    # at unit steps the side's groups are the problem's, the same arrays: no second inverse
+    groups = problem.groups[read] if set(steps) == {1.0} else operator_groups(ops, slices, steps)
     side = _Side(read, slices, offset.data,
-                 np.repeat(steps, [sl.stop - sl.start for sl in slices]),
-                 [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]), at)
-                  for kind, js, _, at in groups],
+                 np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups,
                  {j: (g, row) for g, (_, js, _, _) in enumerate(groups) for row, j in enumerate(js)},
                  ())
     return side._replace(full=_plan(side, range(len(slices))))
@@ -233,7 +232,9 @@ class EngineState:
 
         trace is the destination of the records (default: a new list)."""
         rules = config.validate(problem)
-        sched = replace(sched)  # __post_init__ copies the set lists and dict lag tables
+        sched = copy.copy(sched)  # its own set lists and dict lag tables; a LagTable is read-only
+        sched.I_seq, sched.K_seq = list(sched.I_seq), list(sched.K_seq)
+        sched.c, sched.d = (t if isinstance(t, LagTable) else dict(t) for t in (sched.c, sched.d))
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
@@ -326,7 +327,7 @@ def _plan(side: _Side, active: Sequence[int]) -> tuple:
         rows: list = [[] for _ in side.groups]  # per group, its activated rows, in activation order
         for g, row in (side.place[j] for j in active):
             rows[g].append(row)
-        at = np.r_[tuple(side.slices[j] for j in active)]  # ascending
+        at = np.r_[tuple(side.slices[j] for j in sorted(active))]  # ascending
         picks = [(g, sel, np.searchsorted(at, side.groups[g][3][sel]))
                  for g, sel in enumerate(map(np.array, rows)) if sel.size]
     return at, picks, [(side.groups[g][0], tuple(p[sel] for p in side.groups[g][2]), rows)
@@ -455,7 +456,7 @@ def advance(state: EngineState):
         state.trace.append(record)
     residual = record.residual_sum()
     if not (math.isfinite(residual) and math.isfinite(theta) and np.isfinite(nxt).all()):
-        state.ended = ("inconsistent", n)
+        state.n, state.ended = n + 1, ("inconsistent", n)  # its row is traced: iteration n ran
         return "inconsistent", current, f"non-finite values at iteration {n}"
     if config.exact_tol >= 0.0 and detect_exact_solution(  # raw is normal on the full space
             tau if normal is raw else flat_inner(raw, raw, split),

@@ -4,8 +4,8 @@ The registry is closed on purpose: six kinds, each with a closed-form resolvent 
 by the inverse of its I + gamma*A, formed once per group and step), so every downstream guarantee
 can be tested exhaustively.  To extend, add a kind constructor, its branches in
 `stacked_parameters` and `stacked_resolvent` (a linear kind, x -> Ax + b, names its matrix and
-offset in `LINEAR_KINDS` instead), and its fields in fileio's table.  A problem groups its
-operators by (kind, dim) once, when it is built: `ProblemSpec.groups`.
+offset in `LINEAR_KINDS` instead), and its fields in fileio's table.  `operator_groups` groups
+operators by (kind, dim): a problem's at step 1 (`ProblemSpec.groups`), a run's at its steps.
 """
 
 from __future__ import annotations
@@ -168,14 +168,15 @@ def stacked_parameters(ops, gammas) -> tuple:
     return inv, g[:, None] * np.array([op.params[vec] for op in ops])
 
 
-def operator_groups(ops, slices) -> list:
+def operator_groups(ops, slices, steps=None) -> list:
     """The operators grouped by (kind, dim), in order of first appearance: per group its kind,
-    its members' indices, their stacked parameters at step 1, and their coordinates in a flat
-    array that slices cut into blocks, one row per member."""
+    its members' indices, their stacked parameters at their steps (all 1 if steps is None), and
+    their coordinates in a flat array that slices cut into blocks, one row per member."""
     members: dict[tuple[str, int], list[int]] = {}
     for j, op in enumerate(ops):
         members.setdefault((op.kind, op.dim), []).append(j)
-    return [(kind, js, stacked_parameters([ops[j] for j in js], [1.0] * len(js)),
+    return [(kind, js, stacked_parameters([ops[j] for j in js],
+                                          [1.0 if steps is None else steps[j] for j in js]),
              np.add.outer([slices[j].start for j in js], np.arange(dim)))
             for (kind, dim), js in members.items()]
 

@@ -160,7 +160,8 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
                 and table.depth <= s.D:
             continue
         for (idx, n), val in table.items():  # report the first bad entry, in order
-            if not all(map(is_integer, (idx, n, val))):
+            if not (type(idx) is type(n) is type(val) is int  # plain ints pass at once
+                    or all(map(is_integer, (idx, n, val)))):
                 return CertResult(False, f"{side} lag entry ({idx},{n}): {val!r} not an integer")
             if not (0 <= idx < count) or not (0 <= n < s.horizon):
                 return CertResult(False, f"{side} lag entry ({idx},{n}) out of range", n)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -700,3 +701,41 @@ def test_a_huge_finite_offset_runs_to_the_iteration_budget(tmp_path, q):
     assert main(["run", "--problem", str(tmp_path / "problem.json"),
                  "--config", str(tmp_path / "config.json"),
                  "--trace", str(tmp_path / "out.csv")]) == 2
+
+
+def _nan_residual_at(n, record=engine.iteration_record):
+    """iteration_record, with a NaN primal residual in iteration n's row."""
+    def patched(k, *args):
+        rec = record(k, *args)
+        return replace(rec, res_primal=math.nan) if k == n else rec
+    return patched
+
+
+_ENDINGS = {  # problem, config, status, iterations
+    "non-finite": (lambda: make_scalar_problem(ps.l1_norm(1), ps.affine_monotone([[1.0]])),
+                   dict(max_iter=50, resid_tol=0.0, exact_tol=-1.0, start=point([[2.0]], [[0.0]])),
+                   "inconsistent", 4),
+    "empty-outer-approximation": (_inconsistent_problem, dict(mode="haugazeau", max_iter=500),
+                                  "inconsistent", 5),
+    "exact-point": (lambda: make_scalar_problem(ps.l1_norm(1), ps.affine_monotone([[1.0]])),
+                    dict(max_iter=50, start=point([[0.0]], [[0.0]])), "exact_point", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_ENDINGS))
+def test_a_run_that_ends_early_counts_the_iterations_it_traced(tmp_path, capsys, monkeypatch,
+                                                               name):
+    # at trace_stride 1 each iteration that ran has one row: the non-finite one's row shows
+    # which value went non-finite, and the anchored update fails before its row is made
+    make_problem, config, status, iterations = _ENDINGS[name]
+    if name == "non-finite":
+        monkeypatch.setattr(engine, "iteration_record", _nan_residual_at(3))
+    res = ps.run(make_problem(), ps.SolverConfig(**config))
+    assert (res.status, res.iterations, len(res.trace)) == (status, iterations, iterations)
+    fileio.write_problem(make_problem(), tmp_path / "problem.json")
+    fileio.write_config(ps.SolverConfig(**config), tmp_path / "config.json")
+    main(["run", "--problem", str(tmp_path / "problem.json"),
+          "--config", str(tmp_path / "config.json"), "--trace", str(tmp_path / "out.csv")])
+    summary = json.loads(capsys.readouterr().out)
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]  # under the header
+    assert (summary["status"], summary["iterations"], len(rows)) == (status, iterations, iterations)

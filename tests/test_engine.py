@@ -9,6 +9,7 @@ import pdsplit as ps
 from pdsplit.blockspace import pd_norm, rows_owned
 from pdsplit.engine import EngineState, advance, haugazeau_update
 from pdsplit.errors import ConfigError, InconsistencyError, PdsplitError
+from pdsplit.operators import LINEAR_KINDS, operator_groups
 from pdsplit.schedule import read_depth, synchronous
 
 from conftest import (make_lasso_problem, make_linear_primal_problem, point,
@@ -453,6 +454,17 @@ def test_state_keeps_the_schedule_it_certified(l1_identity_problem):
     assert np.array_equal(state.current.data, expected.final.data)
 
 
+def test_a_set_assigned_out_of_order_runs_as_its_sorted_set():
+    # the state copies the sets as they are, without the constructor's sorting
+    problem = random_blocksparse_problem(3)
+    cfg = ps.SolverConfig(max_iter=10, resid_tol=0.0, exact_tol=-1.0)
+    expected = ps.run(problem, cfg, ps.periodic(problem.m, problem.p, 3, 16))
+    sched = ps.periodic(problem.m, problem.p, 3, 16)
+    sched.I_seq[1], sched.K_seq[2] = sched.I_seq[1][::-1], sched.K_seq[2][::-1]
+    res = ps.run(problem, cfg, sched)
+    assert res.trace == expected.trace and np.array_equal(res.final.data, expected.final.data)
+
+
 def test_advancing_past_an_exact_point_raises(l1_identity_problem):
     cfg = fejer_config(start=point([[0.0]], [[0.0]]), exact_tol=1e-14)
     state = EngineState.initial(l1_identity_problem, cfg, synchronous(1, 1))
@@ -478,7 +490,9 @@ def test_advancing_past_an_inconsistent_return_raises(monkeypatch, l1_identity_p
     for _ in range(2):
         with pytest.raises(PdsplitError, match="returned 'inconsistent' at iteration 2;"):
             advance(state)
-    assert [rec.n for rec in state.trace] == rows and state.n == 2
+    # iteration 2 ran when its values went non-finite, and its row is traced; the anchored
+    # update raises before the row is made
+    assert [rec.n for rec in state.trace] == rows and state.n == (3 if mode == "fejer" else 2)
 
 
 def test_state_keeps_its_own_problem_arrays():
@@ -727,6 +741,35 @@ def test_kt_residual_factors_no_matrix(monkeypatch):
     for z in (problem.known_Z_points[0], ps.PrimalDualPoint.zeros(problem.signature)):
         ps.kt_residual(problem, z)
     assert calls == [0]
+
+
+_STEPS = {"unit": (1.0, 1.0), "dual-only": (1.0, [2.0 - 0.2 * k for k in range(8)]),
+          "per-block": ([0.5 + 0.25 * i for i in range(8)], [2.0 - 0.2 * k for k in range(8)])}
+
+
+@pytest.mark.parametrize("gamma, mu", list(_STEPS.values()), ids=list(_STEPS))
+def test_a_side_at_unit_steps_reads_the_problems_groups(monkeypatch, gamma, mu):
+    # a side whose steps are all 1 takes the problem's groups, arrays and all, and forms no
+    # inverse; any other side forms one per linear group, what operator_groups gives at its steps
+    problem = random_blocksparse_problem(3)
+    cfg = ps.SolverConfig(gamma=gamma, mu=mu)
+    calls = _count_factorizations(monkeypatch)
+    state = EngineState.initial(problem, cfg, synchronous(problem.m, problem.p))
+    monkeypatch.undo()
+    rules, sig, formed = cfg.validate(problem), problem.signature, 0
+    for side, ops, slices, steps in ((state.primal, problem.A_ops, sig.primal_slices, rules.gamma),
+                                     (state.dual, problem.B_ops, sig.dual_slices, rules.mu)):
+        if set(steps) == {1.0}:
+            assert side.groups is problem.groups[side.read]
+            continue
+        want = operator_groups(ops, slices, steps)
+        assert len(side.groups) == len(want) > 1
+        for (kind, js, params, at), (kind_w, js_w, params_w, at_w) in zip(side.groups, want):
+            assert (kind, js) == (kind_w, js_w) and np.array_equal(at, at_w)
+            assert [(p.shape, p.tobytes()) for p in params] == \
+                [(p.shape, p.tobytes()) for p in params_w]
+        formed += sum(kind in LINEAR_KINDS for kind, *_ in side.groups)
+    assert calls == [formed] and (formed > 0) == ((gamma, mu) != (1.0, 1.0))
 
 
 def _count_lag_lookups(monkeypatch) -> list:

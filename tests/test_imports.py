@@ -1,5 +1,6 @@
-"""Every module of the package, its `__init__` aside, uses each name it imports, and the test
-oracle takes none of the package's per-block or per-group arithmetic."""
+"""Every module of the package, its `__init__` aside, uses each name it imports, one routine
+stacks the operator groups' resolvent parameters, and the test oracle takes none of the
+package's per-block or per-group arithmetic."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,33 @@ def test_the_check_finds_a_leftover_import():
               "import numpy as np\n"
               "def f(L):\n    return KeptImage(L), read_depth, np.zeros\n")
     assert unused_imports(source) == [(1, "block_rows"), (2, "LagBuffer")]
+
+
+def callers(name: str, paths=MODULES) -> list:
+    """The functions of the sources at paths that call `name`, as module.function."""
+    found = set()
+    for path in paths:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None))
+                    for node in ast.walk(fn)):
+                found.add(f"{path.stem}.{fn.name}")
+    return sorted(found)
+
+
+def test_one_routine_stacks_the_operator_groups():
+    # a side at new steps calls operator_groups, as the problem does at step 1
+    assert callers("stacked_parameters") == ["operators.operator_groups", "operators.resolvent"]
+    assert callers("operator_groups") == ["engine._side", "separator.__post_init__"]
+
+
+def test_the_callers_check_finds_a_second_stacking_loop(tmp_path):
+    (tmp_path / "engine.py").write_text(
+        "from .operators import stacked_parameters\n"
+        "def _side(ops, steps):\n    return [stacked_parameters(ops, steps)]\n"
+        "def run(ops):\n    return ops.stacked_parameters\n")
+    assert callers("stacked_parameters", [tmp_path / "engine.py"]) == ["engine._side"]
 
 
 def package_arithmetic(source: str) -> list:

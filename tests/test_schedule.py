@@ -540,6 +540,10 @@ def test_validate_rejects_malformed_schedules_in_python_and_from_a_file(tmp_path
                  id="fractional-lag"),
     pytest.param(dict(d={(0, 1.0): 0}, D=1), "dual lag entry (0,1.0): 0 not an integer",
                  id="fractional-lag-iteration"),
+    pytest.param(dict(c={(0, 1): True}, D=1), "primal lag entry (0,1): True not an integer",
+                 id="boolean-lag"),
+    pytest.param(dict(d={(False, 1): 0}, D=1), "dual lag entry (False,1): 0 not an integer",
+                 id="boolean-lag-block"),
 ])
 def test_python_built_counts_and_lags_follow_the_integer_rule(fields, reason):
     # each was certified, and run then raised "TypeError: list indices must be integers"
@@ -550,6 +554,20 @@ def test_python_built_counts_and_lags_follow_the_integer_rule(fields, reason):
                              ps.BlockVector([[0.0]]), ps.BlockVector([[0.0]]))
     with pytest.raises(ps.ConfigError, match=f"^schedule not certified: {re.escape(reason)}"):
         ps.run(problem, ps.SolverConfig(max_iter=3), s)
+
+
+def test_numpy_integer_lag_entries_certify():
+    # the integer rule lets numpy integers through: only a plain int skips it
+    s = ControlSchedule(2, [(0,), (0,)], [(0,), (0,)], c={(np.int64(0), 1): np.int32(0)},
+                        d={(0, np.uint8(1)): 1}, M=1, D=1)
+    assert validate(s, 1, 1) == CertResult(True)
+
+
+def test_a_lag_table_entry_may_not_read_a_later_iterate():
+    # iteration 1 of block 0 reads iterate 2
+    with pytest.raises(ps.ConfigError, match="^a lag table entry reads a later iterate$"):
+        LagTable(np.array([[0], [2]]))
+    assert LagTable(np.array([[0], [1]])).depth == 0
 
 
 @pytest.mark.parametrize("side", ["I_seq", "K_seq"])
