@@ -33,7 +33,7 @@ from .blockspace import BlockVector, CouplingMap, KeptImage, PrimalDualPoint, fl
 from .errors import ConfigError, InconsistencyError, PdsplitError
 from .operators import (InexactnessBudget, finite_array, finite_number, inexact_dual,
                         inexact_primal, operator_groups, row_dots, stacked_resolvent)
-from .schedule import ControlSchedule, LagTable, at_least, read_depth, synchronous, validate
+from .schedule import ControlSchedule, at_least, read_depth, synchronous, validate
 from .separator import (GraphTable, ProblemSpec, build_separator, detect_exact_solution,
                         halfspace_violation, project_halfspace)
 
@@ -180,7 +180,6 @@ class _Side(NamedTuple):
 def _side(read: int, problem: ProblemSpec, steps) -> _Side:
     ops, slices, offset = ((problem.A_ops, problem.signature.primal_slices, problem.z_star),
                            (problem.B_ops, problem.signature.dual_slices, problem.r))[read]
-    # at unit steps the side's groups are the problem's, the same arrays: no second inverse
     groups = problem.groups[read] if set(steps) == {1.0} else operator_groups(ops, slices, steps)
     side = _Side(read, slices, offset.data,
                  np.repeat(steps, [sl.stop - sl.start for sl in slices]), groups,
@@ -232,9 +231,7 @@ class EngineState:
 
         trace is the destination of the records (default: a new list)."""
         rules = config.validate(problem)
-        sched = copy.copy(sched)  # its own set lists and dict lag tables; a LagTable is read-only
-        sched.I_seq, sched.K_seq = list(sched.I_seq), list(sched.K_seq)
-        sched.c, sched.d = (t if isinstance(t, LagTable) else dict(t) for t in (sched.c, sched.d))
+        sched = sched.copy()  # its own set lists and dict lag tables, as its constructor left them
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
             raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
@@ -327,7 +324,7 @@ def _plan(side: _Side, active: Sequence[int]) -> tuple:
         rows: list = [[] for _ in side.groups]  # per group, its activated rows, in activation order
         for g, row in (side.place[j] for j in active):
             rows[g].append(row)
-        at = np.r_[tuple(side.slices[j] for j in sorted(active))]  # ascending
+        at = np.r_[tuple(side.slices[j] for j in active)]  # ascending
         picks = [(g, sel, np.searchsorted(at, side.groups[g][3][sel]))
                  for g, sel in enumerate(map(np.array, rows)) if sel.size]
     return at, picks, [(side.groups[g][0], tuple(p[sel] for p in side.groups[g][2]), rows)

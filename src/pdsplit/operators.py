@@ -168,15 +168,14 @@ def stacked_parameters(ops, gammas) -> tuple:
     return inv, g[:, None] * np.array([op.params[vec] for op in ops])
 
 
-def operator_groups(ops, slices, steps=None) -> list:
+def operator_groups(ops, slices, steps) -> list:
     """The operators grouped by (kind, dim), in order of first appearance: per group its kind,
-    its members' indices, their stacked parameters at their steps (all 1 if steps is None), and
-    their coordinates in a flat array that slices cut into blocks, one row per member."""
+    its members' indices, their stacked parameters at their steps, and their coordinates in a
+    flat array that slices cut into blocks, one row per member."""
     members: dict[tuple[str, int], list[int]] = {}
     for j, op in enumerate(ops):
         members.setdefault((op.kind, op.dim), []).append(j)
-    return [(kind, js, stacked_parameters([ops[j] for j in js],
-                                          [1.0 if steps is None else steps[j] for j in js]),
+    return [(kind, js, stacked_parameters([ops[j] for j in js], [steps[j] for j in js]),
              np.add.outer([slices[j].start for j in js], np.arange(dim)))
             for (kind, dim), js in members.items()]
 

@@ -16,6 +16,7 @@ array, so generating and certifying a schedule cost array operations.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import operator
@@ -98,9 +99,9 @@ class ControlSchedule:
     M: int = 1
     D: int = 0
 
-    def __post_init__(self) -> None:
-        for name, table, seq in (("I_seq", "c", self.I_seq), ("K_seq", "d", self.K_seq)):
-            if not _normal(seq := list(seq)):
+    def __post_init__(self, left: tuple = ((), ())) -> None:  # left: the sets it left, see copy
+        for name, table, kept in (("I_seq", "c", left[0]), ("K_seq", "d", left[1])):
+            if not _normal(seq := list(getattr(self, name)), kept):
                 seq = [tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i)
                                      for i in s})) for n, s in enumerate(seq)]
             # a certifiable schedule activates exactly blocks 0..count-1 at n = 0
@@ -108,6 +109,12 @@ class ControlSchedule:
             setattr(self, name, seq)
             setattr(self, table, lags if isinstance(lags, LagTable) and lags.reads.shape == grid
                     else dict(lags or {}))
+        self._left = (tuple(self.I_seq), tuple(self.K_seq))  # the sets as it left them
+
+    def copy(self) -> ControlSchedule:
+        """A copy built as the constructor builds one, which checks only the sets assigned since."""
+        (new := copy.copy(self)).__post_init__(self._left)
+        return new
 
     def _tail_source(self, n: int) -> int:
         """Map an iteration beyond the horizon to its source in the tail window."""
@@ -160,8 +167,7 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
                 and table.depth <= s.D:
             continue
         for (idx, n), val in table.items():  # report the first bad entry, in order
-            if not (type(idx) is type(n) is type(val) is int  # plain ints pass at once
-                    or all(map(is_integer, (idx, n, val)))):
+            if not (type(idx) is type(n) is type(val) is int or all(map(is_integer, (idx, n, val)))):
                 return CertResult(False, f"{side} lag entry ({idx},{n}): {val!r} not an integer")
             if not (0 <= idx < count) or not (0 <= n < s.horizon):
                 return CertResult(False, f"{side} lag entry ({idx},{n}) out of range", n)
@@ -195,16 +201,15 @@ def _no_reads(shape: tuple) -> np.ndarray:
     return np.full(shape, -1, np.min_scalar_type(-max(shape[0], 1)))
 
 
-def _normal(seq: list) -> bool:
+def _normal(seq: list, kept: tuple) -> bool:
     """Whether every set of seq is a non-empty tuple of plain ints, each below the next, as
-    ControlSchedule.__post_init__ leaves them: then it keeps them."""
+    ControlSchedule.__post_init__ leaves them; one that is its place's tuple in kept is not read."""
     flat = itertools.chain.from_iterable
+    seq = [s for s, t in zip(seq, kept) if s is not t] + seq[len(kept):]  # the ones to check
     if not (set(map(type, seq)) <= {tuple} and all(seq) and set(map(type, flat(seq))) <= {int}):
         return False
     sets = set(seq)  # a set that seq repeats is checked once, and its last entry against inf
-    nexts = map(operator.add, map(operator.itemgetter(slice(1, None)), sets), itertools.repeat(
-        (math.inf,)))
-    return all(map(operator.lt, flat(sets), flat(nexts)))
+    return all(map(operator.lt, flat(sets), flat(s[1:] + (math.inf,) for s in sets)))
 
 
 def _first_idle(seq: list, count: int, M: int) -> Optional[int]:
@@ -317,6 +322,5 @@ def random_admissible(m: int, p: int, M: int, D: int, horizon: int,
     for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq)):  # primal blocks first
         lags = rng.integers(max(0, n - D), n + 1, len(I_n) + len(K_n))
         c[n, I_n], d[n, K_n] = lags[:len(I_n)], lags[len(I_n):]
-    tables = LagTable(c), LagTable(d)
-    return ControlSchedule(horizon, I_seq, K_seq, *tables, M=M, D=D)
+    return ControlSchedule(horizon, I_seq, K_seq, LagTable(c), LagTable(d), M=M, D=D)
 

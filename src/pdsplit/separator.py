@@ -165,8 +165,8 @@ class ProblemSpec:
         finite_array(self.z_star.data, "z_star")
         finite_array(self.r.data, "r")
         # after the checks above: the groups' coordinate tables follow the claimed dims
-        self.groups = (operator_groups(self.A_ops, sig.primal_slices),
-                       operator_groups(self.B_ops, sig.dual_slices))
+        self.groups = (operator_groups(self.A_ops, sig.primal_slices, (1.0,) * len(self.A_ops)),
+                       operator_groups(self.B_ops, sig.dual_slices, (1.0,) * len(self.B_ops)))
         self.projector = build_projector(self.subspace, sig, self.coupling)
         if self.subspace.variant == "linear_primal":  # build_projector checked m and A1's shape
             self._validate_linear_primal()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -454,15 +455,49 @@ def test_state_keeps_the_schedule_it_certified(l1_identity_problem):
     assert np.array_equal(state.current.data, expected.final.data)
 
 
-def test_a_set_assigned_out_of_order_runs_as_its_sorted_set():
-    # the state copies the sets as they are, without the constructor's sorting
+_PERTURBED = dict(inexact=ps.InexactnessBudget(1.0, 0.2, 1.0, 0.2),
+                  perturbation=ps.PerturbationRule(seed=7, scale=0.6))
+
+
+@pytest.mark.parametrize("extra", [{}, _PERTURBED], ids=["exact", "perturbed"])
+def test_a_set_assigned_out_of_order_runs_as_its_sorted_set(extra):
+    # the state's copy rebuilds it as the constructor would: unsorted, its blocks would take
+    # their perturbation draws in the order assigned
     problem = random_blocksparse_problem(3)
-    cfg = ps.SolverConfig(max_iter=10, resid_tol=0.0, exact_tol=-1.0)
+    cfg = ps.SolverConfig(max_iter=10, resid_tol=0.0, exact_tol=-1.0, **extra)
     expected = ps.run(problem, cfg, ps.periodic(problem.m, problem.p, 3, 16))
     sched = ps.periodic(problem.m, problem.p, 3, 16)
     sched.I_seq[1], sched.K_seq[2] = sched.I_seq[1][::-1], sched.K_seq[2][::-1]
     res = ps.run(problem, cfg, sched)
     assert res.trace == expected.trace and np.array_equal(res.final.data, expected.final.data)
+    assert res.metadata == expected.metadata
+    assert ("perturb_accepted" in res.metadata) == bool(extra)
+
+
+@pytest.mark.parametrize("side", ["I_seq", "K_seq"])
+def test_a_set_assigned_with_a_repeat_runs_without_it(side):
+    # with m = p = 2, (1, 1) has as many entries as there are blocks: read as every block
+    # active, block 0 would take a step the schedule never asked for
+    problem = random_blocksparse_problem(1, blocks=2)
+    cfg = ps.SolverConfig(max_iter=8, resid_tol=0.0, exact_tol=-1.0)
+    expected = ps.run(problem, cfg, ps.periodic(2, 2, 1, 8))
+    sched = ps.periodic(2, 2, 1, 8)
+    assert getattr(sched, side)[2] == (1,)
+    getattr(sched, side)[2] = (1, 1)
+    res = ps.run(problem, cfg, sched)
+    assert res.trace == expected.trace and np.array_equal(res.final.data, expected.final.data)
+
+
+@pytest.mark.parametrize("side", ["I_seq", "K_seq"])
+@pytest.mark.parametrize("bad", [0.7, True, "0"], ids=["fraction", "boolean", "string"])
+def test_a_set_assigned_with_a_non_integer_is_refused(side, bad):
+    # the integer rule of the constructor: (0, True) would run as blocks 0 and 1
+    problem, cfg = random_blocksparse_problem(3, blocks=2), ps.SolverConfig(max_iter=4)
+    sched = ps.periodic(2, 2, 1, 8)
+    getattr(sched, side)[1] = (0, bad)
+    with pytest.raises(ps.ConfigError, match=rf"^{side}\[1\] entry must be an integer, "
+                                             rf"got {re.escape(repr(bad))}$"):
+        ps.run(problem, cfg, sched)
 
 
 def test_advancing_past_an_exact_point_raises(l1_identity_problem):

@@ -570,6 +570,23 @@ def test_a_lag_table_entry_may_not_read_a_later_iterate():
     assert LagTable(np.array([[0], [1]])).depth == 0
 
 
+@pytest.mark.parametrize("assigned", [(1, 0), (1, 1), (0, np.int64(1)), [0, 1], (0, 1)],
+                         ids=["unsorted", "repeat", "numpy", "list", "normal"])
+def test_a_copy_is_built_as_the_constructor_builds_one(assigned):
+    # the sets the constructor left are shared as they are; a set assigned since is rebuilt
+    s = random_admissible(2, 2, M=2, D=1, horizon=8, seed=1)
+    assert all(a is b for a, b in zip(s.copy().I_seq, s.I_seq))  # none rebuilt
+    s.I_seq[3], s.c = assigned, dict(s.c)
+    copy = s.copy()
+    assert copy == replace(s) and copy.I_seq[3] == tuple(sorted(set(assigned)))
+    assert s.I_seq[3] is assigned
+    assert copy.I_seq is not s.I_seq and copy.c is not s.c and copy.c == s.c
+    assert copy.d is s.d and isinstance(copy.d, LagTable)  # read-only: shared
+    s.I_seq[3] = (0, True)
+    with pytest.raises(ps.ConfigError, match=r"^I_seq\[3\] entry must be an integer, got True$"):
+        s.copy()
+
+
 @pytest.mark.parametrize("side", ["I_seq", "K_seq"])
 @pytest.mark.parametrize("bad", [0.7, True, "0"], ids=["fraction", "boolean", "string"])
 def test_activation_indices_follow_the_integer_rule(side, bad):
