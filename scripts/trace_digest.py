@@ -8,7 +8,9 @@ perturbed lagged runs in both engine modes: of seeded random problems under
 scattered activation sets (random_admissible), then of seeded block-sparse
 problems under contiguous several-block sets (periodic chunks), at unit
 steps, at a step per block on both sides, and at unit primal steps with a
-step per dual block (sides that form their own resolvent parameters).  Their
+step per dual block (sides that form their own resolvent parameters), and
+last of random problems again under scattered sets over a horizon of 16, so
+that 24 of their 40 iterations run in the schedule's tail window.  Their
 inputs come from this tree's own generators (perfbench/workloads.py and
 tests/conftest.py), so two source trees given to the same script solve the
 same inputs, and a `diff` of the two outputs lists every run whose bits
@@ -29,6 +31,7 @@ WORKLOAD_SEED = 1
 RANDOM_SEEDS = range(40)
 PERIODIC_SEEDS = range(5)
 STEP_SEEDS = range(3)
+TAIL_SEEDS = range(5)
 
 
 def _unit_steps(prob) -> dict:
@@ -88,7 +91,10 @@ def main(argv: list[str]) -> int:
                                                      seed=seed), _unit_steps),
             ("periodic", random_blocksparse_problem, PERIODIC_SEEDS, chunks, _unit_steps),
             ("periodic-blocksteps", random_blocksparse_problem, STEP_SEEDS, chunks, _block_steps),
-            ("periodic-dualsteps", random_blocksparse_problem, STEP_SEEDS, chunks, _dual_steps))
+            ("periodic-dualsteps", random_blocksparse_problem, STEP_SEEDS, chunks, _dual_steps),
+            ("random-tail", random_problem, TAIL_SEEDS,
+             lambda prob, seed: ps.random_admissible(prob.m, prob.p, M=3, D=4, horizon=16,
+                                                     seed=seed), _unit_steps))
         for family, make_problem, seeds, make_schedule, steps in families:
             for mode in ("fejer", "haugazeau"):
                 for seed in seeds:

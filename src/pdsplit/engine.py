@@ -234,7 +234,8 @@ class EngineState:
         sched = sched.copy()  # its own set lists and dict lag tables, as its constructor left them
         cert = validate(sched, problem.m, problem.p)
         if not cert.certified:
-            raise ConfigError(f"schedule not certified: {cert.reason} (n={cert.at})")
+            raise ConfigError(f"schedule not certified: {cert.reason}"
+                              + ("" if cert.at is None else f" (n={cert.at})"))
         problem = copy.copy(problem)  # with its own arrays, where the caller's may change later
         problem.z_star, problem.r = (BlockVector._wrap(b.data.copy(), b.dims)
                                      for b in (problem.z_star, problem.r))

@@ -41,10 +41,10 @@ class CertResult:
 class LagTable(Mapping):
     """A generator's lag table: the {(block, n): read iteration} mapping held as a read-only
     array over its schedule's (horizon, blocks) grid, reads[n, block], which is negative where
-    the block has no entry.  depth is the greatest lag of its entries.  get reads the array; the
-    rest of the mapping reads a dict view, built when first needed."""
+    the block has no entry.  depth is the greatest lag of its entries.  Every read of the
+    mapping, iteration-major, comes from the array: the table holds no second copy."""
 
-    __slots__ = ("reads", "depth", "_view", "_len", "_entries")
+    __slots__ = ("reads", "depth", "_view", "_len")
 
     def __init__(self, reads: np.ndarray):
         """reads: a generator's integer array, which the table takes over."""
@@ -55,27 +55,24 @@ class LagTable(Mapping):
             raise ConfigError("a lag table entry reads a later iterate")
         reads.flags.writeable = False
         self.reads, self._view, self.depth = reads, memoryview(reads), int(lag.max(initial=0))
-        self._len, self._entries = int(np.count_nonzero(has)), None
-
-    def _dict(self) -> dict:
-        if self._entries is None:
-            n, i = np.nonzero(self.reads >= 0)
-            self._entries = dict(zip(zip(i.tolist(), n.tolist()), self.reads[n, i].tolist()))
-        return self._entries
+        self._len = int(np.count_nonzero(has))
 
     def get(self, key, default=None):
-        idx, n = key
         try:
+            idx, n = key
             read = self._view[n, idx] if n >= 0 <= idx else -1
-        except IndexError:  # off the grid
+        except (IndexError, TypeError, ValueError):  # off the grid, or not a (block, n) pair
             return default
         return read if read >= 0 else default
 
     def __getitem__(self, key):
-        return self._dict()[key]
+        if (read := self.get(key)) is None:
+            raise KeyError(key)
+        return read
 
     def __iter__(self):
-        return iter(self._dict())
+        n, i = np.nonzero(self.reads >= 0)
+        return zip(i.tolist(), n.tolist())
 
     def __len__(self) -> int:
         return self._len
@@ -101,9 +98,7 @@ class ControlSchedule:
 
     def __post_init__(self, left: tuple = ((), ())) -> None:  # left: the sets it left, see copy
         for name, table, kept in (("I_seq", "c", left[0]), ("K_seq", "d", left[1])):
-            if not _normal(seq := list(getattr(self, name)), kept):
-                seq = [tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i)
-                                     for i in s})) for n, s in enumerate(seq)]
+            seq = _sets(self, name, kept)
             # a certifiable schedule activates exactly blocks 0..count-1 at n = 0
             lags, grid = getattr(self, table), (len(seq), len(seq[0]) if seq else 0)
             setattr(self, name, seq)
@@ -116,20 +111,19 @@ class ControlSchedule:
         (new := copy.copy(self)).__post_init__(self._left)
         return new
 
-    def _tail_source(self, n: int) -> int:
-        """Map an iteration beyond the horizon to its source in the tail window."""
-        block = min(self.M, self.horizon)
-        start = self.horizon - block
-        return start + (n - start) % block
+    def _source(self, n: int) -> int:
+        """n within the horizon; past it, n's place in the last window of min(M, horizon)."""
+        window = min(self.M, self.horizon)
+        return n if n < self.horizon else self.horizon - window + (n - self.horizon) % window
 
     def blocks_at(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        src = n if n < self.horizon else self._tail_source(n)
+        src = self._source(n)
         return self.I_seq[src], self.K_seq[src]
 
     def _lag(self, table: Mapping, idx: int, n: int) -> int:
         if not table:  # no lags: every read is of iterate n
             return n
-        src = n if n < self.horizon else self._tail_source(n)
+        src = self._source(n)
         return n - src + table.get((idx, src), src)  # src's lag
 
     def lag_primal(self, i: int, n: int) -> int:
@@ -140,17 +134,18 @@ class ControlSchedule:
 
 
 def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
-    """Check a schedule against the certification conditions for (m, p) blocks."""
+    """Certify a schedule for (m, p) blocks, reading its sets in the form the engine runs."""
     try:
         at_least(("m", m, 1), ("p", p, 1), ("M", s.M, 1), ("D", s.D, 0), ("horizon", s.horizon, 1))
+        I_seq, K_seq = (_sets(s, name, kept) for name, kept in zip(("I_seq", "K_seq"), s._left))
     except ConfigError as exc:
         return CertResult(False, str(exc))
-    if len(s.I_seq) != s.horizon or len(s.K_seq) != s.horizon:
+    if len(I_seq) != s.horizon or len(K_seq) != s.horizon:
         return CertResult(False, "activation sequences do not match the horizon")
-    sides = ((s.I_seq, m), (s.K_seq, p))
+    sides = ((I_seq, m), (K_seq, p))
     idle = [_first_idle(seq, count, s.M) for seq, count in sides]
     if None in idle:  # an empty set, an index out of range or a short iteration 0: find which
-        for n, (I_n, K_n) in enumerate(zip(s.I_seq, s.K_seq)):
+        for n, (I_n, K_n) in enumerate(zip(I_seq, K_seq)):
             if not I_n or not K_n:
                 return CertResult(False, "empty block set", n)
             if any(i < 0 or i >= m for i in I_n):
@@ -162,7 +157,7 @@ def validate(s: ControlSchedule, m: int, p: int) -> CertResult:
     if min(idle) < s.horizon:  # on a tie the primal side is reported first
         side = ("primal", "dual")[idle.index(min(idle))]
         return CertResult(False, f"window of {s.M} misses {side} blocks", min(idle))
-    for table, count, side in ((s.c, m, "primal"), (s.d, p, "dual")):
+    for table, count, side in ((s.c or {}, m, "primal"), (s.d or {}, p, "dual")):
         if isinstance(table, LagTable) and table.reads.shape == (s.horizon, count) \
                 and table.depth <= s.D:
             continue
@@ -201,15 +196,19 @@ def _no_reads(shape: tuple) -> np.ndarray:
     return np.full(shape, -1, np.min_scalar_type(-max(shape[0], 1)))
 
 
-def _normal(seq: list, kept: tuple) -> bool:
-    """Whether every set of seq is a non-empty tuple of plain ints, each below the next, as
-    ControlSchedule.__post_init__ leaves them; one that is its place's tuple in kept is not read."""
-    flat = itertools.chain.from_iterable
-    seq = [s for s, t in zip(seq, kept) if s is not t] + seq[len(kept):]  # the ones to check
-    if not (set(map(type, seq)) <= {tuple} and all(seq) and set(map(type, flat(seq))) <= {int}):
-        return False
-    sets = set(seq)  # a set that seq repeats is checked once, and its last entry against inf
-    return all(map(operator.lt, flat(sets), flat(s[1:] + (math.inf,) for s in sets)))
+def _sets(s: ControlSchedule, name: str, kept: tuple) -> list[tuple[int, ...]]:
+    """A new list of s's sets named name in the constructor's form: each a sorted tuple of
+    distinct plain ints, by the integer rule (a ConfigError names the first set that breaks it).
+    A set that is still its place's tuple in kept, as the constructor left it, is not read."""
+    seq, flat = list(getattr(s, name)), itertools.chain.from_iterable
+    new = [t for t, k in zip(seq, kept) if t is not k] + seq[len(kept):]
+    if set(map(type, new)) <= {tuple} and all(new) and set(map(type, flat(new))) <= {int}:
+        sets = set(new)  # a repeated set is checked once, and its last entry against inf
+        if all(map(operator.lt, flat(sets), flat(t[1:] + (math.inf,) for t in sets))):
+            return seq
+    return [t if n < len(kept) and t is kept[n] else
+            tuple(sorted({i if type(i) is int else integer(f"{name}[{n}] entry", i) for i in t}))
+            for n, t in enumerate(seq)]
 
 
 def _first_idle(seq: list, count: int, M: int) -> Optional[int]:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import pdsplit as ps
 from pdsplit import fileio
 from pdsplit.cli import main
+from pdsplit.engine import EngineState
 from pdsplit.schedule import (CertResult, ControlSchedule, LagTable, periodic, random_admissible,
                               read_depth, synchronous, validate)
 
@@ -243,6 +244,39 @@ def test_tail_extension_preserves_certification():
         for k in K_n:
             d = s.lag_dual(k, n)
             assert max(0, n - s.D) <= d <= n
+
+
+def _dict_tables(horizon, M):
+    """A random schedule for (3, 2) blocks with its tables as dicts, under a coverage bound M."""
+    s = random_admissible(3, 2, M=2, D=2, horizon=horizon, seed=horizon)
+    return ControlSchedule(horizon, s.I_seq, s.K_seq, dict(s.c), dict(s.d), M=M, D=2)
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda horizon, pattern=pattern: periodic(3, 2, 1, horizon, pattern),
+                   id=f"periodic-{pattern[0]}")
+      for pattern in [("zero",), ("constant", 2), ("sawtooth", 2)]],
+    pytest.param(lambda horizon: random_admissible(3, 2, M=3, D=2, horizon=horizon, seed=4),
+                 id="random"),
+    pytest.param(lambda horizon: _dict_tables(horizon, 3), id="dict-tables"),
+])
+@pytest.mark.parametrize("horizon", [7, 3, 2], ids=["M-below", "M-equal", "M-above"])
+def test_the_tail_repeats_the_last_window_exactly(make, horizon):
+    # past the horizon, with w = min(M, horizon): set(n) = set(n - w), read(n) = read(n - w) + w
+    s = make(horizon)
+    assert s.M == 3
+    w, sets, reads = min(s.M, horizon), [], {}
+    for n in range(3 * horizon):  # the extension by recurrence
+        sets.append(s.blocks_at(n) if n < horizon else sets[n - w])
+        for side, (table, blocks) in enumerate(zip((s.c, s.d), sets[n])):
+            for idx in blocks:
+                reads[side, idx, n] = (dict(table).get((idx, n), n) if n < horizon
+                                       else reads[side, idx, n - w] + w)
+    for n in range(3 * horizon):
+        I_n, K_n = s.blocks_at(n)
+        assert (I_n, K_n) == sets[n]
+        assert [s.lag_primal(i, n) for i in I_n] == [reads[0, i, n] for i in I_n]
+        assert [s.lag_dual(k, n) for k in K_n] == [reads[1, k, n] for k in K_n]
 
 
 def test_synchronous_helper():
@@ -599,3 +633,86 @@ def test_activation_indices_follow_the_integer_rule(side, bad):
     s = ControlSchedule(2, [(np.int64(0),), (np.int32(0),)], [(0,), (np.uint8(0),)])
     assert s.I_seq == s.K_seq == [(0,), (0,)]
     assert all(type(i) is int for seq in (s.I_seq, s.K_seq) for t in seq for i in t)
+
+
+def _zero_problem(m, p):
+    """m primal and p dual one-dimensional zero operators, coupled through block (0, 0)."""
+    sig = ps.SpaceSignature((1,) * m, (1,) * p)
+    return ps.ProblemSpec(sig, [ps.zero(1)] * m, [ps.zero(1)] * p,
+                          ps.CouplingMap(sig, {(0, 0): [[1.0]]}),
+                          ps.BlockVector([[0.0]] * m), ps.BlockVector([[0.0]] * p))
+
+
+@pytest.mark.parametrize("make, n, assigned, m, p", [
+    *[pytest.param(lambda: periodic(2, 2, 1, 8), 3, assigned, 2, 2, id=f"n3-{name}")
+      for name, assigned in [("fraction", (0, 0.7)), ("boolean", (0, True)), ("string", ("0",)),
+                             ("unsorted", (1, 0)), ("repeat", (0, 0, 1))]],
+    pytest.param(lambda: periodic(2, 2, 1, 8), 0, (1, 0), 2, 2, id="n0-unsorted"),
+    pytest.param(lambda: ControlSchedule(2, [(0, 1), (0,)], [(0,), (0,)], M=2), 1, ("0",), 2, 1,
+                 id="one-window-string"),
+])
+def test_validate_and_the_engine_agree_on_an_assigned_set(make, n, assigned, m, p):
+    # validate read the assigned set as it was and the engine its sorted copy: the first three
+    # were certified and refused by run, n0-unsorted refused and run, and one-window-string
+    # raised TypeError in validate
+    s = make()
+    s.I_seq[n] = assigned
+    sets, c, d = list(s.I_seq), s.c, s.d
+    cert = validate(s, m, p)
+    try:
+        EngineState.initial(_zero_problem(m, p), ps.SolverConfig(max_iter=3), s)
+        refusal = None
+    except ps.ConfigError as exc:
+        refusal = str(exc)
+    assert cert.certified == (refusal is None)
+    bad = [i for i in assigned if type(i) is not int]
+    if bad:
+        assert cert == CertResult(False, f"I_seq[{n}] entry must be an integer, got {bad[0]!r}")
+        assert refusal == cert.reason
+    assert all(a is b for a, b in zip(s.I_seq, sets)) and s.c is c and s.d is d
+
+
+def test_a_table_assigned_as_none_reads_as_no_lags():
+    # the engine's copy takes None as {}; validate raised AttributeError on it
+    s = periodic(2, 2, 1, 8, ("constant", 1))
+    s.c = None
+    assert validate(s, 2, 2) == CertResult(True)
+    EngineState.initial(_zero_problem(2, 2), ps.SolverConfig(max_iter=3), s)
+
+
+@pytest.mark.parametrize("fields, assigned, message", [
+    pytest.param(dict(M=0), None, "schedule not certified: M must be >= 1, got 0", id="M-zero"),
+    pytest.param({}, (0, 0.7), "I_seq[3] entry must be an integer, got 0.7", id="fraction"),
+])
+def test_a_refused_schedule_names_no_iteration_it_does_not_have(fields, assigned, message):
+    # both messages ended in "(n=None)"
+    s = replace(periodic(2, 2, 1, 8), **fields)
+    if assigned is not None:
+        s.I_seq[3] = assigned
+    with pytest.raises(ps.ConfigError) as info:
+        ps.run(_zero_problem(2, 2), ps.SolverConfig(max_iter=3), s)
+    assert str(info.value).endswith(message) and "n=" not in str(info.value)
+
+
+def test_a_generated_lag_table_is_held_once():
+    # a mapping read kept a dict copy of the whole table for the table's lifetime
+    s = random_admissible(50, 50, 5, 3, 2000, 1)
+    tracemalloc.start()
+    try:
+        list(zip(range(5000), range(5000)))  # fills the interpreter's free list of pairs first
+        base = tracemalloc.get_traced_memory()[0]
+        entries = dict(s.c)
+        size = tracemalloc.get_traced_memory()[0] - base
+        same = s.c == entries and list(s.c.items()) == list(entries.items())
+        del entries
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert same and size > 1e6 and retained < 0.01 * size
+    keys = list(s.c)
+    assert len(keys) == len(s.c) and keys == sorted(keys, key=lambda key: key[::-1])  # by n
+    assert all(s.c[i, n] == s.c.reads[n, i] >= 0 for i, n in keys[::97])
+    for key in (("x", 0), (0, "x"), (0,), 5, (0, 2000), (50, 0), (-1, 3), (0, -1), (0, 10**9)):
+        assert key not in s.c and s.c.get(key, "none") == "none"
+    with pytest.raises(KeyError):
+        s.c[0, 10**9]
